@@ -8,7 +8,7 @@ the free conformal algebra itself with two independent product engines
 """
 
 from .hopf import HPoly, Scalar, TensorHH, antipode, binomial, comult, counit, decompose, recompose
-from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_cmp, deglex_key
+from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_key
 from .pseudo import (
     COACTIONS,
     CanonicalPseudo,
@@ -72,7 +72,6 @@ __all__ = [
     "counit",
     "current_coaction",
     "decompose",
-    "deglex_cmp",
     "deglex_key",
     "evaluate",
     "evaluate_pseudo",

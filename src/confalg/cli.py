@@ -19,6 +19,7 @@ from .freeconf import (
     NotInSpan,
     random_element,
 )
+from .linear import accumulate, exact
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, deglex_key
 from .pseudo import (
     COACTIONS,
@@ -126,13 +127,10 @@ def pelement_from_json(alg: AlgebraConfig, raw) -> PElement:
     parts: dict[int, NCPoly] = {}
     try:
         for part in raw["parts"]:
-            d = int(part["d"])
             terms: dict[tuple, Fraction] = {}
             for t in part["terms"]:
-                w = alg.word(tuple(t["word"]))
-                terms[w] = terms.get(w, Fraction(0)) + Fraction(t["coeff"])
-            poly = NCPoly(alg, terms)
-            parts[d] = parts[d] + poly if d in parts else poly
+                accumulate(terms, alg.word(tuple(t["word"])), exact(t["coeff"]))
+            accumulate(parts, int(part["d"]), NCPoly(alg, terms))
         return PElement(alg, parts)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, ConfigError) as exc:
         raise UsageError(f"bad raw element: {exc}") from exc

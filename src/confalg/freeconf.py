@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_key
-from .pseudo import PElement, ProductKind, PseudoAlgebra, as_rng, standard_coaction
+from .linear import Linear, accumulate, exact
+from .pseudo import _COEFF_POOL, PElement, ProductKind, PseudoAlgebra, as_rng, standard_coaction
 
 
 class NotInSpan(Exception):
@@ -35,7 +36,7 @@ class NormalWord:
     """D^s (a_1 .n_1 (a_2 .n_2 (... a_k .n_k a_{k+1} ...))).
 
     gens has one more entry than indices; index i must satisfy
-    0 <= n_i < N(a_i, a_{i+1}).
+    0 <= n_i < N(a_i, a_{i+1}) = n(a_{i+1}).
     """
 
     s: int
@@ -54,56 +55,17 @@ class NormalWord:
         return self if self.s == 0 else NormalWord(0, self.gens, self.indices)
 
 
-class ConfElement:
+class ConfElement(Linear):
     """Linear combination of normal words with Fraction coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[NormalWord, object] | None = None):
-        data: dict[NormalWord, Fraction] = {}
-        if terms:
-            for u, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    data[u] = data.get(u, Fraction(0)) + c
-        self.terms = {u: c for u, c in data.items() if c}
-
-    @classmethod
-    def zero(cls) -> "ConfElement":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def single(cls, u: NormalWord, coeff=1) -> "ConfElement":
         return cls({u: coeff})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ConfElement) and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: "ConfElement") -> "ConfElement":
-        out = dict(self.terms)
-        for u, c in other.terms.items():
-            out[u] = out.get(u, Fraction(0)) + c
-        return ConfElement(out)
-
-    def __sub__(self, other: "ConfElement") -> "ConfElement":
-        return self + (-other)
-
-    def __neg__(self) -> "ConfElement":
-        return ConfElement({u: -c for u, c in self.terms.items()})
-
-    def scale(self, c) -> "ConfElement":
-        c = Fraction(c)
-        if not c:
-            return ConfElement()
-        return ConfElement({u: v * c for u, v in self.terms.items()})
-
     def d_shift(self, k: int = 1) -> "ConfElement":
-        return ConfElement(
+        return self._new(
             {NormalWord(u.s + k, u.gens, u.indices): c for u, c in self.terms.items()}
         )
 
@@ -134,18 +96,6 @@ class FreeConformal:
         self._iota_cache: dict[tuple[tuple[str, ...], tuple[int, ...]], NCPoly] = {}
         self._prod_cache: dict[tuple, ConfElement] = {}
         self._rw_cache: dict[tuple, ConfElement] = {}
-
-    @property
-    def general_locality(self) -> bool:
-        """True when pair-dependent bounds are set; no basis guarantee then."""
-        return self.alg.pair is not None
-
-    def _require_basis(self, what: str) -> None:
-        if self.general_locality:
-            raise ConfigError(
-                f"{what} needs locality depending on the right letter only; "
-                "pair-dependent bounds give no normal-word basis"
-            )
 
     # ---- normal words -------------------------------------------------
 
@@ -202,7 +152,6 @@ class FreeConformal:
         if u.s:
             raise ValueError("hat words are defined for D-free normal words")
         self.validate(u)
-        self._require_basis("hat_word")
         letters: list[str] = []
         letters += ["v"] * (self.alg.n_of(u.gens[0]) - 1)
         letters.append(u.gens[0])
@@ -214,7 +163,6 @@ class FreeConformal:
 
     def word_to_normal(self, w: Word) -> tuple[int, NormalWord] | None:
         """Invert hat_word; None when w is not a hat word."""
-        self._require_basis("word_to_normal")
         V = self.alg.V
         segs: list[tuple[int, int]] = []
         run = 0
@@ -243,7 +191,6 @@ class FreeConformal:
 
         Raises NotInSpan when some slice's lowest monomial is not a hat word.
         """
-        self._require_basis("reduce")
         out: dict[NormalWord, Fraction] = {}
         for d in sorted(p.parts):
             g = p.parts[d]
@@ -256,17 +203,16 @@ class FreeConformal:
                 core = self._iota_nc(base.gens, base.indices)
                 coeff = c / core.terms[w]
                 u = NormalWord(d, base.gens, base.indices)
-                out[u] = out.get(u, Fraction(0)) + coeff
+                accumulate(out, u, coeff)
                 g = g - core.scale(coeff)
                 if g and deglex_key(g.lowest_monomial()[0]) <= deglex_key(w):
                     raise RuntimeError("reduction failed to make progress")
-        return ConfElement({u: c for u, c in out.items() if c})
+        return ConfElement._of(out)
 
     def cprod(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
         """n-th product through the realization engine."""
         if n < 0:
             raise ValueError("product index must be nonnegative")
-        self._require_basis("cprod")
         out = ConfElement()
         for u, cu in x.terms.items():
             for w, cw in y.terms.items():
@@ -382,14 +328,12 @@ class FreeConformal:
 
     def basis_count(self, k: int) -> int:
         """Number of D-free normal words with exactly k product indices."""
-        self._require_basis("basis_count")
         if k < 0:
             raise ValueError("negative length")
         return len(self.alg.names) * self.alg.sum_n() ** k
 
     def enumerate_basis(self, max_k: int, max_s: int = 0) -> list[NormalWord]:
         """All normal words with at most max_k products and D-power <= max_s."""
-        self._require_basis("enumerate_basis")
         out: list[NormalWord] = []
         for k in range(max_k + 1):
             for gens in itertools.product(self.alg.names, repeat=k + 1):
@@ -401,7 +345,6 @@ class FreeConformal:
 
     def locality_of(self, x: ConfElement, y: ConfElement) -> int:
         """Least N with x_(n) y = 0 for every n >= N; exact, not a bound."""
-        self._require_basis("locality_of")
         if not x or not y:
             raise ValueError("locality is defined for nonzero elements")
         px = self.iota(x)
@@ -437,10 +380,6 @@ class FreeConformal:
     # ---- ordering and serialization -------------------------------------
 
     def sort_key(self, u: NormalWord):
-        if self.general_locality:
-            # no hat words here; any fixed structural order will do
-            codes = tuple(self.alg.letter(g) for g in u.gens)
-            return (u.s, len(codes), codes, u.indices)
         _, hat = self.hat_word(u.dfree())
         return (u.s, len(hat), hat)
 
@@ -466,9 +405,8 @@ class FreeConformal:
     def element_from_json(self, items: Iterable[Mapping]) -> ConfElement:
         out: dict[NormalWord, Fraction] = {}
         for item in items:
-            u = self.word_from_json(item["word"])
-            out[u] = out.get(u, Fraction(0)) + Fraction(item["coeff"])
-        return ConfElement(out)
+            accumulate(out, self.word_from_json(item["word"]), exact(item["coeff"]))
+        return ConfElement._of(out)
 
     def render_word(self, u: NormalWord) -> str:
         def product(gens: tuple[str, ...], indices: tuple[int, ...]) -> str:
@@ -499,16 +437,6 @@ class FreeConformal:
             else:
                 bits.append(f" + {body}" if c > 0 else f" - {body}")
         return "".join(bits)
-
-
-_COEFF_POOL = (
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(-2),
-    Fraction(1, 2),
-    Fraction(3),
-)
 
 
 def random_normal_word(seed, fc: FreeConformal, *, max_k: int = 2, max_s: int = 1) -> NormalWord:

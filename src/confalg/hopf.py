@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
+from .linear import Linear, accumulate, collect
+
 Scalar = Fraction
 
 
@@ -22,26 +24,17 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-class HPoly:
+class HPoly(Linear):
     """Polynomial in D over Q, stored as {degree: coefficient}."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    coeffs = Linear.terms
 
-    def __init__(self, coeffs: Mapping[int, object] | None = None):
-        data: dict[int, Fraction] = {}
-        if coeffs:
-            for d, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    d = int(d)
-                    if d < 0:
-                        raise ValueError("negative D-degree")
-                    data[d] = data.get(d, Fraction(0)) + c
-        self.coeffs = {d: c for d, c in data.items() if c}
-
-    @classmethod
-    def zero(cls) -> "HPoly":
-        return cls()
+    def _key(self, d) -> int:
+        d = int(d)
+        if d < 0:
+            raise ValueError("negative D-degree")
+        return d
 
     @classmethod
     def one(cls) -> "HPoly":
@@ -56,38 +49,12 @@ class HPoly:
         """D^(k) = D^k / k!."""
         return cls({k: Fraction(1, math.factorial(k))})
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HPoly) and self.coeffs == other.coeffs
-
-    __hash__ = None  # mutable container semantics
-
-    def __add__(self, other: "HPoly") -> "HPoly":
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return HPoly(out)
-
-    def __sub__(self, other: "HPoly") -> "HPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "HPoly":
-        return HPoly({d: -c for d, c in self.coeffs.items()})
-
-    def scale(self, c) -> "HPoly":
-        c = Fraction(c)
-        if not c:
-            return HPoly()
-        return HPoly({d: v * c for d, v in self.coeffs.items()})
-
     def __mul__(self, other: "HPoly") -> "HPoly":
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                out[d1 + d2] = out.get(d1 + d2, Fraction(0)) + c1 * c2
-        return HPoly(out)
+        return self._new(collect(
+            (d1 + d2, c1 * c2)
+            for d1, c1 in self.coeffs.items()
+            for d2, c2 in other.coeffs.items()
+        ))
 
     def degree(self) -> int:
         """Highest power of D; -1 for the zero polynomial."""
@@ -98,7 +65,7 @@ class HPoly:
         cur = self.coeffs
         for _ in range(m):
             cur = {d - 1: c * d for d, c in cur.items() if d >= 1}
-        return HPoly(cur)
+        return self._new(cur)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -115,73 +82,29 @@ class HPoly:
         return " + ".join(bits)
 
 
-class TensorHH:
+class TensorHH(Linear):
     """Element of H (x) H, stored as {(i, j): coeff} over D^i (x) D^j."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    coeffs = Linear.terms
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], object] | None = None):
-        data: dict[tuple[int, int], Fraction] = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    i, j = key
-                    data[(int(i), int(j))] = data.get((int(i), int(j)), Fraction(0)) + c
-        self.coeffs = {k: c for k, c in data.items() if c}
-
-    @classmethod
-    def zero(cls) -> "TensorHH":
-        return cls()
+    def _key(self, key) -> tuple[int, int]:
+        i, j = key
+        return (int(i), int(j))
 
     @classmethod
     def one(cls) -> "TensorHH":
         return cls({(0, 0): 1})
 
-    @classmethod
-    def from_pair(cls, f: HPoly, g: HPoly) -> "TensorHH":
-        out: dict[tuple[int, int], Fraction] = {}
-        for i, a in f.coeffs.items():
-            for j, b in g.coeffs.items():
-                out[(i, j)] = a * b
-        return cls(out)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TensorHH) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __add__(self, other: "TensorHH") -> "TensorHH":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return TensorHH(out)
-
-    def __sub__(self, other: "TensorHH") -> "TensorHH":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorHH":
-        return TensorHH({k: -c for k, c in self.coeffs.items()})
-
-    def scale(self, c) -> "TensorHH":
-        c = Fraction(c)
-        if not c:
-            return TensorHH()
-        return TensorHH({k: v * c for k, v in self.coeffs.items()})
-
     def __mul__(self, other: "TensorHH") -> "TensorHH":
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return TensorHH(out)
+        return self._new(collect(
+            ((i1 + i2, j1 + j2), c1 * c2)
+            for (i1, j1), c1 in self.coeffs.items()
+            for (i2, j2), c2 in other.coeffs.items()
+        ))
 
     def swap(self) -> "TensorHH":
-        return TensorHH({(j, i): c for (i, j), c in self.coeffs.items()})
+        return self._new({(j, i): c for (i, j), c in self.coeffs.items()})
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -200,15 +123,15 @@ def comult(h: HPoly) -> TensorHH:
     while g:
         inv = Fraction(1, math.factorial(s))
         for m, c in g.coeffs.items():
-            out[(s, m)] = out.get((s, m), Fraction(0)) + c * inv
+            out[(s, m)] = c * inv
         g = g.derivative()
         s += 1
-    return TensorHH(out)
+    return TensorHH._of(out)
 
 
 def antipode(h: HPoly) -> HPoly:
     """S(h) = h(-D)."""
-    return HPoly({d: c if d % 2 == 0 else -c for d, c in h.coeffs.items()})
+    return HPoly._of({d: c if d % 2 == 0 else -c for d, c in h.coeffs.items()})
 
 
 def counit(h: HPoly) -> Scalar:
@@ -228,15 +151,12 @@ def decompose(t: TensorHH) -> dict[int, HPoly]:
         for m in range(j + 1):
             n = i + j - m
             w = c * math.comb(j, m) * (-1) ** (j - m)
-            row = acc.setdefault(n, {})
-            row[m] = row.get(m, Fraction(0)) + w
-    out: dict[int, HPoly] = {}
-    for n, row in acc.items():
-        sign_fact = Fraction((-1) ** n * math.factorial(n))
-        h = HPoly({m: c * sign_fact for m, c in row.items()})
-        if h:
-            out[n] = h
-    return out
+            accumulate(acc.setdefault(n, {}), m, w)
+    return {
+        n: HPoly._of({m: c * ((-1) ** n * math.factorial(n)) for m, c in row.items()})
+        for n, row in acc.items()
+        if row
+    }
 
 
 def recompose(parts: Mapping[int, HPoly]) -> TensorHH:

@@ -12,6 +12,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .linear import AlgLinear, collect
+
 Word = tuple[int, ...]
 
 V_NAME = "v"
@@ -29,10 +31,6 @@ class AlgebraConfig:
     localities: mapping name -> n(a) >= 1; iteration order fixes the letter
         order unless an explicit order is given.
     commutative: store words as sorted multisets instead of sequences.
-    pair_localities: optional (left, right) -> N overriding the default
-        N(a, b) = n(b) used by the rewriting engine.  With this set there is
-        no normal-word basis guarantee, so basis-dependent operations refuse
-        to run.
     """
 
     def __init__(
@@ -41,7 +39,6 @@ class AlgebraConfig:
         *,
         order: Sequence[str] | None = None,
         commutative: bool = False,
-        pair_localities: Mapping[tuple[str, str], int] | None = None,
     ):
         names = list(order) if order is not None else list(localities)
         if not names:
@@ -65,17 +62,6 @@ class AlgebraConfig:
         self.index = {name: i for i, name in enumerate(self.names)}
         self.V = len(self.names)  # letter code of v
         self.commutative = bool(commutative)
-        self.pair: dict[tuple[str, str], int] | None = None
-        if pair_localities:
-            pair = {}
-            for key, bound in pair_localities.items():
-                a, b = key
-                if a not in self.n or b not in self.n:
-                    raise ConfigError(f"pair locality names unknown letters: {key!r}")
-                if not isinstance(bound, int) or bound < 1:
-                    raise ConfigError(f"pair locality for {key!r} must be an integer >= 1")
-                pair[(a, b)] = bound
-            self.pair = pair
 
     def n_of(self, name: str) -> int:
         try:
@@ -84,11 +70,7 @@ class AlgebraConfig:
             raise ConfigError(f"unknown generator: {name!r}") from None
 
     def N_of(self, left: str, right: str) -> int:
-        """Locality bound used for the product left_(n) right."""
-        if self.pair is not None:
-            hit = self.pair.get((left, right))
-            if hit is not None:
-                return hit
+        """Locality bound N(left, right) = n(right) of left_(n) right."""
         return self.n_of(right)
 
     def sum_n(self) -> int:
@@ -135,71 +117,26 @@ def deglex_key(word: Word) -> tuple[int, Word]:
     return (len(word), word)
 
 
-def deglex_cmp(u: Word, w: Word) -> int:
-    ku, kw = deglex_key(u), deglex_key(w)
-    if ku < kw:
-        return -1
-    return 1 if ku > kw else 0
-
-
-class NCPoly:
+class NCPoly(AlgLinear):
     """Linear combination of words with Fraction coefficients."""
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ()
 
-    def __init__(self, alg: AlgebraConfig, terms: Mapping[Word, object] | None = None):
-        self.alg = alg
-        data: dict[Word, Fraction] = {}
-        if terms:
-            sort = alg.commutative
-            for w, c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                w = tuple(w)
-                if sort:
-                    w = tuple(sorted(w))
-                data[w] = data.get(w, Fraction(0)) + c
-        self.terms = {w: c for w, c in data.items() if c}
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NCPoly) and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return NCPoly(self.alg, out)
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly(self.alg, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, c) -> "NCPoly":
-        c = Fraction(c)
-        if not c:
-            return NCPoly(self.alg)
-        return NCPoly(self.alg, {w: v * c for w, v in self.terms.items()})
+    def _key(self, w) -> Word:
+        w = tuple(w)
+        return tuple(sorted(w)) if self.alg.commutative else w
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, NCPoly):
             return self.scale(other)
-        out: dict[Word, Fraction] = {}
-        sort = self.alg.commutative
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                if sort:
-                    w = tuple(sorted(w))
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
-        return NCPoly(self.alg, out)
+        pairs = (
+            (w1 + w2, c1 * c2)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+        )
+        if self.alg.commutative:
+            pairs = ((tuple(sorted(w)), c) for w, c in pairs)
+        return self._new(collect(pairs))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -220,13 +157,12 @@ class NCPoly:
         cur = self
         V = self.alg.V
         for _ in range(m):
-            out: dict[Word, Fraction] = {}
-            for w, c in cur.terms.items():
-                for pos, code in enumerate(w):
-                    if code == V:
-                        key = w[:pos] + w[pos + 1:]
-                        out[key] = out.get(key, Fraction(0)) + c
-            cur = NCPoly(self.alg, out)
+            cur = cur._new(collect(
+                (w[:pos] + w[pos + 1:], c)
+                for w, c in cur.terms.items()
+                for pos, code in enumerate(w)
+                if code == V
+            ))
             if not cur:
                 break
         return cur

@@ -13,9 +13,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .hopf import HPoly, TensorHH, binomial, decompose
+from .linear import AlgLinear, Linear, accumulate, exact
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word
 
 DEFAULT_MAX_D = 3
@@ -69,74 +70,33 @@ COACTIONS: dict[str, Coaction] = {
 }
 
 
-class PElement:
+class PElement(AlgLinear):
     """Element of H (x) A, stored as {d: f_d} meaning sum_d D^d (x) f_d."""
 
-    __slots__ = ("alg", "parts")
+    __slots__ = ()
+    _nested = True
+    parts = Linear.terms
+    _key = HPoly._key  # D-degrees: nonnegative ints
 
-    def __init__(self, alg: AlgebraConfig, parts: Mapping[int, NCPoly] | None = None):
-        self.alg = alg
-        data: dict[int, NCPoly] = {}
-        if parts:
-            for d, f in parts.items():
-                if not isinstance(f, NCPoly):
-                    f = NCPoly(alg, f)
-                if not f:
-                    continue
-                d = int(d)
-                if d < 0:
-                    raise ValueError("negative D-degree")
-                data[d] = data[d] + f if d in data else f
-        self.parts = {d: f for d, f in data.items() if f}
-
-    @classmethod
-    def zero(cls, alg: AlgebraConfig) -> "PElement":
-        return cls(alg)
+    def _value(self, f) -> NCPoly:
+        return f if isinstance(f, NCPoly) else NCPoly(self.alg, f)
 
     @classmethod
     def from_poly(cls, alg: AlgebraConfig, f: NCPoly) -> "PElement":
         return cls(alg, {0: f})
 
-    def __bool__(self) -> bool:
-        return bool(self.parts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PElement) and self.parts == other.parts
-
-    __hash__ = None
-
-    def __add__(self, other: "PElement") -> "PElement":
-        out = dict(self.parts)
-        for d, f in other.parts.items():
-            out[d] = out[d] + f if d in out else f
-        return PElement(self.alg, out)
-
-    def __sub__(self, other: "PElement") -> "PElement":
-        return self + (-other)
-
-    def __neg__(self) -> "PElement":
-        return PElement(self.alg, {d: -f for d, f in self.parts.items()})
-
-    def scale(self, c) -> "PElement":
-        c = Fraction(c)
-        if not c:
-            return PElement(self.alg)
-        return PElement(self.alg, {d: f.scale(c) for d, f in self.parts.items()})
-
     def d_shift(self, k: int = 1) -> "PElement":
         """Multiply by D^k on the H slot."""
         if k < 0:
             raise ValueError("negative shift")
-        return PElement(self.alg, {d + k: f for d, f in self.parts.items()})
+        return self._new({d + k: f for d, f in self.parts.items()})
 
     def hpoly_mul(self, h: HPoly) -> "PElement":
         out: dict[int, NCPoly] = {}
         for m, c in h.coeffs.items():
             for d, f in self.parts.items():
-                key = d + m
-                g = f.scale(c)
-                out[key] = out[key] + g if key in out else g
-        return PElement(self.alg, out)
+                accumulate(out, d + m, f.scale(c))
+        return self._new(out)
 
     def max_d(self) -> int:
         """Highest D-power present; -1 for zero."""
@@ -157,62 +117,21 @@ class PElement:
         return " + ".join(bits)
 
 
-def _acc_poly(acc: dict, key, poly: NCPoly) -> None:
-    if not poly:
-        return
-    cur = acc.get(key)
-    acc[key] = poly if cur is None else cur + poly
-
-
-def _acc_pelem(acc: dict, key, p: PElement) -> None:
-    if not p:
-        return
-    cur = acc.get(key)
-    acc[key] = p if cur is None else cur + p
-
-
-class PseudoTensor:
+class PseudoTensor(AlgLinear):
     """Presentation {(i, j): p} of sum (D^i (x) D^j) (x)_H p over H.
 
     Presentations are not unique; equality and truth testing go through
     the flattened H (x) H (x) A form, which is.
     """
 
-    __slots__ = ("alg", "entries")
-
-    def __init__(self, alg: AlgebraConfig, entries: Mapping[tuple[int, int], PElement] | None = None):
-        self.alg = alg
-        data: dict[tuple[int, int], PElement] = {}
-        if entries:
-            for key, p in entries.items():
-                if p:
-                    i, j = key
-                    k = (int(i), int(j))
-                    data[k] = data[k] + p if k in data else p
-        self.entries = {k: p for k, p in data.items() if p}
-
-    @classmethod
-    def zero(cls, alg: AlgebraConfig) -> "PseudoTensor":
-        return cls(alg)
-
-    def __add__(self, other: "PseudoTensor") -> "PseudoTensor":
-        out = dict(self.entries)
-        for k, p in other.entries.items():
-            out[k] = out[k] + p if k in out else p
-        return PseudoTensor(self.alg, out)
-
-    def __sub__(self, other: "PseudoTensor") -> "PseudoTensor":
-        return self + (-other)
-
-    def __neg__(self) -> "PseudoTensor":
-        return PseudoTensor(self.alg, {k: -p for k, p in self.entries.items()})
-
-    def scale(self, c) -> "PseudoTensor":
-        return PseudoTensor(self.alg, {k: p.scale(c) for k, p in self.entries.items()})
+    __slots__ = ()
+    _nested = True
+    entries = Linear.terms
+    _key = TensorHH._key
 
     def swap(self) -> "PseudoTensor":
         """Exchange the two free H slots (sigma_12)."""
-        return PseudoTensor(self.alg, {(j, i): p for (i, j), p in self.entries.items()})
+        return self._new({(j, i): p for (i, j), p in self.entries.items()})
 
     def flatten(self) -> dict[tuple[int, int], NCPoly]:
         """Unique form in H (x) H (x) A: push each P-part's D across (x)_H."""
@@ -220,16 +139,14 @@ class PseudoTensor:
         for (i, j), p in self.entries.items():
             for d, f in p.parts.items():
                 for a in range(d + 1):
-                    _acc_poly(flat, (i + a, j + d - a), f.scale(binomial(d, a)))
-        return {k: g for k, g in flat.items() if g}
+                    accumulate(flat, (i + a, j + d - a), f.scale(binomial(d, a)))
+        return flat
 
     def __bool__(self) -> bool:
         return bool(self.flatten())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PseudoTensor) and self.flatten() == other.flatten()
-
-    __hash__ = None
 
     def canonical(self) -> "CanonicalPseudo":
         return canonicalize(self)
@@ -243,46 +160,33 @@ class PseudoTensor:
         return " + ".join(bits)
 
 
-class CanonicalPseudo:
+class CanonicalPseudo(AlgLinear):
     """Unique form {n: c_n} for sum_n ((-D)^(n) (x) 1) (x)_H c_n.
 
     When the tensor is a pseudoproduct x * y, c_n is the n-th product of
     x and y.
     """
 
-    __slots__ = ("alg", "coeffs")
+    __slots__ = ()
+    _nested = True
+    coeffs = Linear.terms
 
-    def __init__(self, alg: AlgebraConfig, coeffs: Mapping[int, PElement] | None = None):
-        self.alg = alg
-        data: dict[int, PElement] = {}
-        if coeffs:
-            for n, p in coeffs.items():
-                if p:
-                    n = int(n)
-                    data[n] = data[n] + p if n in data else p
-        self.coeffs = {n: p for n, p in data.items() if p}
+    def _key(self, n) -> int:
+        return int(n)
 
     def coeff(self, n: int) -> PElement:
-        return self.coeffs.get(n, PElement(self.alg))
+        return self.coeffs.get(n) or PElement(self.alg)
 
     def max_index(self) -> int:
         """Largest n with c_n nonzero; -1 if all vanish."""
         return max(self.coeffs, default=-1)
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CanonicalPseudo) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
     def expand(self) -> PseudoTensor:
         """Back to a two-slot presentation ((-D)^(n) (x) 1) (x)_H c_n."""
-        out: dict[tuple[int, int], PElement] = {}
-        for n, p in self.coeffs.items():
-            _acc_pelem(out, (n, 0), p.scale(Fraction((-1) ** n, math.factorial(n))))
-        return PseudoTensor(self.alg, out)
+        return PseudoTensor._of(self.alg, {
+            (n, 0): p.scale(Fraction((-1) ** n, math.factorial(n)))
+            for n, p in self.coeffs.items()
+        })
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -310,40 +214,20 @@ def canonicalize(t: PseudoTensor) -> CanonicalPseudo:
     acc: dict[int, PElement] = {}
     for (i, j), p in t.entries.items():
         for n, h in _monomial_parts(i, j):
-            _acc_pelem(acc, n, p.hpoly_mul(h))
-    return CanonicalPseudo(t.alg, acc)
+            accumulate(acc, n, p.hpoly_mul(h))
+    return CanonicalPseudo._of(t.alg, acc)
 
 
-class PseudoTensor3:
+class PseudoTensor3(AlgLinear):
     """Presentation {(i, j, k): p} of sum (D^i (x) D^j (x) D^k) (x)_H p."""
 
-    __slots__ = ("alg", "entries")
+    __slots__ = ()
+    _nested = True
+    entries = Linear.terms
 
-    def __init__(self, alg: AlgebraConfig, entries: Mapping[tuple[int, int, int], PElement] | None = None):
-        self.alg = alg
-        data: dict[tuple[int, int, int], PElement] = {}
-        if entries:
-            for key, p in entries.items():
-                if p:
-                    i, j, k = key
-                    kk = (int(i), int(j), int(k))
-                    data[kk] = data[kk] + p if kk in data else p
-        self.entries = {k: p for k, p in data.items() if p}
-
-    def __add__(self, other: "PseudoTensor3") -> "PseudoTensor3":
-        out = dict(self.entries)
-        for k, p in other.entries.items():
-            out[k] = out[k] + p if k in out else p
-        return PseudoTensor3(self.alg, out)
-
-    def __sub__(self, other: "PseudoTensor3") -> "PseudoTensor3":
-        return self + (-other)
-
-    def __neg__(self) -> "PseudoTensor3":
-        return PseudoTensor3(self.alg, {k: -p for k, p in self.entries.items()})
-
-    def scale(self, c) -> "PseudoTensor3":
-        return PseudoTensor3(self.alg, {k: p.scale(c) for k, p in self.entries.items()})
+    def _key(self, key) -> tuple[int, int, int]:
+        i, j, k = key
+        return (int(i), int(j), int(k))
 
     def permute(self, sigma: tuple[int, int, int]) -> "PseudoTensor3":
         """Move slot m's content to slot sigma(m); legitimate because the
@@ -355,8 +239,8 @@ class PseudoTensor3:
             new = [0, 0, 0]
             for m in range(3):
                 new[sigma[m] - 1] = key[m]
-            _acc_pelem(out, tuple(new), p)
-        return PseudoTensor3(self.alg, out)
+            out[tuple(new)] = p
+        return self._new(out)
 
     def flatten(self) -> dict[tuple[int, int, int], NCPoly]:
         flat: dict[tuple[int, int, int], NCPoly] = {}
@@ -368,16 +252,14 @@ class PseudoTensor3:
                         coeff = math.factorial(d) // (
                             math.factorial(a) * math.factorial(b) * math.factorial(c)
                         )
-                        _acc_poly(flat, (i + a, j + b, k + c), f.scale(coeff))
-        return {k: g for k, g in flat.items() if g}
+                        accumulate(flat, (i + a, j + b, k + c), f.scale(coeff))
+        return flat
 
     def __bool__(self) -> bool:
         return bool(self.flatten())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PseudoTensor3) and self.flatten() == other.flatten()
-
-    __hash__ = None
 
     def canonical(self) -> dict[tuple[int, int], PElement]:
         """Unique coordinates over the basis ((-D)^(I) (x) (-D)^(J) (x) 1).
@@ -395,15 +277,12 @@ class PseudoTensor3:
                         math.factorial(k) * (-1) ** (a + b),
                         math.factorial(a) * math.factorial(b) * math.factorial(g),
                     )
-                    row = acc.setdefault((i + a, j + b), {})
-                    add = f.scale(c)
-                    row[g] = row[g] + add if g in row else add
+                    accumulate(acc.setdefault((i + a, j + b), {}), g, f.scale(c))
         out: dict[tuple[int, int], PElement] = {}
         for (i, j), row in acc.items():
-            w = Fraction((-1) ** (i + j) * math.factorial(i) * math.factorial(j))
-            p = PElement(self.alg, {g: poly.scale(w) for g, poly in row.items()})
-            if p:
-                out[(i, j)] = p
+            if row:
+                w = (-1) ** (i + j) * math.factorial(i) * math.factorial(j)
+                out[(i, j)] = PElement._of(self.alg, {g: poly.scale(w) for g, poly in row.items()})
         return out
 
     def __repr__(self) -> str:
@@ -475,29 +354,28 @@ class PseudoAlgebra:
             for e, g in y.parts.items():
                 if kind is ProductKind.P8:
                     for s, gs in self.coaction(g).items():
-                        _acc_poly(acc, (d + s, e), (f * gs).scale(Fraction(1, math.factorial(s))))
+                        accumulate(acc, (d + s, e), (f * gs).scale(Fraction(1, math.factorial(s))))
                 elif kind is ProductKind.P9:
                     for s, fs in self.coaction(f).items():
-                        _acc_poly(acc, (d, e + s), (fs * g).scale(Fraction((-1) ** s, math.factorial(s))))
+                        accumulate(acc, (d, e + s), (fs * g).scale(Fraction((-1) ** s, math.factorial(s))))
                 elif kind is ProductKind.P10:
                     for s, fs in self.coaction(f).items():
-                        _acc_poly(acc, (d, e + s), (fs * g).scale(Fraction(1, math.factorial(s))))
+                        accumulate(acc, (d, e + s), (fs * g).scale(Fraction(1, math.factorial(s))))
                 elif kind is ProductKind.P11:
                     for s, gs in self.coaction(g).items():
-                        _acc_poly(acc, (d + s, e), (f * gs).scale(Fraction((-1) ** s, math.factorial(s))))
+                        accumulate(acc, (d + s, e), (f * gs).scale(Fraction((-1) ** s, math.factorial(s))))
                 else:
                     cf = self.coaction(f)
                     cg = self.coaction(g)
                     for t, ft in cf.items():
                         for s, gs in cg.items():
-                            _acc_poly(
+                            accumulate(
                                 acc,
                                 (d + s, e + t),
                                 (ft * gs).scale(Fraction(1, math.factorial(s) * math.factorial(t))),
                             )
-        return PseudoTensor(
-            self.alg,
-            {k: PElement.from_poly(self.alg, v) for k, v in acc.items() if v},
+        return PseudoTensor._of(
+            self.alg, {k: PElement._of(self.alg, {0: v}) for k, v in acc.items()}
         )
 
     def nproducts(self, kind: ProductKind, x: PElement, y: PElement) -> CanonicalPseudo:
@@ -524,16 +402,16 @@ class PseudoAlgebra:
                 inner = self.pprod(kind, p, right)
                 for (u, w), r in inner.entries.items():
                     for a in range(u + 1):
-                        _acc_pelem(out, (i + a, j + u - a, w), r.scale(binomial(u, a)))
-            return PseudoTensor3(self.alg, out)
+                        accumulate(out, (i + a, j + u - a, w), r.scale(binomial(u, a)))
+            return PseudoTensor3._of(self.alg, out)
         if isinstance(left, PElement) and isinstance(right, PseudoTensor):
             out = {}
             for (i, j), q in right.entries.items():
                 inner = self.pprod(kind, left, q)
                 for (u, w), r in inner.entries.items():
                     for a in range(w + 1):
-                        _acc_pelem(out, (u, i + a, j + w - a), r.scale(binomial(w, a)))
-            return PseudoTensor3(self.alg, out)
+                        accumulate(out, (u, i + a, j + w - a), r.scale(binomial(w, a)))
+            return PseudoTensor3._of(self.alg, out)
         raise TypeError("more than three total slots is not supported")
 
     def assoc_check(self, kind: ProductKind, x: PElement, y: PElement, z: PElement) -> bool:
@@ -583,7 +461,7 @@ class PseudoAlgebra:
             _tree_leaves(term.tree, leaves)
             if sorted(leaves) != list(range(1, n + 1)):
                 raise ValueError(f"tree must use each argument exactly once: {term.tree!r}")
-            coeff = Fraction(term.coeff)
+            coeff = exact(term.coeff)
             value = self._eval_tree(kind, term.tree, sigma, args)
             if isinstance(value, PseudoTensor):
                 if sigma == (2, 1):

@@ -59,6 +59,15 @@ class TestReduce:
         assert rc == 0
         assert out.splitlines()[0] == "-1 * (a .1 b)"
 
+    @pytest.mark.parametrize("coeff", [0.1, 1.0])
+    def test_raw_element_float_coefficient_exits_1(self, capsys, tmp_path, coeff):
+        raw = {"parts": [{"d": 0, "terms": [{"coeff": coeff, "word": ["v", "a", "v", "b"]}]}]}
+        path = tmp_path / "raw_float.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        rc, out, err = run(capsys, "reduce", "--config", CONFIG, "--raw-element", str(path))
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and "float" in err
+
     def test_raw_element_outside_span_exits_2(self, capsys):
         rc, out, err = run(
             capsys,

@@ -283,39 +283,6 @@ class TestSerialization:
                 assert keys == sorted(keys)
 
 
-class TestPairLocalities:
-    def test_rewriting_engine_still_works(self):
-        alg = AlgebraConfig(
-            {"a": 1, "b": 1}, pair_localities={("a", "b"): 2}
-        )
-        fc2 = FreeConformal(alg)
-        a, b = fc2.generator("a"), fc2.generator("b")
-        x = fc2.cprod_rw(a, 1, b)
-        assert x == ConfElement.single(fc2.normal(0, ("a", "b"), (1,)))
-        assert not fc2.cprod_rw(a, 0, a.d_shift(1) - a.d_shift(1))
-
-    def test_basis_methods_refuse(self):
-        alg = AlgebraConfig(
-            {"a": 1, "b": 1}, pair_localities={("a", "b"): 2}
-        )
-        fc2 = FreeConformal(alg)
-        with pytest.raises(ConfigError):
-            fc2.cprod(fc2.generator("a"), 0, fc2.generator("b"))
-        with pytest.raises(ConfigError):
-            fc2.enumerate_basis(1)
-        with pytest.raises(ConfigError):
-            fc2.hat_word(fc2.normal(0, ("a",), ()))
-
-    def test_printing_still_deterministic(self):
-        alg = AlgebraConfig(
-            {"a": 1, "b": 1}, pair_localities={("a", "b"): 2}
-        )
-        fc2 = FreeConformal(alg)
-        x = fc2.cprod_rw(fc2.generator("a"), 1, fc2.generator("b")) + fc2.generator("a")
-        assert fc2.element_to_text(x) == fc2.element_to_text(x)
-        assert "a" in fc2.element_to_text(x)
-
-
 def test_random_element_determinism(fc):
     x = random_element(as_rng(5), fc, max_k=2, max_s=1)
     y = random_element(as_rng(5), fc, max_k=2, max_s=1)

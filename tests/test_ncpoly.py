@@ -65,13 +65,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             AB.word(("a", "q"))
 
-    def test_pair_localities_override(self):
-        alg = AlgebraConfig(
-            {"a": 2, "b": 3}, pair_localities={("a", "b"): 5}
-        )
-        assert alg.N_of("a", "b") == 5
-        assert alg.N_of("b", "b") == 3
-
 
 class TestDeglex:
     def test_key_orders_by_length_then_word(self):
