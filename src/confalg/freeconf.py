@@ -10,6 +10,7 @@ agreement on random inputs is one of the package's standing checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_key
-from .linear import Linear, accumulate, exact
+from .linear import Linear, accumulate, exact, integral
 from .pseudo import _COEFF_POOL, PElement, ProductKind, PseudoAlgebra, as_rng, standard_coaction
 
 
@@ -44,8 +45,9 @@ class NormalWord:
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "s", integral(self.s))
         object.__setattr__(self, "gens", tuple(self.gens))
-        object.__setattr__(self, "indices", tuple(int(n) for n in self.indices))
+        object.__setattr__(self, "indices", tuple(map(integral, self.indices)))
         if self.s < 0:
             raise ValueError("negative D-power")
         if len(self.gens) != len(self.indices) + 1:
@@ -119,17 +121,23 @@ class FreeConformal:
 
     # ---- realization engine -------------------------------------------
 
+    @functools.cached_property
+    def _gen_images(self) -> dict[str, NCPoly]:
+        # built on first use, so the rewriting engine never makes one
+        return {name: generator_image(self.alg, name) for name in self.alg.names}
+
     def _iota_nc(self, gens: tuple[str, ...], indices: tuple[int, ...]) -> NCPoly:
         key = (gens, indices)
         hit = self._iota_cache.get(key)
         if hit is not None:
             return hit
+        head = self._gen_images[gens[0]]
         if not indices:
-            val = generator_image(self.alg, gens[0])
+            val = head
         else:
             tail = self._iota_nc(gens[1:], indices[1:])
             m = indices[0]
-            val = (generator_image(self.alg, gens[0]) * tail.vderiv(m)).scale((-1) ** m)
+            val = (head * tail.vderiv(m)).scale((-1) ** m)
         self._iota_cache[key] = val
         return val
 
@@ -193,45 +201,68 @@ class FreeConformal:
         """
         out: dict[NormalWord, Fraction] = {}
         for d in sorted(p.parts):
-            g = p.parts[d]
+            g = dict(p.parts[d].terms)  # eliminated in place
+            done = (-1, ())  # deg-lex key of the last eliminated monomial
             while g:
-                w, c = g.lowest_monomial()
+                w = min(g, key=deglex_key)
+                if deglex_key(w) <= done:
+                    raise RuntimeError("reduction failed to make progress")
                 hit = self.word_to_normal(w)
                 if hit is None:
                     raise NotInSpan(w, self.alg.word_names(w))
                 _, base = hit
-                core = self._iota_nc(base.gens, base.indices)
-                coeff = c / core.terms[w]
-                u = NormalWord(d, base.gens, base.indices)
+                core = self._iota_nc(base.gens, base.indices).terms
+                coeff = g[w] / core[w]
+                u = base if d == 0 else NormalWord(d, base.gens, base.indices)
                 accumulate(out, u, coeff)
-                g = g - core.scale(coeff)
-                if g and deglex_key(g.lowest_monomial()[0]) <= deglex_key(w):
-                    raise RuntimeError("reduction failed to make progress")
+                minus = -coeff
+                for k, c in core.items():
+                    accumulate(g, k, c * minus)
+                done = deglex_key(w)
         return ConfElement._of(out)
+
+    def cprods(
+        self, x: ConfElement, y: ConfElement, ns: Iterable[int]
+    ) -> dict[int, ConfElement]:
+        """{n: x_(n) y} for each n in ns, through the realization engine.
+
+        A word pair not yet cached at every requested n costs one
+        pseudoproduct, whose canonical form holds all its n-th products;
+        only the requested coefficients are reduced and cached.
+        """
+        acc: dict[int, dict[NormalWord, Fraction]] = {n: {} for n in ns}
+        if any(n < 0 for n in acc):
+            raise ValueError("product index must be nonnegative")
+        cache = self._prod_cache
+        for u, cu in x.terms.items():
+            for w, cw in y.terms.items():
+                missing = [n for n in acc if (u, n, w) not in cache]
+                if missing:
+                    canon = self.pseudo.nproducts(
+                        ProductKind.P8, self.iota_word(u), self.iota_word(w)
+                    )
+                    for n in missing:
+                        try:
+                            cache[(u, n, w)] = self.reduce(canon.coeff(n))
+                        except NotInSpan as exc:  # would falsify the image-subalgebra claim
+                            raise RuntimeError(f"internal reduction failure: {exc}") from exc
+                c = cu * cw
+                for n, out in acc.items():
+                    for v, cv in cache[(u, n, w)].terms.items():
+                        accumulate(out, v, cv * c)
+        return {n: ConfElement._of(out) for n, out in acc.items()}
 
     def cprod(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
         """n-th product through the realization engine."""
-        if n < 0:
-            raise ValueError("product index must be nonnegative")
-        out = ConfElement()
-        for u, cu in x.terms.items():
-            for w, cw in y.terms.items():
-                out = out + self._cprod_words(u, n, w).scale(cu * cw)
-        return out
-
-    def _cprod_words(self, u: NormalWord, n: int, w: NormalWord) -> ConfElement:
-        key = (u, n, w)
-        hit = self._prod_cache.get(key)
-        if hit is None:
-            p = self.pseudo.nth(ProductKind.P8, self.iota_word(u), n, self.iota_word(w))
-            try:
-                hit = self.reduce(p)
-            except NotInSpan as exc:  # would falsify the image-subalgebra claim
-                raise RuntimeError(f"internal reduction failure: {exc}") from exc
-            self._prod_cache[key] = hit
-        return hit
+        return self.cprods(x, y, (n,))[n]
 
     # ---- rewriting engine ----------------------------------------------
+
+    def cprods_rw(
+        self, x: ConfElement, y: ConfElement, ns: Iterable[int]
+    ) -> dict[int, ConfElement]:
+        """{n: x_(n) y} for each n in ns, through the rewriting engine."""
+        return {n: self.cprod_rw(x, n, y) for n in ns}
 
     def cprod_rw(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
         """n-th product via axiom-level rewriting; no embedding involved."""
@@ -260,11 +291,14 @@ class FreeConformal:
                 coeff = (-1) ** u.s * math.factorial(n) // math.factorial(n - u.s)
                 val = self._rw_words(u.dfree(), n - u.s, w).scale(coeff)
         elif w.s:
-            # x_(n) (D y) = D (x_(n) y) + n x_(n-1) y
-            w0 = NormalWord(w.s - 1, w.gens, w.indices)
-            val = self._rw_words(u, n, w0).d_shift(1)
-            if n >= 1:
-                val = val + self._rw_words(u, n - 1, w0).scale(n)
+            # x_(n) D^s y = sum_j C(s, j) n!/(n-j)! D^(s-j) (x_(n-j) y)
+            w0 = w.dfree()
+            val = ConfElement()
+            for j in range(min(w.s, n) + 1):
+                inner = self._rw_words(u, n - j, w0)
+                if inner:
+                    coeff = math.comb(w.s, j) * math.perm(n, j)
+                    val = val + inner.d_shift(w.s - j).scale(coeff)
         else:
             val = self._rw_dfree(u.gens, u.indices, n, w.gens, w.indices)
         self._rw_cache[key] = val
@@ -344,16 +378,15 @@ class FreeConformal:
         return out
 
     def locality_of(self, x: ConfElement, y: ConfElement) -> int:
-        """Least N with x_(n) y = 0 for every n >= N; exact, not a bound."""
+        """Least N with x_(n) y = 0 for every n >= N; exact, not a bound.
+
+        iota is injective and x_(n) y reduces from the n-th coefficient of
+        iota(x) * iota(y), so N is one past the last nonzero coefficient.
+        """
         if not x or not y:
             raise ValueError("locality is defined for nonzero elements")
-        px = self.iota(x)
-        py = self.iota(y)
-        bound = 1 + px.max_d() + max(e + f.max_v_degree() for e, f in py.parts.items())
-        n = max(bound, 0)
-        while n > 0 and not self.cprod(x, n - 1, y):
-            n -= 1
-        return n
+        canon = self.pseudo.nproducts(ProductKind.P8, self.iota(x), self.iota(y))
+        return 1 + canon.max_index()
 
     def associativity_defect(
         self,
@@ -368,11 +401,15 @@ class FreeConformal:
 
         Zero exactly when the associativity axiom holds on these inputs.
         """
-        prod = self.cprod if engine == "realize" else self.cprod_rw
+        if engine == "realize":
+            prod, prods = self.cprod, self.cprods
+        else:
+            prod, prods = self.cprod_rw, self.cprods_rw
         left = prod(prod(x, n, y), m, z)
+        inners = prods(y, z, range(m, m + n + 1))
         right = ConfElement()
         for s in range(n + 1):
-            inner = prod(y, m + s, z)
+            inner = inners[m + s]
             if inner:
                 right = right + prod(x, n - s, inner).scale((-1) ** s * math.comb(n, s))
         return left - right
@@ -391,7 +428,7 @@ class FreeConformal:
 
     def word_from_json(self, obj: Mapping) -> NormalWord:
         try:
-            u = NormalWord(int(obj["s"]), tuple(obj["gens"]), tuple(obj["indices"]))
+            u = NormalWord(obj["s"], tuple(obj["gens"]), tuple(obj["indices"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad normal-word object: {obj!r}") from exc
         return self.validate(u)

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .linear import Linear, accumulate, collect
+from .linear import Linear, accumulate, collect, integral
 
 Scalar = Fraction
 
@@ -31,7 +31,7 @@ class HPoly(Linear):
     coeffs = Linear.terms
 
     def _key(self, d) -> int:
-        d = int(d)
+        d = integral(d)
         if d < 0:
             raise ValueError("negative D-degree")
         return d
@@ -90,7 +90,7 @@ class TensorHH(Linear):
 
     def _key(self, key) -> tuple[int, int]:
         i, j = key
-        return (int(i), int(j))
+        return (integral(i), integral(j))
 
     @classmethod
     def one(cls) -> "TensorHH":

@@ -7,7 +7,8 @@ TensorHH, NCPoly, ConfElement) hold Fraction values.  Nested classes
 of the layer below, which answer to the same +, -, scale and truth tests,
 so one implementation serves both.
 
-exact() is the only place where an outside number becomes a coefficient.
+exact() is the only place where an outside number becomes a coefficient;
+integral() does the same for D-degrees and product indices.
 Internal arithmetic builds its results with the trusted constructors _of and
 _new, which skip re-normalising values that are already exact and nonzero.
 """
@@ -38,6 +39,18 @@ def exact(c) -> Fraction:
         f"coefficients must be exact (int, Fraction or rational string), "
         f"not {type(c).__name__}: {c!r}"
     )
+
+
+def integral(n) -> int:
+    """n as a plain int; bools, floats and every other type raise TypeError.
+
+    A degree or index is taken as given or refused: int(0.9) would read 0.
+    """
+    if n.__class__ is int:
+        return n
+    if isinstance(n, int) and not isinstance(n, bool):
+        return int(n)
+    raise TypeError(f"expected an integer, not {type(n).__name__}: {n!r}")
 
 
 def accumulate(acc: dict, key, value) -> None:
@@ -139,6 +152,8 @@ class Linear:
         c = exact(c)
         if not c:
             return self._new({})
+        if c == 1:
+            return self._new(dict(self.terms))
         if self._nested:
             return self._new({k: v.scale(c) for k, v in self.terms.items()})
         return self._new({k: v * c for k, v in self.terms.items()})

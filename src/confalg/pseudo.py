@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .hopf import HPoly, TensorHH, binomial, decompose
-from .linear import AlgLinear, Linear, accumulate, exact
+from .linear import AlgLinear, Linear, accumulate, exact, integral
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word
 
 DEFAULT_MAX_D = 3
@@ -172,7 +172,7 @@ class CanonicalPseudo(AlgLinear):
     coeffs = Linear.terms
 
     def _key(self, n) -> int:
-        return int(n)
+        return integral(n)
 
     def coeff(self, n: int) -> PElement:
         return self.coeffs.get(n) or PElement(self.alg)
@@ -227,7 +227,7 @@ class PseudoTensor3(AlgLinear):
 
     def _key(self, key) -> tuple[int, int, int]:
         i, j, k = key
-        return (int(i), int(j), int(k))
+        return (integral(i), integral(j), integral(k))
 
     def permute(self, sigma: tuple[int, int, int]) -> "PseudoTensor3":
         """Move slot m's content to slot sigma(m); legitimate because the

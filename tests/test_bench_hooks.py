@@ -31,15 +31,40 @@ out.update(tracer.counts)
 print(json.dumps(out))
 """
 
+# 12 D-free words with k <= 1 on {a: 2, b: 3}, 144 pairs, n = 0..3
+TABLE_SCRIPT = """
+import contextlib, io, json
+import spans
+from confalg.cli import main
 
-def test_tracer_installs_and_counts_the_realize_layers():
+tracer = spans.Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(["table", "--config", "tests/data/config_ab.json",
+               "--max-k", "1", "--max-n", "3", "--engine", "realize"])
+assert rc == 0
+print(json.dumps({name: row["calls"] for name, row in tracer.layer_totals().items()}))
+"""
+
+
+def traced(script: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, cwd=ROOT, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_tracer_installs_and_counts_the_realize_layers():
+    calls = traced(SCRIPT)
     for name in ("ncpoly.linear", "ncpoly.mul", "freeconf.cprod", "freeconf.cprod_rw"):
         assert calls[name] > 0, name
     assert calls["fractions.new"] > 0
+
+
+def test_realize_table_makes_one_pseudoproduct_per_word_pair():
+    calls = traced(TABLE_SCRIPT)
+    assert calls["pseudo.pprod"] == 144
+    assert calls["pseudo.canonicalize"] == 144

@@ -68,6 +68,15 @@ class TestReduce:
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and "float" in err
 
+    @pytest.mark.parametrize("d", [0.9, 1.0, True, "1"], ids=repr)
+    def test_raw_element_nonintegral_degree_exits_1(self, capsys, tmp_path, d):
+        raw = {"parts": [{"d": d, "terms": [{"coeff": "1", "word": ["v", "a", "v", "b"]}]}]}
+        path = tmp_path / "raw_degree.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        rc, out, err = run(capsys, "reduce", "--config", CONFIG, "--raw-element", str(path))
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and "integer" in err
+
     def test_raw_element_outside_span_exits_2(self, capsys):
         rc, out, err = run(
             capsys,
@@ -157,6 +166,19 @@ class TestProd:
             capsys, "prod", "--config", CONFIG, "--left", "a", "--n", "-1", "--right", "b"
         )
         assert rc == 1 and "nonnegative" in err
+
+    def test_rewrite_takes_a_deep_right_derivative(self, capsys):
+        # one recursion level per D would pass the default limit of 1000 frames
+        outs = []
+        for engine in ("rewrite", "realize"):
+            rc, out, err = run(
+                capsys, "prod", "--config", CONFIG,
+                "--left", "a", "--n", "1", "--right", "D^1500(b)", "--engine", engine,
+            )
+            assert rc == 0 and err == ""
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines()[0] == "1500 * D^1499((a .0 b)) + D^1500((a .1 b))"
 
 
 class TestBasis:

@@ -131,6 +131,15 @@ class TestReduce:
             x = random_element(rng, fc, max_k=3, max_s=2, max_terms=3, nonzero=False)
             assert fc.reduce(fc.iota(x)) == x
 
+    def test_elimination_must_move_up_in_deglex(self):
+        # an image whose hat word is not its lowest monomial cannot be
+        # eliminated greedily: reduce refuses instead of looping
+        fc = FreeConformal(AlgebraConfig({"a": 1}))
+        alg = fc.alg
+        fc._iota_cache[(("a",), ())] = alg.poly({("a",): 1, (): 1})
+        with pytest.raises(RuntimeError, match="progress"):
+            fc.reduce(PElement.from_poly(alg, alg.monomial(("a",))))
+
     def test_out_of_span_raises_with_witness(self, fc):
         bad = PElement.from_poly(fc.alg, fc.alg.monomial(("v", "a")))
         with pytest.raises(NotInSpan) as err:
@@ -200,6 +209,78 @@ class TestProducts:
             n, m = rng.randint(0, 4), rng.randint(0, 4)
             assert not fc.associativity_defect(x, n, y, m, z)
             assert not fc.associativity_defect(x, n, y, m, z, engine="rewrite")
+
+
+def scan_locality(fc, x, y) -> int:
+    """1 + the largest n below a safe bound with a nonzero rewrite product."""
+    px, py = fc.iota(x), fc.iota(y)
+    bound = 1 + px.max_d() + max(e + f.max_v_degree() for e, f in py.parts.items())
+    for extra in range(3):
+        assert not fc.cprod_rw(x, bound + extra, y)
+    n = bound
+    while n > 0 and not fc.cprod_rw(x, n - 1, y):
+        n -= 1
+    return n
+
+
+class TestAllProducts:
+    """cprods against cprod and the rewriting engine, on shifted sums."""
+
+    @pytest.fixture(scope="class")
+    def fc(self):
+        return FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
+
+    def cases(self, fc):
+        a, b = fc.generator("a"), fc.generator("b")
+        # (Da)_(1) b = -(a .0 b) cancels against the (a .0 b) in (-a)_(1) (-Db)
+        yield a.d_shift(1) - a, b - b.d_shift(1)
+        rng = as_rng(89)
+        for _ in range(12):
+            yield (
+                random_element(rng, fc, max_k=2, max_s=2, max_terms=3),
+                random_element(rng, fc, max_k=1, max_s=2, max_terms=3),
+            )
+
+    def test_every_n_matches_both_single_products(self, fc):
+        for x, y in self.cases(fc):
+            ns = range(scan_locality(fc, x, y) + 3)
+            got = fc.cprods(x, y, ns)
+            assert list(got) == list(ns)
+            assert got == fc.cprods_rw(x, y, ns)
+            for n in ns:
+                assert got[n] == fc.cprod(x, n, y) == fc.cprod_rw(x, n, y), (n, x, y)
+
+    def test_cancelling_pairs_cancel(self, fc):
+        a, b = fc.generator("a"), fc.generator("b")
+        ab0 = fc.cprod(a, 0, b)
+        (u,) = ab0.terms
+        x, y = a.d_shift(1) - a, b - b.d_shift(1)
+        assert fc.cprod(a.d_shift(1), 1, b) == -ab0
+        assert u not in fc.cprods(x, y, (1,))[1].terms
+
+    def test_locality_matches_the_scan(self, fc):
+        for x, y in self.cases(fc):
+            assert fc.locality_of(x, y) == scan_locality(fc, x, y), (x, y)
+
+    def test_negative_index_rejected(self, fc):
+        a, b = fc.generator("a"), fc.generator("b")
+        with pytest.raises(ValueError):
+            fc.cprods(a, b, (0, -1))
+        with pytest.raises(ValueError):
+            fc.cprods_rw(a, b, (0, -1))
+
+    def test_one_pseudoproduct_per_word_pair(self, fc, monkeypatch):
+        fc = FreeConformal(fc.alg)
+        calls = []
+        real = fc.pseudo.nproducts
+        monkeypatch.setattr(fc.pseudo, "nproducts", lambda *a: calls.append(a) or real(*a))
+        x = fc.generator("a") + fc.generator("b").d_shift(1)
+        y = fc.cprod(fc.generator("b"), 1, fc.generator("a"))
+        calls.clear()
+        fc.cprods(x, y, range(6))
+        assert len(calls) == len(x.terms) * len(y.terms)
+        fc.cprods(x, y, range(4))  # every (u, n, w) is cached now
+        assert len(calls) == len(x.terms) * len(y.terms)
 
 
 class TestLocality:

@@ -146,6 +146,26 @@ def test_json_and_identity_coefficients_are_exact():
     assert pa.eval_identity([IdentityTerm((1,), 1, "1/2")], "P8", [x]) == {(): x.scale(Fraction(1, 2))}
 
 
+@pytest.mark.parametrize("bad", [0.9, 1.0, True, "1"], ids=repr)
+def test_degrees_and_indices_must_be_ints(bad):
+    for build in (
+        lambda: HPoly({bad: 1}),
+        lambda: TensorHH({(0, bad): 1}),
+        lambda: PElement(ALG, {bad: _poly()}),
+        lambda: PseudoTensor(ALG, {(bad, 0): _pel()}),
+        lambda: PseudoTensor3(ALG, {(0, 0, bad): _pel()}),
+        lambda: CanonicalPseudo(ALG, {bad: _pel()}),
+        lambda: NormalWord(bad, ("a",), ()),
+        lambda: NormalWord(0, ("a", "b"), (bad,)),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    fc = FreeConformal(ALG)
+    for patch in ({"s": bad}, {"indices": [bad]}):
+        with pytest.raises(ValueError):
+            fc.word_from_json(dict(fc.word_to_json(U), **patch))
+
+
 def test_public_constructors_still_validate():
     with pytest.raises(ValueError):
         HPoly({-1: 1})
