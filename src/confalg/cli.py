@@ -9,29 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 from fractions import Fraction
 
+from . import checks
 from .exprs import ENGINES, ParseError, evaluate, evaluate_pseudo, parse
-from .freeconf import (
-    ConfElement,
-    FreeConformal,
-    NotInSpan,
-    random_element,
-)
+from .freeconf import ConfElement, FreeConformal, NotInSpan
 from .linear import accumulate, exact, integral
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, deglex_key
-from .pseudo import (
-    COACTIONS,
-    PElement,
-    ProductKind,
-    PseudoAlgebra,
-    as_rng,
-    associator_identity,
-    commutativity_identity,
-    current_coaction,
-    random_pelement,
-)
+from .pseudo import COACTIONS, PElement, ProductKind, PseudoAlgebra, current_coaction
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,7 +26,6 @@ EXIT_NOT_IN_SPAN = 2
 EXIT_AXIOM = 3
 
 MODES = ("conformal", "pseudo-commutative")
-AXIOMS = ("assoc", "sesqui", "locality", "pseudo-assoc", "identity")
 
 
 class UsageError(Exception):
@@ -232,109 +218,27 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _check_fail(axiom: str, detail: str) -> int:
-    print(f"axiom {axiom}: FAIL {detail}")
-    return EXIT_AXIOM
-
-
 def cmd_check(args) -> int:
     alg, mode = load_config(args.config)
-    axiom = args.axiom
-    trials = args.trials
-    if trials < 1:
+    if args.trials < 1:
         raise UsageError("--trials must be positive")
-    coaction = COACTIONS[args.coaction]
-    pseudo_axioms = ("pseudo-assoc", "identity")
-    if args.coaction != "standard" and axiom not in pseudo_axioms:
+    if args.axiom in checks.CONFORMAL_AXIOMS and args.coaction != "standard":
         raise UsageError("--coaction only affects pseudo-assoc and identity")
-    if mode != "conformal" and axiom not in pseudo_axioms:
-        raise UsageError(f"axiom {axiom} needs mode \"conformal\"")
-    rng = as_rng(args.seed)
-
-    if axiom in ("assoc", "sesqui", "locality"):
-        fc = FreeConformal(alg)
-        top = 2 * alg.max_n()
-        for t in range(trials):
-            x = random_element(rng, fc, max_k=1, max_s=1)
-            y = random_element(rng, fc, max_k=1, max_s=1)
-            if axiom == "assoc":
-                z = random_element(rng, fc, max_k=1, max_s=1)
-                n, m = rng.randint(0, top), rng.randint(0, top)
-                defect = fc.associativity_defect(x, n, y, m, z)
-                if defect:
-                    return _check_fail(
-                        axiom,
-                        f"(trial {t}): n={n} m={m} x={x!r} y={y!r} z={z!r} defect={defect!r}",
-                    )
-            elif axiom == "sesqui":
-                n = rng.randint(0, top)
-                xy = fc.cprods(x, y, range(max(n - 1, 0), n + 1))
-                lhs = fc.cprod(x.d_shift(1), n, y)
-                rhs = xy[n - 1].scale(-n) if n >= 1 else ConfElement()
-                if lhs != rhs:
-                    return _check_fail(axiom, f"(trial {t}): left slot, n={n} x={x!r} y={y!r}")
-                lhs = fc.cprod(x, n, y.d_shift(1))
-                rhs = xy[n].d_shift(1)
-                if n >= 1:
-                    rhs = rhs + xy[n - 1].scale(n)
-                if lhs != rhs:
-                    return _check_fail(axiom, f"(trial {t}): right slot, n={n} x={x!r} y={y!r}")
-            else:
-                bound = fc.locality_of(x, y)
-                xy = fc.cprods(x, y, range(max(bound - 1, 0), bound + 3))
-                for extra in range(3):
-                    if xy[bound + extra]:
-                        return _check_fail(
-                            axiom, f"(trial {t}): nonzero above N={bound}, x={x!r} y={y!r}"
-                        )
-                if bound > 0 and not xy[bound - 1]:
-                    return _check_fail(
-                        axiom, f"(trial {t}): N={bound} not minimal, x={x!r} y={y!r}"
-                    )
-        print(f"axiom {axiom}: PASS ({trials} trials, seed {args.seed})")
+    if args.axiom in checks.CONFORMAL_AXIOMS and mode != "conformal":
+        raise UsageError(f"axiom {args.axiom} needs mode \"conformal\"")
+    label, failure = checks.run(alg, args.axiom, args.trials, args.seed, args.coaction)
+    if failure is None:
+        count = f"{label}, {args.trials} trials each" if label else f"{args.trials} trials"
+        print(f"axiom {args.axiom}: PASS ({count}, seed {args.seed})")
         return EXIT_OK
-
-    pa = PseudoAlgebra(alg, coaction)
-    if axiom == "pseudo-assoc":
-        kinds = (
-            (ProductKind.P10, ProductKind.P20)
-            if alg.commutative
-            else (ProductKind.P8, ProductKind.P9, ProductKind.P11)
-        )
-        for kind in kinds:
-            for t in range(trials):
-                x = random_pelement(rng, alg, max_d=2, max_len=3)
-                y = random_pelement(rng, alg, max_d=2, max_len=3)
-                z = random_pelement(rng, alg, max_d=2, max_len=3)
-                if not pa.assoc_check(kind, x, y, z):
-                    return _check_fail(
-                        axiom,
-                        f"(kind {kind.value}, trial {t}): x={x!r} y={y!r} z={z!r}",
-                    )
-        names = ",".join(k.value for k in kinds)
-        print(f"axiom {axiom}: PASS (kinds {names}, {trials} trials each, seed {args.seed})")
-        return EXIT_OK
-
-    # identity
-    if alg.commutative:
-        checks = (
-            ("commutativity", commutativity_identity(), ProductKind.P20, 2),
-            ("associator", associator_identity(), ProductKind.P20, 3),
-        )
-    else:
-        checks = (("associator", associator_identity(), ProductKind.P8, 3),)
-    for name, terms, kind, arity in checks:
-        for t in range(trials):
-            points = [random_pelement(rng, alg, max_d=2, max_len=3) for _ in range(arity)]
-            value = pa.eval_identity(terms, kind, points)
-            if value:
-                return _check_fail(
-                    axiom,
-                    f"({name} under {kind.value}, trial {t}): args={points!r} value={value!r}",
-                )
-    names = ",".join(c[0] for c in checks)
-    print(f"axiom identity: PASS ({names}, {trials} trials each, seed {args.seed})")
-    return EXIT_OK
+    trial, case, detail = failure
+    where = f"{case}, trial {trial}" if case else f"trial {trial}"
+    print(f"axiom {args.axiom}: FAIL ({where}): {detail}")
+    print("replay: " + shlex.join([
+        "confalg", "check", "--config", args.config, "--axiom", args.axiom,
+        "--coaction", args.coaction, "--seed", str(args.seed), "--trials", str(trial + 1),
+    ]))
+    return EXIT_AXIOM
 
 
 def cmd_demo(args) -> int:
@@ -406,7 +310,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="randomized axiom checks")
     p.add_argument("--config", required=True)
-    p.add_argument("--axiom", choices=AXIOMS, required=True)
+    p.add_argument("--axiom", choices=checks.AXIOMS, required=True)
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coaction", choices=sorted(COACTIONS), default="standard")

@@ -8,12 +8,14 @@
 Whitespace is insignificant.  A bare rational zero is allowed as a term and
 denotes the zero element (it is what the printer emits for zero); any other
 bare rational is an error.  D and v are reserved and never name generators.
+Products and D^k(...) nest at most MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .freeconf import ConfElement, FreeConformal, generator_image
 from .ncpoly import AlgebraConfig, ConfigError
@@ -60,6 +62,9 @@ class Term:
 @dataclass(frozen=True)
 class Sum:
     terms: tuple[Term, ...]
+
+
+MAX_NESTING = 200
 
 
 class _Parser:
@@ -182,6 +187,12 @@ class _Parser:
                 return Sum(tuple(terms))
 
     def parse_all(self) -> Sum:
+        # every product and every D^k opens one bracket level
+        depth = 0
+        for pos, ch in enumerate(self.text):
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_NESTING:
+                raise self.error(f"expression nests deeper than {MAX_NESTING} levels", pos)
         node = self.parse_expr()
         self.skip_ws()
         if self.pos != len(self.text):
@@ -196,34 +207,39 @@ def parse(text: str) -> Sum:
 ENGINES = ("realize", "rewrite")
 
 
-def evaluate(fc: FreeConformal, node, engine: str = "realize") -> ConfElement:
-    """Evaluate a parsed expression to a ConfElement."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine: {engine!r}")
-    prod = fc.cprod if engine == "realize" else fc.cprod_rw
+def _walk(node, zero, leaf, product):
+    """Evaluate a parsed expression given the zero, generator and product maps."""
 
-    def walk(nd) -> ConfElement:
+    def walk(nd):
         if isinstance(nd, Sum):
-            out = ConfElement()
+            out = zero()
             for term in nd.terms:
                 out = out + walk(term)
             return out
         if isinstance(nd, Term):
             if nd.factor is None or nd.coeff == 0:
-                return ConfElement()
+                return zero()
             return walk(nd.factor).scale(nd.coeff)
         if isinstance(nd, Name):
             try:
-                return fc.generator(nd.name)
+                return leaf(nd.name)
             except ConfigError:
                 raise ParseError(f"unknown generator {nd.name!r}", "", nd.pos) from None
         if isinstance(nd, DPow):
             return walk(nd.body).d_shift(nd.power)
         if isinstance(nd, Prod):
-            return prod(walk(nd.left), nd.n, walk(nd.right))
+            return product(walk(nd.left), nd.n, walk(nd.right))
         raise TypeError(f"not an expression node: {nd!r}")
 
     return walk(node)
+
+
+def evaluate(fc: FreeConformal, node, engine: str = "realize") -> ConfElement:
+    """Evaluate a parsed expression to a ConfElement."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine: {engine!r}")
+    prod = fc.cprod if engine == "realize" else fc.cprod_rw
+    return _walk(node, ConfElement, fc.generator, prod)
 
 
 def evaluate_pseudo(pa: PseudoAlgebra, node, kind: ProductKind = ProductKind.P20) -> PElement:
@@ -233,25 +249,7 @@ def evaluate_pseudo(pa: PseudoAlgebra, node, kind: ProductKind = ProductKind.P20
     """
     alg = pa.alg
 
-    def walk(nd) -> PElement:
-        if isinstance(nd, Sum):
-            out = PElement(alg)
-            for term in nd.terms:
-                out = out + walk(term)
-            return out
-        if isinstance(nd, Term):
-            if nd.factor is None or nd.coeff == 0:
-                return PElement(alg)
-            return walk(nd.factor).scale(nd.coeff)
-        if isinstance(nd, Name):
-            try:
-                return PElement.from_poly(alg, generator_image(alg, nd.name))
-            except ConfigError:
-                raise ParseError(f"unknown generator {nd.name!r}", "", nd.pos) from None
-        if isinstance(nd, DPow):
-            return walk(nd.body).d_shift(nd.power)
-        if isinstance(nd, Prod):
-            return pa.nth(kind, walk(nd.left), nd.n, walk(nd.right))
-        raise TypeError(f"not an expression node: {nd!r}")
+    def image(name: str) -> PElement:
+        return PElement.from_poly(alg, generator_image(alg, name))
 
-    return walk(node)
+    return _walk(node, partial(PElement, alg), image, partial(pa.nth, kind))

@@ -56,10 +56,6 @@ class HPoly(Linear):
             for d2, c2 in other.coeffs.items()
         ))
 
-    def degree(self) -> int:
-        """Highest power of D; -1 for the zero polynomial."""
-        return max(self.coeffs, default=-1)
-
     def derivative(self, m: int = 1) -> "HPoly":
         """m-th derivative with respect to D."""
         cur = self.coeffs
@@ -91,10 +87,6 @@ class TensorHH(Linear):
     def _key(self, key) -> tuple[int, int]:
         i, j = key
         return (integral(i), integral(j))
-
-    @classmethod
-    def one(cls) -> "TensorHH":
-        return cls({(0, 0): 1})
 
     def __mul__(self, other: "TensorHH") -> "TensorHH":
         return self._new(collect(

@@ -109,9 +109,6 @@ class AlgebraConfig:
     def monomial(self, names: Iterable[str], coeff=1) -> "NCPoly":
         return NCPoly(self, {self.word(names): coeff})
 
-    def one(self) -> "NCPoly":
-        return NCPoly(self, {(): 1})
-
 
 def deglex_key(word: Word) -> tuple[int, Word]:
     return (len(word), word)
@@ -191,10 +188,6 @@ class NCPoly(AlgLinear):
         if not self.terms:
             return -1
         return max(self.v_degree(w) for w in self.terms)
-
-    def degrees(self) -> set[int]:
-        """Set of word lengths present in the support."""
-        return {len(w) for w in self.terms}
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -341,9 +341,6 @@ class PseudoAlgebra:
         self.alg = alg
         self.coaction = coaction
 
-    def embed(self, f: NCPoly) -> PElement:
-        return PElement(self.alg, {0: f})
-
     def pprod(self, kind: ProductKind, x: PElement, y: PElement) -> PseudoTensor:
         """The pseudoproduct x * y as a two-slot tensor."""
         kind = ProductKind(kind)

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
@@ -46,6 +48,20 @@ assert rc == 0
 print(json.dumps({name: row["calls"] for name, row in tracer.layer_totals().items()}))
 """
 
+# one check request; each test fills in the config file and the axiom
+CHECK_SCRIPT = """
+import contextlib, io, json
+import spans
+from confalg.cli import main
+
+tracer = spans.Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(["check", "--config", "tests/data/%s", "--axiom", "%s", "--trials", "2"])
+assert rc == 0
+print(json.dumps({name: row["calls"] for name, row in tracer.layer_totals().items()}))
+"""
+
 
 def traced(script: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
@@ -68,3 +84,16 @@ def test_realize_table_makes_one_pseudoproduct_per_word_pair():
     calls = traced(TABLE_SCRIPT)
     assert calls["pseudo.pprod"] == 144
     assert calls["pseudo.canonicalize"] == 144
+
+
+@pytest.mark.parametrize(
+    ("config", "axiom", "layer"),
+    [
+        ("config_ab.json", "locality", "freeconf.locality_of"),
+        ("config_comm.json", "pseudo-assoc", "pseudo.star_expanded"),
+        # pseudo-assoc compares three-slot tensors flat; identity reaches canonical3
+        ("config_comm.json", "identity", "pseudo.canonical3"),
+    ],
+)
+def test_check_requests_reach_the_axiom_check_layers(config, axiom, layer):
+    assert traced(CHECK_SCRIPT % (config, axiom))[layer] > 0

@@ -6,12 +6,15 @@ a failed axiom check.
 """
 
 import json
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from confalg.cli import main
+from confalg.cli import load_config, main
+from confalg.exprs import evaluate, parse
+from confalg.freeconf import ConfElement, FreeConformal
 
 from conftest import DATA
 
@@ -280,6 +283,74 @@ class TestCheck:
             capsys, "check", "--config", CONFIG, "--axiom", "assoc", "--trials", "0"
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("config", [CONFIG, CONFIG_COMM])
+    @pytest.mark.parametrize("axiom", ["pseudo-assoc", "identity"])
+    def test_printed_replay_reproduces_the_failure(self, capsys, config, axiom):
+        rc, out, _ = run(
+            capsys,
+            "check", "--config", config, "--axiom", axiom,
+            "--coaction", "corrupt", "--trials", "25", "--seed", "0",
+        )
+        assert rc == 3
+        fail, replay = out.splitlines()
+        assert fail.startswith(f"axiom {axiom}: FAIL (") and replay.startswith("replay: ")
+        argv = shlex.split(replay[len("replay: "):])
+        assert argv[:2] == ["confalg", "check"]
+        rc2, out2, _ = run(capsys, *argv[1:])
+        assert rc2 == 3 and out2 == out
+
+    @pytest.mark.parametrize(
+        ("axiom", "method", "fake"),
+        [
+            ("assoc", "associativity_defect", lambda fc, x, n, y, m, z: x),
+            ("locality", "locality_of", lambda fc, x, y: 0),
+        ],
+    )
+    def test_conformal_failures_print_parseable_elements(
+        self, capsys, monkeypatch, axiom, method, fake
+    ):
+        drawn = []
+
+        def spy(fc, *args):
+            drawn.append(args)
+            return fake(fc, *args)
+
+        monkeypatch.setattr(FreeConformal, method, spy)
+        rc, out, _ = run(capsys, "check", "--config", CONFIG, "--axiom", axiom, "--seed", "3")
+        assert rc == 3
+        fail = out.splitlines()[0]
+        fields = dict(tok.split("=", 1) for tok in shlex.split(fail) if "=" in tok)
+        elements = [a for a in drawn[-1] if isinstance(a, ConfElement)]
+        fc = FreeConformal(load_config(CONFIG)[0])
+        assert [evaluate(fc, parse(fields[k])) for k in "xyz"[:len(elements)]] == elements
+
+
+def nested(shape: str, depth: int) -> str:
+    if shape == "right":
+        return "(a .0 " * depth + "b" + ")" * depth
+    if shape == "left":
+        return "(" * depth + "a" + " .0 b)" * depth
+    return "D^1(" * depth + "a" + ")" * depth
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("shape", ["right", "left", "dpow"])
+    def test_at_the_limit_exits_0(self, capsys, shape):
+        rc, out, err = run(
+            capsys, "reduce", "--config", CONFIG, "--expr", nested(shape, 200), "--engine", "rewrite"
+        )
+        assert rc == 0 and err == "" and out
+
+    @pytest.mark.parametrize("shape", ["right", "left", "dpow"])
+    def test_far_past_the_limit_exits_1_without_a_traceback(self, shape):
+        proc = subprocess.run(
+            [sys.executable, "-m", "confalg", "reduce", "--config", CONFIG,
+             "--expr", nested(shape, 2000)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 class TestDemo:

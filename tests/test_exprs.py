@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from confalg import AlgebraConfig, FreeConformal, PseudoAlgebra
-from confalg.exprs import ParseError, evaluate, evaluate_pseudo, parse
+from confalg import AlgebraConfig, FreeConformal, PElement, PseudoAlgebra
+from confalg.exprs import MAX_NESTING, ParseError, evaluate, evaluate_pseudo, parse
 from confalg.freeconf import random_element
 from confalg.pseudo import ProductKind, as_rng
 
@@ -100,8 +100,17 @@ def test_pseudo_evaluation_uses_the_symmetric_product():
     from confalg.freeconf import generator_image
 
     x = evaluate_pseudo(pa, parse("(a .0 b)"))
-    ia = pa.embed(generator_image(alg, "a"))
-    ib = pa.embed(generator_image(alg, "b"))
+    ia = PElement.from_poly(alg, generator_image(alg, "a"))
+    ib = PElement.from_poly(alg, generator_image(alg, "b"))
     assert x == pa.nth(ProductKind.P20, ia, 0, ib)
     y = evaluate_pseudo(pa, parse("2 * a + D^1(b)"))
     assert y == ia.scale(2) + ib.d_shift(1)
+
+
+def test_nesting_limit():
+    assert MAX_NESTING == 200
+    parse("(a .0 " * 200 + "b" + ")" * 200)
+    parse("D^1(" * 200 + "a" + ")" * 200)
+    for text in ("(a .0 " * 201 + "b" + ")" * 201, "D^1(" * 201 + "a" + ")" * 201):
+        with pytest.raises(ParseError, match="deeper than 200"):
+            parse(text)

@@ -159,7 +159,6 @@ class TestCoaction:
     def test_grading(self):
         f = AB.monomial(("v", "v", "a"))
         assert f.max_v_degree() == 2
-        assert f.degrees() == {3}
         assert sorted(f.coact()) == [0, 1, 2]
 
 

@@ -128,7 +128,7 @@ def test_closed_form_for_embedded_factors():
         g = random_ncpoly(rng, AB, max_len=3)
         for n in range(4):
             want = PElement.from_poly(AB, (f * g.vderiv(n)).scale((-1) ** n))
-            assert pa.nth(ProductKind.P8, pa.embed(f), n, pa.embed(g)) == want
+            assert pa.nth(ProductKind.P8, PElement.from_poly(AB, f), n, PElement.from_poly(AB, g)) == want
 
 
 def test_nth_vanishes_beyond_the_coaction_depth():
