@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 
 from . import checks
-from .exprs import ENGINES, ParseError, evaluate, evaluate_pseudo, parse
-from .freeconf import ConfElement, FreeConformal, NotInSpan
+from .exprs import ParseError, evaluate, evaluate_pseudo, parse
+from .freeconf import ENGINES, ConfElement, FreeConformal, NotInSpan
 from .linear import accumulate, exact, integral
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, deglex_key
 from .pseudo import COACTIONS, PElement, ProductKind, PseudoAlgebra, current_coaction
@@ -161,7 +161,7 @@ def cmd_prod(args) -> int:
         fc = FreeConformal(alg)
         left = evaluate(fc, parse(args.left), engine=args.engine)
         right = evaluate(fc, parse(args.right), engine=args.engine)
-        prod = fc.cprod if args.engine == "realize" else fc.cprod_rw
+        prod, _ = fc.engine(args.engine)
         _print_element(fc, prod(left, args.n, right))
     else:
         pa = PseudoAlgebra(alg)
@@ -197,7 +197,7 @@ def cmd_table(args) -> int:
     if args.max_n < 0 or args.max_k < 0:
         raise UsageError("--max-n and --max-k must be nonnegative")
     fc = FreeConformal(alg)
-    prods = fc.cprods if args.engine == "realize" else fc.cprods_rw
+    _, prods = fc.engine(args.engine)
     words = sorted(fc.enumerate_basis(args.max_k, 0), key=fc.sort_key)
     ns = range(args.max_n + 1)
     rows: list[str] = []  # each row already serialized: far smaller than its dict

@@ -204,9 +204,6 @@ def parse(text: str) -> Sum:
     return _Parser(text).parse_all()
 
 
-ENGINES = ("realize", "rewrite")
-
-
 def _walk(node, zero, leaf, product):
     """Evaluate a parsed expression given the zero, generator and product maps."""
 
@@ -236,9 +233,7 @@ def _walk(node, zero, leaf, product):
 
 def evaluate(fc: FreeConformal, node, engine: str = "realize") -> ConfElement:
     """Evaluate a parsed expression to a ConfElement."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine: {engine!r}")
-    prod = fc.cprod if engine == "realize" else fc.cprod_rw
+    prod, _ = fc.engine(engine)
     return _walk(node, ConfElement, fc.generator, prod)
 
 

@@ -10,12 +10,11 @@ agreement on random inputs is one of the package's standing checks.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_key
 from .linear import Linear, accumulate, exact, integral
@@ -87,6 +86,10 @@ def generator_image(alg: AlgebraConfig, name: str) -> NCPoly:
     return NCPoly(alg, {w: Fraction(1, math.factorial(e))})
 
 
+# engine name -> the names of its (cprod, cprods) methods
+ENGINES = {"realize": ("cprod", "cprods"), "rewrite": ("cprod_rw", "cprods_rw")}
+
+
 class FreeConformal:
     """The free associative conformal algebra for one locality config."""
 
@@ -95,8 +98,9 @@ class FreeConformal:
             raise ConfigError("normal words need the noncommutative word algebra")
         self.alg = config
         self.pseudo = PseudoAlgebra(config, standard_coaction)
+        # iota of D-free words, generators too; the rewriting engine makes none
         self._iota_cache: dict[tuple[tuple[str, ...], tuple[int, ...]], NCPoly] = {}
-        self._prod_cache: dict[tuple, ConfElement] = {}
+        # _rw_dfree results by (gens_u, indices_u, n, gens_w, indices_w)
         self._rw_cache: dict[tuple, ConfElement] = {}
 
     # ---- normal words -------------------------------------------------
@@ -121,20 +125,15 @@ class FreeConformal:
 
     # ---- realization engine -------------------------------------------
 
-    @functools.cached_property
-    def _gen_images(self) -> dict[str, NCPoly]:
-        # built on first use, so the rewriting engine never makes one
-        return {name: generator_image(self.alg, name) for name in self.alg.names}
-
     def _iota_nc(self, gens: tuple[str, ...], indices: tuple[int, ...]) -> NCPoly:
         key = (gens, indices)
         hit = self._iota_cache.get(key)
         if hit is not None:
             return hit
-        head = self._gen_images[gens[0]]
         if not indices:
-            val = head
+            val = generator_image(self.alg, gens[0])
         else:
+            head = self._iota_nc(gens[:1], ())
             tail = self._iota_nc(gens[1:], indices[1:])
             m = indices[0]
             val = (head * tail.vderiv(m)).scale((-1) ** m)
@@ -226,35 +225,36 @@ class FreeConformal:
     ) -> dict[int, ConfElement]:
         """{n: x_(n) y} for each n in ns, through the realization engine.
 
-        A word pair not yet cached at every requested n costs one
-        pseudoproduct, whose canonical form holds all its n-th products;
-        only the requested coefficients are reduced and cached.
+        Each word pair costs one pseudoproduct, whose canonical form holds
+        all its n-th products; only the requested coefficients are reduced.
         """
         acc: dict[int, dict[NormalWord, Fraction]] = {n: {} for n in ns}
         if any(n < 0 for n in acc):
             raise ValueError("product index must be nonnegative")
-        cache = self._prod_cache
         for u, cu in x.terms.items():
             for w, cw in y.terms.items():
-                missing = [n for n in acc if (u, n, w) not in cache]
-                if missing:
-                    canon = self.pseudo.nproducts(
-                        ProductKind.P8, self.iota_word(u), self.iota_word(w)
-                    )
-                    for n in missing:
-                        try:
-                            cache[(u, n, w)] = self.reduce(canon.coeff(n))
-                        except NotInSpan as exc:  # would falsify the image-subalgebra claim
-                            raise RuntimeError(f"internal reduction failure: {exc}") from exc
+                canon = self.pseudo.nproducts(ProductKind.P8, self.iota_word(u), self.iota_word(w))
                 c = cu * cw
                 for n, out in acc.items():
-                    for v, cv in cache[(u, n, w)].terms.items():
+                    try:
+                        value = self.reduce(canon.coeff(n))
+                    except NotInSpan as exc:  # would falsify the image-subalgebra claim
+                        raise RuntimeError(f"internal reduction failure: {exc}") from exc
+                    for v, cv in value.terms.items():
                         accumulate(out, v, cv * c)
         return {n: ConfElement._of(out) for n, out in acc.items()}
 
     def cprod(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
         """n-th product through the realization engine."""
         return self.cprods(x, y, (n,))[n]
+
+    def engine(self, name: str) -> tuple[Callable, Callable]:
+        """The (cprod, cprods) methods of the named engine, looked up now."""
+        try:
+            methods = ENGINES[name]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown engine: {name!r}") from None
+        return getattr(self, methods[0]), getattr(self, methods[1])
 
     # ---- rewriting engine ----------------------------------------------
 
@@ -279,18 +279,13 @@ class FreeConformal:
     def _rw_words(self, u: NormalWord, n: int, w: NormalWord) -> ConfElement:
         if n < 0:
             return ConfElement()
-        key = (u, n, w)
-        hit = self._rw_cache.get(key)
-        if hit is not None:
-            return hit
         if u.s:
             # (D^s x)_(n) y = (-1)^s n(n-1)...(n-s+1) x_(n-s) y
             if n < u.s:
-                val = ConfElement()
-            else:
-                coeff = (-1) ** u.s * math.factorial(n) // math.factorial(n - u.s)
-                val = self._rw_words(u.dfree(), n - u.s, w).scale(coeff)
-        elif w.s:
+                return ConfElement()
+            coeff = (-1) ** u.s * math.factorial(n) // math.factorial(n - u.s)
+            return self._rw_words(u.dfree(), n - u.s, w).scale(coeff)
+        if w.s:
             # x_(n) D^s y = sum_j C(s, j) n!/(n-j)! D^(s-j) (x_(n-j) y)
             w0 = w.dfree()
             val = ConfElement()
@@ -299,10 +294,8 @@ class FreeConformal:
                 if inner:
                     coeff = math.comb(w.s, j) * math.perm(n, j)
                     val = val + inner.d_shift(w.s - j).scale(coeff)
-        else:
-            val = self._rw_dfree(u.gens, u.indices, n, w.gens, w.indices)
-        self._rw_cache[key] = val
-        return val
+            return val
+        return self._rw_dfree(u.gens, u.indices, n, w.gens, w.indices)
 
     def _rw_dfree(
         self,
@@ -401,10 +394,7 @@ class FreeConformal:
 
         Zero exactly when the associativity axiom holds on these inputs.
         """
-        if engine == "realize":
-            prod, prods = self.cprod, self.cprods
-        else:
-            prod, prods = self.cprod_rw, self.cprods_rw
+        prod, prods = self.engine(engine)
         left = prod(prod(x, n, y), m, z)
         inners = prods(y, z, range(m, m + n + 1))
         right = ConfElement()
@@ -446,12 +436,8 @@ class FreeConformal:
         return ConfElement._of(out)
 
     def render_word(self, u: NormalWord) -> str:
-        def product(gens: tuple[str, ...], indices: tuple[int, ...]) -> str:
-            if not indices:
-                return gens[0]
-            return f"({gens[0]} .{indices[0]} {product(gens[1:], indices[1:])})"
-
-        core = product(u.gens, u.indices)
+        opens = "".join(f"({name} .{n} " for name, n in zip(u.gens, u.indices))
+        core = opens + u.gens[-1] + ")" * len(u.indices)
         return f"D^{u.s}({core})" if u.s else core
 
     def element_to_text(self, x: ConfElement) -> str:

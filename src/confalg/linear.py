@@ -20,8 +20,8 @@ from typing import Iterable, Mapping
 
 _new_object = object.__new__
 
-# Operations copied into each subclass's own namespace, so that patching
-# one class (bench/spans.py wraps NCPoly's) leaves the others alone.
+# Operations copied, as inherited, into each subclass's own namespace, so
+# that patching one class (bench/spans.py wraps NCPoly's) leaves the others alone.
 _SHARED = ("__bool__", "__eq__", "__add__", "__sub__", "__neg__", "scale")
 
 
@@ -87,7 +87,7 @@ class Linear:
         super().__init_subclass__(**kwargs)
         for name in _SHARED:
             if name not in cls.__dict__:
-                setattr(cls, name, Linear.__dict__[name])
+                setattr(cls, name, getattr(cls, name))
 
     @classmethod
     def _of(cls, terms: dict):

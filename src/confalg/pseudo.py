@@ -9,13 +9,15 @@ identity checking, and the pseudocommutator.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable
 
-from .hopf import HPoly, TensorHH, binomial, decompose
+from .hopf import HPoly, TensorHH, decompose
 from .linear import AlgLinear, Linear, accumulate, exact, integral
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word
 
@@ -38,6 +40,16 @@ class ProductKind(enum.Enum):
     P10 = "P10"
     P11 = "P11"
     P20 = "P20"
+
+
+# kind -> (coact x?, coact y?, sign of the moved D)
+_KIND_RULES: dict[ProductKind, tuple[bool, bool, int]] = {
+    ProductKind.P8: (False, True, 1),
+    ProductKind.P9: (True, False, -1),
+    ProductKind.P10: (True, False, 1),
+    ProductKind.P11: (False, True, -1),
+    ProductKind.P20: (True, True, 1),
+}
 
 
 def standard_coaction(f: NCPoly) -> dict[int, NCPoly]:
@@ -117,47 +129,85 @@ class PElement(AlgLinear):
         return " + ".join(bits)
 
 
-class PseudoTensor(AlgLinear):
-    """Presentation {(i, j): p} of sum (D^i (x) D^j) (x)_H p over H.
+@functools.lru_cache(maxsize=256)  # keyed by small ints; flatten asks per P-part
+def _spread(d: int, slots: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The iterated coproduct of D^d over slots tensor slots.
+
+    ((powers, c), ...) with c = d!/(powers[0]! ...) the multinomial
+    coefficient, leading slots' powers in increasing lexicographic order.
+    """
+    if slots == 1:
+        return (((d,), 1),)
+    return tuple(
+        ((a,) + rest, math.comb(d, a) * c)
+        for a in range(d + 1)
+        for rest, c in _spread(d - a, slots - 1)
+    )
+
+
+class _SlotTensor(AlgLinear):
+    """Presentation {(i_1, ..., i_m): p} of sum (D^i_1 (x) ... (x) D^i_m) (x)_H p.
 
     Presentations are not unique; equality and truth testing go through
-    the flattened H (x) H (x) A form, which is.
+    the flattened H^(x)m (x) A form, which is.
     """
 
     __slots__ = ()
     _nested = True
+    _slots = 0  # number of free H slots
     entries = Linear.terms
-    _key = TensorHH._key
 
-    def swap(self) -> "PseudoTensor":
-        """Exchange the two free H slots (sigma_12)."""
-        return self._new({(j, i): p for (i, j), p in self.entries.items()})
+    def _key(self, key) -> tuple[int, ...]:
+        key = tuple(map(integral, key))
+        if len(key) != self._slots:
+            raise ValueError(f"expected {self._slots} slot degrees, got {key!r}")
+        return key
 
-    def flatten(self) -> dict[tuple[int, int], NCPoly]:
-        """Unique form in H (x) H (x) A: push each P-part's D across (x)_H."""
-        flat: dict[tuple[int, int], NCPoly] = {}
-        for (i, j), p in self.entries.items():
+    def permute(self, sigma: tuple[int, ...]):
+        """Move slot m's content to slot sigma(m); legitimate because the
+        coproduct of D is symmetric."""
+        if sorted(sigma) != list(range(1, self._slots + 1)):
+            raise ValueError(f"not a permutation of 1..{self._slots}: {sigma!r}")
+        source = [sigma.index(dest) for dest in range(1, self._slots + 1)]
+        return self._new({tuple(key[m] for m in source): p for key, p in self.entries.items()})
+
+    def flatten(self) -> dict[tuple[int, ...], NCPoly]:
+        """Unique form in H^(x)m (x) A: spread each P-part's D across (x)_H."""
+        flat: dict[tuple[int, ...], NCPoly] = {}
+        for key, p in self.entries.items():
             for d, f in p.parts.items():
-                for a in range(d + 1):
-                    accumulate(flat, (i + a, j + d - a), f.scale(binomial(d, a)))
+                for powers, c in _spread(d, self._slots):
+                    accumulate(flat, tuple(map(add, key, powers)), f.scale(c))
         return flat
 
     def __bool__(self) -> bool:
         return bool(self.flatten())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PseudoTensor) and self.flatten() == other.flatten()
-
-    def canonical(self) -> "CanonicalPseudo":
-        return canonicalize(self)
+        return other.__class__ is self.__class__ and self.flatten() == other.flatten()
 
     def __repr__(self) -> str:
         if not self.entries:
             return "0"
-        bits = []
-        for (i, j) in sorted(self.entries):
-            bits.append(f"(D^{i}(x)D^{j})(x)H[{self.entries[(i, j)]!r}]")
-        return " + ".join(bits)
+        return " + ".join(
+            "(" + "(x)".join(f"D^{i}" for i in key) + f")(x)H[{self.entries[key]!r}]"
+            for key in sorted(self.entries)
+        )
+
+
+class PseudoTensor(_SlotTensor):
+    """Two-slot presentation {(i, j): p} of sum (D^i (x) D^j) (x)_H p over H."""
+
+    __slots__ = ()
+    _slots = 2
+    flatten = _SlotTensor.flatten  # own attribute, so tracing can wrap it
+
+    def swap(self) -> "PseudoTensor":
+        """Exchange the two free H slots (sigma_12)."""
+        return self.permute((2, 1))
+
+    def canonical(self) -> "CanonicalPseudo":
+        return canonicalize(self)
 
 
 class CanonicalPseudo(AlgLinear):
@@ -218,48 +268,12 @@ def canonicalize(t: PseudoTensor) -> CanonicalPseudo:
     return CanonicalPseudo._of(t.alg, acc)
 
 
-class PseudoTensor3(AlgLinear):
-    """Presentation {(i, j, k): p} of sum (D^i (x) D^j (x) D^k) (x)_H p."""
+class PseudoTensor3(_SlotTensor):
+    """Three-slot presentation {(i, j, k): p} of sum (D^i (x) D^j (x) D^k) (x)_H p."""
 
     __slots__ = ()
-    _nested = True
-    entries = Linear.terms
-
-    def _key(self, key) -> tuple[int, int, int]:
-        i, j, k = key
-        return (integral(i), integral(j), integral(k))
-
-    def permute(self, sigma: tuple[int, int, int]) -> "PseudoTensor3":
-        """Move slot m's content to slot sigma(m); legitimate because the
-        coproduct of D is symmetric."""
-        if sorted(sigma) != [1, 2, 3]:
-            raise ValueError(f"not a permutation of 1..3: {sigma!r}")
-        out: dict[tuple[int, int, int], PElement] = {}
-        for key, p in self.entries.items():
-            new = [0, 0, 0]
-            for m in range(3):
-                new[sigma[m] - 1] = key[m]
-            out[tuple(new)] = p
-        return self._new(out)
-
-    def flatten(self) -> dict[tuple[int, int, int], NCPoly]:
-        flat: dict[tuple[int, int, int], NCPoly] = {}
-        for (i, j, k), p in self.entries.items():
-            for d, f in p.parts.items():
-                for a in range(d + 1):
-                    for b in range(d - a + 1):
-                        c = d - a - b
-                        coeff = math.factorial(d) // (
-                            math.factorial(a) * math.factorial(b) * math.factorial(c)
-                        )
-                        accumulate(flat, (i + a, j + b, k + c), f.scale(coeff))
-        return flat
-
-    def __bool__(self) -> bool:
-        return bool(self.flatten())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PseudoTensor3) and self.flatten() == other.flatten()
+    _slots = 3
+    flatten = _SlotTensor.flatten  # own attribute, so tracing can wrap it
 
     def canonical(self) -> dict[tuple[int, int], PElement]:
         """Unique coordinates over the basis ((-D)^(I) (x) (-D)^(J) (x) 1).
@@ -270,28 +284,15 @@ class PseudoTensor3(AlgLinear):
         """
         acc: dict[tuple[int, int], dict[int, NCPoly]] = {}
         for (i, j, k), f in self.flatten().items():
-            for a in range(k + 1):
-                for b in range(k - a + 1):
-                    g = k - a - b
-                    c = Fraction(
-                        math.factorial(k) * (-1) ** (a + b),
-                        math.factorial(a) * math.factorial(b) * math.factorial(g),
-                    )
-                    accumulate(acc.setdefault((i + a, j + b), {}), g, f.scale(c))
+            # D^k in the third slot is (z - x1 - x2)^k
+            for (a, b, g), c in _spread(k, 3):
+                accumulate(acc.setdefault((i + a, j + b), {}), g, f.scale(c * (-1) ** (a + b)))
         out: dict[tuple[int, int], PElement] = {}
         for (i, j), row in acc.items():
             if row:
                 w = (-1) ** (i + j) * math.factorial(i) * math.factorial(j)
                 out[(i, j)] = PElement._of(self.alg, {g: poly.scale(w) for g, poly in row.items()})
         return out
-
-    def __repr__(self) -> str:
-        if not self.entries:
-            return "0"
-        bits = []
-        for (i, j, k) in sorted(self.entries):
-            bits.append(f"(D^{i}(x)D^{j}(x)D^{k})(x)H[{self.entries[(i, j, k)]!r}]")
-        return " + ".join(bits)
 
 
 @dataclass(frozen=True)
@@ -342,35 +343,25 @@ class PseudoAlgebra:
         self.coaction = coaction
 
     def pprod(self, kind: ProductKind, x: PElement, y: PElement) -> PseudoTensor:
-        """The pseudoproduct x * y as a two-slot tensor."""
+        """The pseudoproduct x * y as a two-slot tensor.
+
+        x's coaction part D^(t) goes to slot 2 and y's D^(s) to slot 1, with
+        coefficient sign^(s+t) / (s! t!); an argument that is not coacted
+        keeps its whole polynomial at t = 0 (or s = 0).
+        """
         kind = ProductKind(kind)
         if kind is ProductKind.P20 and not self.alg.commutative:
             raise ConfigError("the coupled product needs a commutative word algebra")
+        coact_x, coact_y, sign = _KIND_RULES[kind]
+        ys = [(e, self.coaction(g) if coact_y else {0: g}) for e, g in y.parts.items()]
         acc: dict[tuple[int, int], NCPoly] = {}
         for d, f in x.parts.items():
-            for e, g in y.parts.items():
-                if kind is ProductKind.P8:
-                    for s, gs in self.coaction(g).items():
-                        accumulate(acc, (d + s, e), (f * gs).scale(Fraction(1, math.factorial(s))))
-                elif kind is ProductKind.P9:
-                    for s, fs in self.coaction(f).items():
-                        accumulate(acc, (d, e + s), (fs * g).scale(Fraction((-1) ** s, math.factorial(s))))
-                elif kind is ProductKind.P10:
-                    for s, fs in self.coaction(f).items():
-                        accumulate(acc, (d, e + s), (fs * g).scale(Fraction(1, math.factorial(s))))
-                elif kind is ProductKind.P11:
-                    for s, gs in self.coaction(g).items():
-                        accumulate(acc, (d + s, e), (f * gs).scale(Fraction((-1) ** s, math.factorial(s))))
-                else:
-                    cf = self.coaction(f)
-                    cg = self.coaction(g)
-                    for t, ft in cf.items():
-                        for s, gs in cg.items():
-                            accumulate(
-                                acc,
-                                (d + s, e + t),
-                                (ft * gs).scale(Fraction(1, math.factorial(s) * math.factorial(t))),
-                            )
+            cf = self.coaction(f) if coact_x else {0: f}
+            for e, cg in ys:
+                for t, ft in cf.items():
+                    for s, gs in cg.items():
+                        c = Fraction(sign ** (s + t), math.factorial(s) * math.factorial(t))
+                        accumulate(acc, (d + s, e + t), (ft * gs).scale(c))
         return PseudoTensor._of(
             self.alg, {k: PElement._of(self.alg, {0: v}) for k, v in acc.items()}
         )
@@ -394,22 +385,20 @@ class PseudoAlgebra:
         if isinstance(left, PElement) and isinstance(right, PElement):
             return self.pprod(kind, left, right)
         if isinstance(left, PseudoTensor) and isinstance(right, PElement):
-            out: dict[tuple[int, int, int], PElement] = {}
-            for (i, j), p in left.entries.items():
-                inner = self.pprod(kind, p, right)
-                for (u, w), r in inner.entries.items():
-                    for a in range(u + 1):
-                        accumulate(out, (i + a, j + u - a, w), r.scale(binomial(u, a)))
-            return PseudoTensor3._of(self.alg, out)
-        if isinstance(left, PElement) and isinstance(right, PseudoTensor):
-            out = {}
-            for (i, j), q in right.entries.items():
-                inner = self.pprod(kind, left, q)
-                for (u, w), r in inner.entries.items():
-                    for a in range(w + 1):
-                        accumulate(out, (u, i + a, j + w - a), r.scale(binomial(w, a)))
-            return PseudoTensor3._of(self.alg, out)
-        raise TypeError("more than three total slots is not supported")
+            tensor_left = True
+        elif isinstance(left, PElement) and isinstance(right, PseudoTensor):
+            tensor_left = False
+        else:
+            raise TypeError("more than three total slots is not supported")
+        out: dict[tuple[int, int, int], PElement] = {}
+        for (i, j), p in (left if tensor_left else right).entries.items():
+            inner = self.pprod(kind, p, right) if tensor_left else self.pprod(kind, left, p)
+            for (u, w), r in inner.entries.items():
+                # the inner slot that met the tensor is spread over its two slots
+                for (a, b), c in _spread(u if tensor_left else w, 2):
+                    key = (i + a, j + b, w) if tensor_left else (u, i + a, j + b)
+                    accumulate(out, key, r.scale(c))
+        return PseudoTensor3._of(self.alg, out)
 
     def assoc_check(self, kind: ProductKind, x: PElement, y: PElement, z: PElement) -> bool:
         """(x * y) * z == x * (y * z) as three-slot tensors."""
@@ -460,10 +449,7 @@ class PseudoAlgebra:
                 raise ValueError(f"tree must use each argument exactly once: {term.tree!r}")
             coeff = exact(term.coeff)
             value = self._eval_tree(kind, term.tree, sigma, args)
-            if isinstance(value, PseudoTensor):
-                if sigma == (2, 1):
-                    value = value.swap()
-            elif isinstance(value, PseudoTensor3):
+            if isinstance(value, _SlotTensor):
                 value = value.permute(sigma)
             value = value.scale(coeff)
             acc = value if acc is None else acc + value

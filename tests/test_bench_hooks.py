@@ -91,6 +91,8 @@ def test_realize_table_makes_one_pseudoproduct_per_word_pair():
     [
         ("config_ab.json", "locality", "freeconf.locality_of"),
         ("config_comm.json", "pseudo-assoc", "pseudo.star_expanded"),
+        # both tensor classes share one flatten, which must stay traceable
+        ("config_comm.json", "pseudo-assoc", "pseudo.flatten"),
         # pseudo-assoc compares three-slot tensors flat; identity reaches canonical3
         ("config_comm.json", "identity", "pseudo.canonical3"),
     ],

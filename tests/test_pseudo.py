@@ -24,6 +24,7 @@ from confalg.pseudo import (
 )
 
 ONEGEN = AlgebraConfig({"a": 1})
+ONEGEN_COMM = AlgebraConfig({"a": 1}, commutative=True)
 AB = AlgebraConfig({"a": 1, "b": 2})
 AB_COMM = AlgebraConfig({"a": 1, "b": 2}, commutative=True)
 
@@ -109,6 +110,27 @@ class TestPseudoProduct:
         assert can.coeff(1) == pel(ONEGEN, ("v",), -1)
         assert can.max_index() == 1
         assert can.expand() == t
+
+    @pytest.mark.parametrize(
+        ("kind", "alg", "want"),
+        [
+            # x = y = 1(x)v with coact(v) = {0: v, 1: 1}
+            (ProductKind.P8, ONEGEN, {(0, 0): (("v", "v"), 1), (1, 0): (("v",), 1)}),
+            (ProductKind.P11, ONEGEN, {(0, 0): (("v", "v"), 1), (1, 0): (("v",), -1)}),
+            (ProductKind.P9, ONEGEN, {(0, 0): (("v", "v"), 1), (0, 1): (("v",), -1)}),
+            (ProductKind.P10, ONEGEN, {(0, 0): (("v", "v"), 1), (0, 1): (("v",), 1)}),
+            (ProductKind.P20, ONEGEN_COMM, {
+                (0, 0): (("v", "v"), 1), (1, 0): (("v",), 1),
+                (0, 1): (("v",), 1), (1, 1): ((), 1),
+            }),
+        ],
+        ids=["P8", "P11", "P9", "P10", "P20"],
+    )
+    def test_each_kind_by_hand(self, kind, alg, want):
+        pa = PseudoAlgebra(alg)
+        x = pel(alg, ("v",))
+        t = pa.pprod(kind, x, x)
+        assert t.entries == {slot: pel(alg, names, c) for slot, (names, c) in want.items()}
 
     def test_p20_needs_commutative_words(self):
         pa = PseudoAlgebra(AB)
