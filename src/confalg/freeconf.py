@@ -126,18 +126,21 @@ class FreeConformal:
     # ---- realization engine -------------------------------------------
 
     def _iota_nc(self, gens: tuple[str, ...], indices: tuple[int, ...]) -> NCPoly:
-        key = (gens, indices)
-        hit = self._iota_cache.get(key)
-        if hit is not None:
-            return hit
-        if not indices:
-            val = generator_image(self.alg, gens[0])
-        else:
-            head = self._iota_nc(gens[:1], ())
-            tail = self._iota_nc(gens[1:], indices[1:])
-            m = indices[0]
-            val = (head * tail.vderiv(m)).scale((-1) ** m)
-        self._iota_cache[key] = val
+        """iota of a D-free word, folded right to left over its memoised suffixes."""
+        cache = self._iota_cache
+        val = cache.get((gens, indices))
+        if val is not None:
+            return val
+        for k in range(len(gens) - 1, -1, -1):
+            hit = cache.get((gens[k:], indices[k:]))
+            if hit is None:
+                if val is None:  # the last letter
+                    hit = generator_image(self.alg, gens[k])
+                else:  # iota(g .m tail) = (-1)^m iota(g) * d^m/dv^m iota(tail)
+                    m = indices[k]
+                    hit = (self._iota_nc(gens[k:k + 1], ()) * val.vderiv(m)).scale((-1) ** m)
+                cache[gens[k:], indices[k:]] = hit
+            val = hit
         return val
 
     def iota_word(self, u: NormalWord) -> PElement:

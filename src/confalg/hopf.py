@@ -4,10 +4,14 @@ The coproduct sends D to D(x)1 + 1(x)D, the counit kills D, and the
 antipode substitutes -D.  Everything is stored sparsely with Fraction
 coefficients, so all computations are exact; divided powers D^(k) enter
 only as the rational coefficient 1/k! on the monomial D^k.
+
+The one home of the Hopf formulas that tensors of every arity use: the
+iterated coproduct of D^d (_spread) and the splitting (decompose).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Mapping
@@ -107,18 +111,27 @@ class TensorHH(Linear):
         return " + ".join(bits)
 
 
+@functools.lru_cache(maxsize=256)  # keyed by small ints; flatten asks per P-part
+def _spread(d: int, slots: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The iterated coproduct of D^d over slots tensor slots.
+
+    ((powers, c), ...) with c = d!/(powers[0]! ...) the multinomial
+    coefficient, leading slots' powers in increasing lexicographic order.
+    """
+    if slots == 1:
+        return (((d,), 1),)
+    return tuple(
+        ((a,) + rest, math.comb(d, a) * c)
+        for a in range(d + 1)
+        for rest, c in _spread(d - a, slots - 1)
+    )
+
+
 def comult(h: HPoly) -> TensorHH:
-    """Coproduct: Delta(h) = sum_s D^(s) (x) d^s h / dD^s."""
-    out: dict[tuple[int, int], Fraction] = {}
-    g = h
-    s = 0
-    while g:
-        inv = Fraction(1, math.factorial(s))
-        for m, c in g.coeffs.items():
-            out[(s, m)] = c * inv
-        g = g.derivative()
-        s += 1
-    return TensorHH._of(out)
+    """Coproduct: Delta(D^m) = sum_a C(m, a) D^a (x) D^(m-a), extended linearly."""
+    return TensorHH._of(collect(
+        (powers, c * k) for m, c in h.coeffs.items() for powers, k in _spread(m, 2)
+    ))
 
 
 def antipode(h: HPoly) -> HPoly:

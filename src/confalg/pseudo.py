@@ -4,12 +4,14 @@ Implements the comodule pseudoproducts on H (x) A, canonical forms of the
 resulting two- and three-slot tensors, extraction of the n-th products, the
 expanded composition of * on three arguments, associativity and poly-linear
 identity checking, and the pseudocommutator.
+
+Both arities use confalg.hopf's formulas: split() applies decompose slot by
+slot, and flatten and star_expanded share D-powers by its coproduct _spread.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Iterable
 
-from .hopf import HPoly, TensorHH, decompose
+from .hopf import HPoly, TensorHH, _spread, decompose
 from .linear import AlgLinear, Linear, accumulate, exact, integral
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word
 
@@ -129,22 +131,6 @@ class PElement(AlgLinear):
         return " + ".join(bits)
 
 
-@functools.lru_cache(maxsize=256)  # keyed by small ints; flatten asks per P-part
-def _spread(d: int, slots: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The iterated coproduct of D^d over slots tensor slots.
-
-    ((powers, c), ...) with c = d!/(powers[0]! ...) the multinomial
-    coefficient, leading slots' powers in increasing lexicographic order.
-    """
-    if slots == 1:
-        return (((d,), 1),)
-    return tuple(
-        ((a,) + rest, math.comb(d, a) * c)
-        for a in range(d + 1)
-        for rest, c in _spread(d - a, slots - 1)
-    )
-
-
 class _SlotTensor(AlgLinear):
     """Presentation {(i_1, ..., i_m): p} of sum (D^i_1 (x) ... (x) D^i_m) (x)_H p.
 
@@ -170,6 +156,14 @@ class _SlotTensor(AlgLinear):
             raise ValueError(f"not a permutation of 1..{self._slots}: {sigma!r}")
         source = [sigma.index(dest) for dest in range(1, self._slots + 1)]
         return self._new({tuple(key[m] for m in source): p for key, p in self.entries.items()})
+
+    def split(self) -> dict[tuple[int, ...], PElement]:
+        """Unique coordinates over ((-D)^(n_1) (x) ... (x) (-D)^(n_(m-1)) (x) 1), h acting on P."""
+        acc: dict[tuple[int, ...], PElement] = {}
+        for key, p in self.entries.items():
+            for idx, h in _monomial_parts(key):
+                accumulate(acc, idx, p.hpoly_mul(h))
+        return acc
 
     def flatten(self) -> dict[tuple[int, ...], NCPoly]:
         """Unique form in H^(x)m (x) A: spread each P-part's D across (x)_H."""
@@ -244,28 +238,31 @@ class CanonicalPseudo(AlgLinear):
         return " + ".join(f"[n={n}]({self.coeffs[n]!r})" for n in sorted(self.coeffs))
 
 
-_MONO_CACHE: dict[tuple[int, int], tuple[tuple[int, HPoly], ...]] = {}
+_MONO_CACHE: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], HPoly], ...]] = {}
 
 
-def _monomial_parts(i: int, j: int) -> tuple[tuple[int, HPoly], ...]:
-    hit = _MONO_CACHE.get((i, j))
+def _monomial_parts(key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], HPoly], ...]:
+    """D^i_1 (x) ... (x) D^i_m as sum ((-D)^(n_1) (x) ... (x) (-D)^(n_(m-1)) (x) 1) Delta(h).
+
+    decompose splits the last two slots, then each earlier slot against the
+    merged right-hand h (decompose is linear, Delta coassociative).
+    """
+    hit = _MONO_CACHE.get(key)
     if hit is None:
-        hit = tuple(sorted(decompose(TensorHH({(i, j): 1})).items()))
-        _MONO_CACHE[(i, j)] = hit
+        parts = {(n,): h for n, h in decompose(TensorHH({key[-2:]: 1})).items()}
+        for i in reversed(key[:-2]):
+            parts = {
+                (m,) + rest: g
+                for rest, h in parts.items()
+                for m, g in decompose(TensorHH({(i, e): c for e, c in h.coeffs.items()})).items()
+            }
+        hit = _MONO_CACHE[key] = tuple(sorted(parts.items()))
     return hit
 
 
 def canonicalize(t: PseudoTensor) -> CanonicalPseudo:
-    """Rewrite a two-slot tensor over the basis ((-D)^(n) (x) 1).
-
-    Each monomial D^i (x) D^j decomposes as sum_n ((-D)^(n) (x) 1) Delta(h_n);
-    the h_n then act on the P slot.
-    """
-    acc: dict[int, PElement] = {}
-    for (i, j), p in t.entries.items():
-        for n, h in _monomial_parts(i, j):
-            accumulate(acc, n, p.hpoly_mul(h))
-    return CanonicalPseudo._of(t.alg, acc)
+    """Rewrite a two-slot tensor over the basis ((-D)^(n) (x) 1)."""
+    return CanonicalPseudo._of(t.alg, {n: p for (n,), p in t.split().items()})
 
 
 class PseudoTensor3(_SlotTensor):
@@ -273,26 +270,8 @@ class PseudoTensor3(_SlotTensor):
 
     __slots__ = ()
     _slots = 3
-    flatten = _SlotTensor.flatten  # own attribute, so tracing can wrap it
-
-    def canonical(self) -> dict[tuple[int, int], PElement]:
-        """Unique coordinates over the basis ((-D)^(I) (x) (-D)^(J) (x) 1).
-
-        Substitute x1 = D(x)1(x)1, x2 = 1(x)D(x)1 and z for the image of D
-        under the iterated coproduct; the z-polynomial at x1^I x2^J acts on
-        the P slot.
-        """
-        acc: dict[tuple[int, int], dict[int, NCPoly]] = {}
-        for (i, j, k), f in self.flatten().items():
-            # D^k in the third slot is (z - x1 - x2)^k
-            for (a, b, g), c in _spread(k, 3):
-                accumulate(acc.setdefault((i + a, j + b), {}), g, f.scale(c * (-1) ** (a + b)))
-        out: dict[tuple[int, int], PElement] = {}
-        for (i, j), row in acc.items():
-            if row:
-                w = (-1) ** (i + j) * math.factorial(i) * math.factorial(j)
-                out[(i, j)] = PElement._of(self.alg, {g: poly.scale(w) for g, poly in row.items()})
-        return out
+    flatten = _SlotTensor.flatten  # own attributes, so tracing can wrap them
+    canonical = _SlotTensor.split  # {(I, J): c} over ((-D)^(I) (x) (-D)^(J) (x) 1)
 
 
 @dataclass(frozen=True)
@@ -428,9 +407,9 @@ class PseudoAlgebra:
     ) -> dict[tuple[int, ...], PElement]:
         """Evaluate a poly-linear identity on concrete arguments.
 
-        Returns the canonical coordinates of the sum: keys are () for one
-        argument, (n,) for two, (i, j) for three.  Empty dict means zero,
-        so an identity holds exactly when the result is {}.
+        Returns the canonical coordinates of the sum in sorted key order:
+        keys are () for one argument, (n,) for two, (i, j) for three.  Empty
+        dict means zero, so an identity holds exactly when the result is {}.
         """
         n = len(args)
         if not 1 <= n <= 3:
@@ -458,8 +437,10 @@ class PseudoAlgebra:
         if n == 1:
             return {(): acc} if acc else {}
         if n == 2:
-            return {(t,): p for t, p in canonicalize(acc).coeffs.items()}
-        return {key: p for key, p in acc.canonical().items()}
+            coords = {(t,): p for t, p in canonicalize(acc).coeffs.items()}
+        else:
+            coords = acc.canonical()
+        return dict(sorted(coords.items()))
 
 
 def as_rng(seed) -> random.Random:

@@ -81,6 +81,14 @@ class TestRealizationMap:
         shifted = fc.normal(2, ("a", "b"), (0,))
         assert fc.iota_word(shifted) == fc.iota_word(w0).d_shift(2)
 
+    def test_image_of_a_long_word(self):
+        # one suffix per generator: no recursion limit applies
+        fc = FreeConformal(AlgebraConfig({"a": 1, "b": 2}))
+        u = NormalWord(0, ("a",) * 1100, (0,) * 1099)
+        image = fc.iota_word(u)
+        assert image == PElement.from_poly(fc.alg, fc.alg.monomial(("a",) * 1100))
+        assert fc.reduce(image) == ConfElement.single(u)
+
     def test_image_is_linear(self, fc):
         rng = as_rng(61)
         for _ in range(20):

@@ -1,5 +1,6 @@
 """Pseudoalgebra layer: products, canonical splitting, identity checks."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,32 @@ def test_roundtrip_on_random_tensors():
             entries[key] = entries[key] + p if key in entries else p
         t = PseudoTensor(AB, entries)
         assert canonicalize(t).expand() == t
+        assert t.split() == {(n,): p for n, p in canonicalize(t).coeffs.items()}
+
+
+@pytest.mark.parametrize("coaction", ("standard", "corrupt"))
+@pytest.mark.parametrize(
+    ("kind", "alg"),
+    [(k, AB) for k in NONCOMM_KINDS] + [(k, AB_COMM) for k in COMM_KINDS],
+    ids=[k.value for k in NONCOMM_KINDS + COMM_KINDS],
+)
+def test_three_slot_coordinates_round_trip(kind, alg, coaction):
+    # (I, J) -> ((-D)^(I) (x) (-D)^(J) (x) 1) (x)_H c, with (-D)^(k) = (-1)^k D^k / k!
+    pa = PseudoAlgebra(alg, COACTIONS[coaction])
+    rng = as_rng(59)
+    for _ in range(4):
+        x, y, z = (random_pelement(rng, alg, max_d=2, max_len=3) for _k in range(3))
+        for t in (
+            pa.star_expanded(kind, pa.pprod(kind, x, y), z),
+            pa.star_expanded(kind, x, pa.pprod(kind, y, z)),
+        ):
+            coords = t.canonical()
+            assert coords
+            back = PseudoTensor3(alg, {
+                (i, j, 0): p.scale(Fraction((-1) ** (i + j), math.factorial(i) * math.factorial(j)))
+                for (i, j), p in coords.items()
+            })
+            assert back == t
 
 
 class TestAssociativity:
@@ -311,6 +338,26 @@ class TestIdentityEvaluation:
             assert pa.eval_identity(
                 associator_identity(), ProductKind.P8, args
             ) == {}
+
+    @pytest.mark.parametrize(
+        ("terms", "kind", "alg", "arity"),
+        [
+            (commutativity_identity(), ProductKind.P8, AB, 2),
+            (associator_identity(), ProductKind.P8, AB, 3),
+            (associator_identity(), ProductKind.P20, AB_COMM, 3),
+        ],
+        ids=["commutativity", "associator", "associator-comm"],
+    )
+    def test_coordinates_come_in_sorted_key_order(self, terms, kind, alg, arity):
+        pa = PseudoAlgebra(alg, corrupt_coaction)
+        rng = as_rng(3)
+        sizes = []
+        for _ in range(5):
+            args = [random_pelement(rng, alg, max_d=2, max_len=3) for _k in range(arity)]
+            value = pa.eval_identity(terms, kind, args)
+            assert list(value) == sorted(value)
+            sizes.append(len(value))
+        assert max(sizes) > 1
 
     def test_malformed_terms_are_rejected(self):
         from confalg.pseudo import IdentityTerm
