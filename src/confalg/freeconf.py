@@ -79,11 +79,18 @@ class ConfElement(Linear):
         return " + ".join(bits)
 
 
+def _generator_word(alg: AlgebraConfig, name: str) -> Word:
+    return alg.word(("v",) * (alg.n_of(name) - 1) + (name,))
+
+
 def generator_image(alg: AlgebraConfig, name: str) -> NCPoly:
-    """Image of a generator in F(B): the word v^(n-1) a scaled by 1/(n-1)!."""
-    e = alg.n_of(name) - 1
-    w = alg.word(("v",) * e + (name,))
-    return NCPoly(alg, {w: Fraction(1, math.factorial(e))})
+    """Image of a generator in F(B): the word v^(n-1) a scaled by 1/(n-1)!.
+
+    FreeConformal computes with this image times (n-1)!, the bare word with
+    coefficient 1, and divides by (n-1)! again at its API boundary.
+    """
+    scale = Fraction(1, math.factorial(alg.n_of(name) - 1))
+    return NCPoly(alg, {_generator_word(alg, name): scale})
 
 
 # engine name -> the names of its (cprod, cprods) methods
@@ -98,7 +105,10 @@ class FreeConformal:
             raise ConfigError("normal words need the noncommutative word algebra")
         self.alg = config
         self.pseudo = PseudoAlgebra(config, standard_coaction)
-        # iota of D-free words, generators too; the rewriting engine makes none
+        # iota of D-free words, generators too, each scaled by its weight
+        # W = prod (n(a) - 1)! over its letters (see _weight): a generator is
+        # the bare word v^(n-1) a, and every coefficient is an int.  The
+        # rewriting engine makes none.
         self._iota_cache: dict[tuple[tuple[str, ...], tuple[int, ...]], NCPoly] = {}
         # _rw_dfree results by (gens_u, indices_u, n, gens_w, indices_w)
         self._rw_cache: dict[tuple, ConfElement] = {}
@@ -125,8 +135,17 @@ class FreeConformal:
 
     # ---- realization engine -------------------------------------------
 
+    def _weight(self, gens: tuple[str, ...]) -> int:
+        """W = prod (n(a) - 1)! over the letters: the scale of a cached image.
+
+        u .n w has exactly the letters of u and w, so W is multiplicative
+        over products and the scaling cancels in cprods.
+        """
+        n = self.alg.n
+        return math.prod(math.factorial(n[name] - 1) for name in gens)
+
     def _iota_nc(self, gens: tuple[str, ...], indices: tuple[int, ...]) -> NCPoly:
-        """iota of a D-free word, folded right to left over its memoised suffixes."""
+        """W * iota of a D-free word, folded right to left over its memoised suffixes."""
         cache = self._iota_cache
         val = cache.get((gens, indices))
         if val is not None:
@@ -135,7 +154,7 @@ class FreeConformal:
             hit = cache.get((gens[k:], indices[k:]))
             if hit is None:
                 if val is None:  # the last letter
-                    hit = generator_image(self.alg, gens[k])
+                    hit = NCPoly._of(self.alg, {_generator_word(self.alg, gens[k]): 1})
                 else:  # iota(g .m tail) = (-1)^m iota(g) * d^m/dv^m iota(tail)
                     m = indices[k]
                     hit = (self._iota_nc(gens[k:k + 1], ()) * val.vderiv(m)).scale((-1) ** m)
@@ -143,9 +162,16 @@ class FreeConformal:
             val = hit
         return val
 
-    def iota_word(self, u: NormalWord) -> PElement:
+    def _scaled(self, u: NormalWord) -> tuple[PElement, int]:
+        """(W * iota(u), W) with int coefficients; validates u."""
         self.validate(u)
-        return PElement(self.alg, {u.s: self._iota_nc(u.gens, u.indices)})
+        return PElement._of(self.alg, {u.s: self._iota_nc(u.gens, u.indices)}), self._weight(u.gens)
+
+    def iota_word(self, u: NormalWord) -> PElement:
+        p, weight = self._scaled(u)
+        f = p.parts[u.s]
+        # divide value by value: scale(Fraction(1, 1)) would copy the ints out
+        return p._new({u.s: f._new({k: Fraction(c, weight) for k, c in f.terms.items()})})
 
     def iota(self, x: ConfElement) -> PElement:
         out = PElement(self.alg)
@@ -156,8 +182,10 @@ class FreeConformal:
     def hat_word(self, u: NormalWord) -> tuple[int, Word]:
         """Leading monomial of iota with its sign; D-free words only.
 
-        The magnitude of the leading coefficient is a positive rational;
-        only the shared sign (-1)^(sum of indices) is reported.
+        The leading coefficient of iota(u) is the sign (-1)^(sum of indices)
+        times 1/(e_0! e_1! ...), e_i the lengths of the hat word's v-runs; in
+        the int-scaled image it is the sign times the integer
+        W / (e_0! e_1! ...).  Only the sign is reported.
         """
         if u.s:
             raise ValueError("hat words are defined for D-free normal words")
@@ -199,7 +227,13 @@ class FreeConformal:
     def reduce(self, p: PElement) -> ConfElement:
         """Express p in normal words, greedily eliminating lowest monomials.
 
-        Raises NotInSpan when some slice's lowest monomial is not a hat word.
+        Each step divides by the leading coefficient of an int-scaled image
+        and multiplies the quotient by that image's weight W.  An int slice
+        divides exactly; a remainder raises RuntimeError, because only the
+        realize pipeline makes int slices and its quotients are integers.
+        Fraction slices use true division.  Every returned value is a
+        Fraction.  Raises NotInSpan when some slice's lowest monomial is not
+        a hat word.
         """
         out: dict[NormalWord, Fraction] = {}
         for d in sorted(p.parts):
@@ -214,9 +248,15 @@ class FreeConformal:
                     raise NotInSpan(w, self.alg.word_names(w))
                 _, base = hit
                 core = self._iota_nc(base.gens, base.indices).terms
-                coeff = g[w] / core[w]
+                num, den = g[w], core[w]
+                if num.__class__ is int:
+                    coeff, rest = divmod(num, den)
+                    if rest:
+                        raise RuntimeError(f"inexact elimination: {num} / {den} at {w!r}")
+                else:
+                    coeff = num / den
                 u = base if d == 0 else NormalWord(d, base.gens, base.indices)
-                accumulate(out, u, coeff)
+                out[u] = exact(coeff * self._weight(base.gens))
                 minus = -coeff
                 for k, c in core.items():
                     accumulate(g, k, c * minus)
@@ -228,16 +268,21 @@ class FreeConformal:
     ) -> dict[int, ConfElement]:
         """{n: x_(n) y} for each n in ns, through the realization engine.
 
-        Each word pair costs one pseudoproduct, whose canonical form holds
-        all its n-th products; only the requested coefficients are reduced.
+        Each word pair costs one pseudoproduct of the int-scaled images,
+        whose canonical form holds all its n-th products scaled by
+        W_u * W_w; only the requested coefficients are reduced.  Every output
+        word v has W_v = W_u * W_w, so reduce's quotients are integers and the
+        weight it multiplies back in is divided out with cu * cw.
         """
         acc: dict[int, dict[NormalWord, Fraction]] = {n: {} for n in ns}
         if any(n < 0 for n in acc):
             raise ValueError("product index must be nonnegative")
+        ys = [(self._scaled(w), cw) for w, cw in y.terms.items()]
         for u, cu in x.terms.items():
-            for w, cw in y.terms.items():
-                canon = self.pseudo.nproducts(ProductKind.P8, self.iota_word(u), self.iota_word(w))
-                c = cu * cw
+            pu, wu = self._scaled(u)
+            for (pw, ww), cw in ys:
+                canon = self.pseudo.nproducts(ProductKind.P8, pu, pw)
+                c = cu * cw / (wu * ww)
                 for n, out in acc.items():
                     try:
                         value = self.reduce(canon.coeff(n))

@@ -2,10 +2,11 @@
 
 A combination is a dict {key: value} that holds no zero value, so equality
 is dict equality and truth is nonemptiness.  Scalar classes (HPoly,
-TensorHH, NCPoly, ConfElement) hold Fraction values.  Nested classes
-(PElement, PseudoTensor, PseudoTensor3, CanonicalPseudo) hold combinations
-of the layer below, which answer to the same +, -, scale and truth tests,
-so one implementation serves both.
+TensorHH, NCPoly, ConfElement) hold Fraction values; only trusted
+containers inside the realize pipeline and the splitting's cached parts
+hold ints.  Nested classes (PElement, PseudoTensor, PseudoTensor3,
+CanonicalPseudo) hold combinations of the layer below, which answer to the
+same +, -, scale and truth tests, so one implementation serves both.
 
 exact() is the only place where an outside number becomes a coefficient;
 integral() does the same for D-degrees and product indices.
@@ -149,7 +150,11 @@ class Linear:
         return self._new({k: -v for k, v in self.terms.items()})
 
     def scale(self, c):
-        c = exact(c)
+        """self times c.  An int c stays an int, so the int values of a
+        trusted container stay ints and Fraction values stay Fractions;
+        any other c goes through exact()."""
+        if c.__class__ is not int:
+            c = exact(c)
         if not c:
             return self._new({})
         if c == 1:

@@ -245,16 +245,18 @@ def _monomial_parts(key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], HPoly]
     """D^i_1 (x) ... (x) D^i_m as sum ((-D)^(n_1) (x) ... (x) (-D)^(n_(m-1)) (x) 1) Delta(h).
 
     decompose splits the last two slots, then each earlier slot against the
-    merged right-hand h (decompose is linear, Delta coassociative).
+    merged right-hand h (decompose is linear, Delta coassociative).  Seeded
+    with the int 1, every h has int coefficients, so splitting keeps the int
+    values of a trusted tensor ints.
     """
     hit = _MONO_CACHE.get(key)
     if hit is None:
-        parts = {(n,): h for n, h in decompose(TensorHH({key[-2:]: 1})).items()}
+        parts = {(n,): h for n, h in decompose(TensorHH._of({key[-2:]: 1})).items()}
         for i in reversed(key[:-2]):
             parts = {
                 (m,) + rest: g
                 for rest, h in parts.items()
-                for m, g in decompose(TensorHH({(i, e): c for e, c in h.coeffs.items()})).items()
+                for m, g in decompose(TensorHH._of({(i, e): c for e, c in h.coeffs.items()})).items()
             }
         hit = _MONO_CACHE[key] = tuple(sorted(parts.items()))
     return hit
@@ -339,7 +341,9 @@ class PseudoAlgebra:
             for e, cg in ys:
                 for t, ft in cf.items():
                     for s, gs in cg.items():
-                        c = Fraction(sign ** (s + t), math.factorial(s) * math.factorial(t))
+                        c, den = sign ** (s + t), math.factorial(s) * math.factorial(t)
+                        if den > 1:  # an int c keeps a trusted int tensor int
+                            c = Fraction(c, den)
                         accumulate(acc, (d + s, e + t), (ft * gs).scale(c))
         return PseudoTensor._of(
             self.alg, {k: PElement._of(self.alg, {0: v}) for k, v in acc.items()}

@@ -4,6 +4,7 @@ The two product engines share no code past the word algebra, which is the
 point: each one is the oracle for the other.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,9 @@ from confalg.freeconf import (
     random_element,
     random_normal_word,
 )
-from confalg.ncpoly import AlgebraConfig, ConfigError, deglex_key
-from confalg.pseudo import PElement, as_rng
+from confalg.hopf import HPoly, TensorHH, decompose
+from confalg.ncpoly import AlgebraConfig, ConfigError, NCPoly, deglex_key
+from confalg.pseudo import CanonicalPseudo, PElement, ProductKind, as_rng
 
 
 def weight(alg, u: NormalWord) -> int:
@@ -305,6 +307,79 @@ class TestAllProducts:
         calls.clear()
         fc.cprods(x, y, range(6))
         assert len(calls) == len(x.terms) * len(y.terms)
+
+
+def coefficient_types(values) -> set:
+    """Types of the scalars inside ConfElement/PElement/CanonicalPseudo/HPoly values."""
+    out = set()
+    for value in values:
+        if isinstance(value, (ConfElement, NCPoly, HPoly)):
+            out |= {type(c) for c in value.terms.values()}
+        elif isinstance(value, (PElement, CanonicalPseudo)):
+            out |= coefficient_types(value.terms.values())
+        else:
+            raise TypeError(value)
+    return out
+
+
+class TestIntegerPipeline:
+    """The realize engine computes on int-scaled images and answers in Fractions."""
+
+    @pytest.fixture(scope="class", params=[{"a": 2, "b": 3}, {"a": 1, "b": 2}], ids=["W>1", "W=1"])
+    def fc(self, request):
+        # with every n(a) <= 2 each weight W is 1, where a plain copy of an
+        # int image would go out unconverted
+        return FreeConformal(AlgebraConfig(request.param))
+
+    def test_scaled_images_are_int_multiples_of_iota(self, fc):
+        for u in fc.enumerate_basis(2, max_s=1):
+            image, weight = fc._scaled(u)
+            assert weight == math.prod(math.factorial(fc.alg.n_of(g) - 1) for g in u.gens)
+            assert image == fc.iota_word(u).scale(weight)
+            assert coefficient_types([image]) == {int}
+
+    def test_shifted_multi_term_products_match_rewrite(self, fc):
+        rng = as_rng(101)
+        for _ in range(300):
+            x = random_element(rng, fc, max_s=3, max_terms=3)
+            y = random_element(rng, fc, max_s=3, max_terms=3)
+            for n in range(5):
+                assert fc.cprod(x, n, y) == fc.cprod_rw(x, n, y), (x, n, y)
+
+    def test_fractional_coefficients_round_trip(self, fc):
+        rng = as_rng(103)
+        for u in fc.enumerate_basis(2, max_s=2):
+            w = random_normal_word(rng, fc, max_k=2, max_s=2)
+            x = ConfElement({u: Fraction(1, 2), w: Fraction(-3, 2)})
+            assert fc.reduce(fc.iota(x)) == x
+
+    def test_no_int_leaves_the_api(self, fc):
+        rng = as_rng(107)
+        for _ in range(20):
+            x = random_element(rng, fc, max_s=2, max_terms=3)
+            y = random_element(rng, fc, max_s=2, max_terms=3)
+            u = random_normal_word(rng, fc, max_s=2)
+            px, py = fc.iota(x), fc.iota(y)
+            got = [fc.iota_word(u), px, py, fc.reduce(px), fc.reduce(fc.iota_word(u))]
+            got += [fc.cprod(x, 1, y), *fc.cprods(x, y, range(4)).values()]
+            for kind in (ProductKind.P8, ProductKind.P9, ProductKind.P11):
+                got.append(fc.pseudo.nproducts(kind, px, py))
+            assert coefficient_types(got) == {Fraction}
+        for key in ((0, 0), (1, 0), (2, 3), (4, 1)):
+            assert coefficient_types(decompose(TensorHH({key: 1})).values()) == {Fraction}
+
+    def test_int_slices_divide_exactly_or_raise(self):
+        # a planted image whose leading coefficient 2 does not divide the int
+        # slice 3: the int path refuses, where a Fraction slice divides
+        fc = FreeConformal(AlgebraConfig({"a": 1}))
+        alg = fc.alg
+        a = alg.word(("a",))
+        fc._iota_cache[(("a",), ())] = NCPoly._of(alg, {a: 2})
+        with pytest.raises(RuntimeError, match="inexact"):
+            fc.reduce(PElement._of(alg, {0: NCPoly._of(alg, {a: 3})}))
+        assert fc.reduce(PElement.from_poly(alg, alg.monomial(("a",), 3))) == ConfElement.single(
+            fc.normal(0, ("a",), ()), Fraction(3, 2)
+        )
 
 
 class TestLocality:
