@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Mapping
 
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_key
 from .linear import Linear, accumulate, exact, integral
+from . import pseudo
 from .pseudo import _COEFF_POOL, PElement, ProductKind, PseudoAlgebra, as_rng, standard_coaction
 
 
@@ -104,6 +105,7 @@ class FreeConformal:
         if config.commutative:
             raise ConfigError("normal words need the noncommutative word algebra")
         self.alg = config
+        # the full coaction, for locality_of; cprods builds a cut one per call
         self.pseudo = PseudoAlgebra(config, standard_coaction)
         # iota of D-free words, generators too, each scaled by its weight
         # W = prod (n(a) - 1)! over its letters (see _weight): a generator is
@@ -189,15 +191,19 @@ class FreeConformal:
         """
         if u.s:
             raise ValueError("hat words are defined for D-free normal words")
-        self.validate(u)
-        letters: list[str] = []
-        letters += ["v"] * (self.alg.n_of(u.gens[0]) - 1)
-        letters.append(u.gens[0])
-        for i, name in enumerate(u.gens[1:]):
-            letters += ["v"] * (self.alg.n_of(name) - 1 - u.indices[i])
-            letters.append(name)
-        sign = (-1) ** sum(u.indices)
-        return sign, self.alg.word(letters)
+        return (-1) ** sum(u.indices), self._hat(u)
+
+    def _hat(self, u: NormalWord) -> Word:
+        """The hat word of u's D-free part, with validate's error on a bad u."""
+        n, index, V = self.alg.n, self.alg.index, self.alg.V
+        hat: list[int] = []
+        for name, m in zip(u.gens, (0,) + u.indices):  # the first letter faces no index
+            run = n.get(name, 0) - 1 - m
+            if m < 0 or run < 0:  # an unknown name, or m >= n(name)
+                self.validate(u)
+            hat += [V] * run
+            hat.append(index[name])
+        return tuple(hat)
 
     def word_to_normal(self, w: Word) -> tuple[int, NormalWord] | None:
         """Invert hat_word; None when w is not a hat word."""
@@ -268,20 +274,30 @@ class FreeConformal:
     ) -> dict[int, ConfElement]:
         """{n: x_(n) y} for each n in ns, through the realization engine.
 
-        Each word pair costs one pseudoproduct of the int-scaled images,
-        whose canonical form holds all its n-th products scaled by
-        W_u * W_w; only the requested coefficients are reduced.  Every output
-        word v has W_v = W_u * W_w, so reduce's quotients are integers and the
-        weight it multiplies back in is divided out with cu * cw.
+        Each word pair costs one P8 pseudoproduct of the int-scaled images,
+        built only as far as the requested n reach.  y's coaction stops at
+        component max(ns): its D^(s) lands in slot 1, and an entry
+        D^i (x) D^j reaches only n in [i, i + j].  The canonical form then
+        splits each entry at the requested n alone, and those coefficients,
+        scaled by W_u * W_w, are reduced.  Every output word v has
+        W_v = W_u * W_w, so reduce's quotients are integers and the weight
+        it multiplies back in is divided out with cu * cw.  locality_of
+        keeps the full pseudoproduct.
         """
-        acc: dict[int, dict[NormalWord, Fraction]] = {n: {} for n in ns}
+        acc: dict[int, dict[NormalWord, Fraction]] = {integral(n): {} for n in ns}
         if any(n < 0 for n in acc):
             raise ValueError("product index must be nonnegative")
+        if not acc:
+            return {}
+        want = tuple(acc)
+        top = max(want)
+        cut = PseudoAlgebra(self.alg, lambda f: f.coact(top))
         ys = [(self._scaled(w), cw) for w, cw in y.terms.items()]
         for u, cu in x.terms.items():
             pu, wu = self._scaled(u)
             for (pw, ww), cw in ys:
-                canon = self.pseudo.nproducts(ProductKind.P8, pu, pw)
+                # looked up in pseudo at call time, where bench/spans.py wraps it
+                canon = pseudo.canonicalize(cut.pprod(ProductKind.P8, pu, pw), want)
                 c = cu * cw / (wu * ww)
                 for n, out in acc.items():
                     try:
@@ -314,6 +330,7 @@ class FreeConformal:
 
     def cprod_rw(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
         """n-th product via axiom-level rewriting; no embedding involved."""
+        n = integral(n)  # a cached key must not let 1.0 or True stand for 1
         if n < 0:
             raise ValueError("product index must be nonnegative")
         out = ConfElement()
@@ -455,7 +472,7 @@ class FreeConformal:
     # ---- ordering and serialization -------------------------------------
 
     def sort_key(self, u: NormalWord):
-        _, hat = self.hat_word(u.dfree())
+        hat = self._hat(u)
         return (u.s, len(hat), hat)
 
     def sorted_terms(self, x: ConfElement) -> list[tuple[NormalWord, Fraction]]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .linear import Linear, accumulate, collect, integral
 
@@ -143,17 +143,26 @@ def counit(h: HPoly) -> Scalar:
     return h.coeffs.get(0, Fraction(0))
 
 
-def decompose(t: TensorHH) -> dict[int, HPoly]:
+def decompose(t: TensorHH, ns: Iterable[int] | None = None) -> dict[int, HPoly]:
     """Write t uniquely as sum_n ((-D)^(n) (x) 1) * comult(h_n).
 
     Substitute x = D(x)1 and z = Delta(D) = D(x)1 + 1(x)D, so that
     1(x)D = z - x; the coefficient of x^n as a polynomial in z then
     determines h_n up to the factor (-1)^n n!.
+
+    With ns given, only the nonzero h_n for n in ns are built: D^i (x) D^j
+    reaches n only through the term z^m with m = i + j - n, 0 <= m <= j,
+    so it costs one term per requested n instead of j + 1.
     """
+    wanted = None if ns is None else set(ns)
     acc: dict[int, dict[int, Fraction]] = {}
     for (i, j), c in t.coeffs.items():
         # D^i (x) D^j = x^i (z - x)^j
-        for m in range(j + 1):
+        if wanted is None:
+            ms = range(j + 1)
+        else:
+            ms = [i + j - n for n in wanted if i <= n <= i + j]
+        for m in ms:
             n = i + j - m
             w = c * math.comb(j, m) * (-1) ** (j - m)
             accumulate(acc.setdefault(n, {}), m, w)

@@ -164,18 +164,25 @@ class NCPoly(AlgLinear):
                 break
         return cur
 
-    def coact(self) -> dict[int, "NCPoly"]:
+    def coact(self, upto: int | None = None) -> dict[int, "NCPoly"]:
         """Coaction components {s: g_s}, read as sum_s D^(s) (x) g_s.
 
         Generators map to 1 (x) a and v to D (x) 1 + 1 (x) v.  On words the
         component at the divided power D^(s) is the s-th iterated v-deletion
         sum: the 1/s! is absorbed by the D side, so no scaling happens here.
+        With upto given, only the components s <= upto are built: a caller
+        that keeps the n-th products for n <= upto of a P8 pseudoproduct
+        never needs the others.
         """
+        if upto is not None and upto < 0:
+            raise ValueError("negative coaction cut")
         out: dict[int, NCPoly] = {}
         cur = self
         s = 0
         while cur:
             out[s] = cur
+            if s == upto:
+                break
             cur = cur.vderiv(1)
             s += 1
         return out

@@ -262,9 +262,21 @@ def _monomial_parts(key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], HPoly]
     return hit
 
 
-def canonicalize(t: PseudoTensor) -> CanonicalPseudo:
-    """Rewrite a two-slot tensor over the basis ((-D)^(n) (x) 1)."""
-    return CanonicalPseudo._of(t.alg, {n: p for (n,), p in t.split().items()})
+def canonicalize(t: PseudoTensor, ns: Iterable[int] | None = None) -> CanonicalPseudo:
+    """Rewrite a two-slot tensor over the basis ((-D)^(n) (x) 1).
+
+    With ns given, only the coefficients c_n for n in ns are computed: each
+    entry is split by decompose at those n alone, bypassing the all-n rows
+    of _MONO_CACHE.  The result then holds no other n.
+    """
+    if ns is None:
+        return CanonicalPseudo._of(t.alg, {n: p for (n,), p in t.split().items()})
+    ns = tuple(ns)
+    acc: dict[int, PElement] = {}
+    for key, p in t.entries.items():
+        for n, h in decompose(TensorHH._of({key: 1}), ns).items():
+            accumulate(acc, n, p.hpoly_mul(h))
+    return CanonicalPseudo._of(t.alg, acc)
 
 
 class PseudoTensor3(_SlotTensor):

@@ -183,6 +183,15 @@ class TestProd:
         assert outs[0] == outs[1]
         assert outs[0].splitlines()[0] == "1500 * D^1499((a .0 b)) + D^1500((a .1 b))"
 
+    def test_engines_agree_on_a_far_right_derivative(self, capsys):
+        outs = [
+            run(capsys, "prod", "--config", CONFIG, "--left", "a", "--n", "1",
+                "--right", "D^3000(b)", "--engine", engine)
+            for engine in ("realize", "rewrite")
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0][1].splitlines()[0] == "3000 * D^2999((a .0 b)) + D^3000((a .1 b))"
+
 
 class TestBasis:
     def test_counts_and_listing(self, capsys):
@@ -341,6 +350,14 @@ class TestDeepNesting:
             capsys, "reduce", "--config", CONFIG, "--expr", nested(shape, 200), "--engine", "rewrite"
         )
         assert rc == 0 and err == "" and out
+
+    def test_engines_agree_on_a_deep_right_nesting(self, capsys):
+        outs = [
+            run(capsys, "reduce", "--config", CONFIG, "--expr", nested("right", 40), "--engine", engine)
+            for engine in ("realize", "rewrite")
+        ]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert outs[0][1].splitlines()[0] == nested("right", 40)
 
     @pytest.mark.parametrize("shape", ["right", "left", "dpow"])
     def test_far_past_the_limit_exits_1_without_a_traceback(self, shape):

@@ -18,9 +18,10 @@ from confalg.freeconf import (
     random_element,
     random_normal_word,
 )
+from confalg import pseudo
 from confalg.hopf import HPoly, TensorHH, decompose
 from confalg.ncpoly import AlgebraConfig, ConfigError, NCPoly, deglex_key
-from confalg.pseudo import CanonicalPseudo, PElement, ProductKind, as_rng
+from confalg.pseudo import CanonicalPseudo, PElement, ProductKind, PseudoAlgebra, as_rng
 
 
 def weight(alg, u: NormalWord) -> int:
@@ -122,6 +123,28 @@ class TestHatWords:
             assert got is not None
             got_sign, base = got
             assert base == u and got_sign == sign
+
+    def test_sort_key_orders_by_s_then_hat(self, fc):
+        for u in fc.enumerate_basis(2, max_s=2):
+            _, hat = fc.hat_word(u.dfree())
+            assert fc.sort_key(u) == (u.s, len(hat), hat)
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            NormalWord(0, ("a", "b"), (2,)),  # n(b) = 2
+            NormalWord(1, ("a", "b"), (-1,)),
+            NormalWord(0, ("a", "c"), (0,)),
+            NormalWord(0, ("c",), ()),
+            NormalWord(0, ("a", "b", "c"), (5, 0)),  # validate names the unknown letter first
+        ],
+    )
+    def test_sort_key_rejects_what_validate_rejects(self, fc, u):
+        with pytest.raises(ValueError) as want:
+            fc.validate(u)
+        with pytest.raises(ValueError) as got:
+            fc.sort_key(u)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
     def test_non_hat_words_map_to_none(self, fc):
         alg = fc.alg
@@ -297,16 +320,68 @@ class TestAllProducts:
         with pytest.raises(ValueError):
             fc.cprods_rw(a, b, (0, -1))
 
+    @pytest.mark.parametrize("n", [1.0, 1.5, True])
+    def test_non_integer_index_rejected(self, fc, n):
+        a, b = fc.generator("a"), fc.generator("b")
+        with pytest.raises(TypeError):
+            fc.cprods(a, b, (0, n))
+        with pytest.raises(TypeError):
+            fc.cprods_rw(a, b, (0, n))
+
     def test_one_pseudoproduct_per_word_pair(self, fc, monkeypatch):
         fc = FreeConformal(fc.alg)
-        calls = []
-        real = fc.pseudo.nproducts
-        monkeypatch.setattr(fc.pseudo, "nproducts", lambda *a: calls.append(a) or real(*a))
+        calls = spy_pprod(monkeypatch)
         x = fc.generator("a") + fc.generator("b").d_shift(1)
         y = fc.cprod(fc.generator("b"), 1, fc.generator("a"))
         calls.clear()
         fc.cprods(x, y, range(6))
         assert len(calls) == len(x.terms) * len(y.terms)
+
+    def test_no_requested_n_builds_no_pseudoproduct(self, fc, monkeypatch):
+        calls = spy_pprod(monkeypatch)
+        x = fc.generator("a") + fc.generator("b").d_shift(1)
+        assert fc.cprods(x, x, ()) == {}
+        assert fc.cprods(x, x, iter(())) == {}
+        assert calls == []
+
+
+class TestRequestedProductsOnly:
+    """The realize engine builds only what the requested n can reach."""
+
+    def test_deep_right_nesting_matches_rewrite(self, fc_ab, monkeypatch):
+        fc = FreeConformal(fc_ab.alg)
+        a, x, want = fc.generator("a"), fc.generator("b"), fc.generator("b")
+        sizes = []
+        real = NCPoly.coact
+        monkeypatch.setattr(NCPoly, "coact", lambda f, *a: sizes.append(len(real(f, *a))) or real(f, *a))
+        for _ in range(40):
+            x = fc.cprod(a, 0, x)
+            want = fc.cprod_rw(a, 0, want)
+        assert x == want and len(x.terms) == 1
+        # n = 0 needs only the zeroth coaction component of each right factor
+        assert len(sizes) == 40 and set(sizes) == {1}
+
+    def test_far_d_power_on_the_right(self, fc_ab, monkeypatch):
+        fc = FreeConformal(fc_ab.alg)
+        a, b = fc.generator("a"), fc.generator("b")
+        rows = []
+        real = pseudo.decompose
+        monkeypatch.setattr(pseudo, "decompose", lambda *a: rows.append(real(*a)) or rows[-1])
+        ab0, ab1 = fc.cprod(a, 0, b), fc.cprod(a, 1, b)
+        rows.clear()
+        got = fc.cprod(a, 1, b.d_shift(3000))
+        assert got == ab0.d_shift(2999).scale(3000) + ab1.d_shift(3000)
+        assert got == fc.cprod_rw(a, 1, b.d_shift(3000))
+        # each tensor entry was split at n = 1 alone, not over 3001 rows
+        assert rows and all(set(r) <= {1} for r in rows)
+
+
+def spy_pprod(monkeypatch) -> list:
+    """Record every PseudoAlgebra.pprod call; cprods builds its own algebra."""
+    calls = []
+    real = PseudoAlgebra.pprod
+    monkeypatch.setattr(PseudoAlgebra, "pprod", lambda pa, *a: calls.append(a) or real(pa, *a))
+    return calls
 
 
 def coefficient_types(values) -> set:

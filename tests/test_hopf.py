@@ -116,6 +116,19 @@ def test_decompose_drops_zero_rows():
     assert parts == {0: HPoly.d_power(1)}
 
 
+@given(tensors, st.sets(st.integers(0, 12), max_size=4))
+def test_decompose_at_requested_n_is_the_restriction(t, ns):
+    full = decompose(t)
+    assert decompose(t, ns) == {n: h for n, h in full.items() if n in ns}
+
+
+def test_decompose_at_one_n_skips_the_large_binomials():
+    # all-n splitting of 1 (x) D^3000 has 3001 rows; n = 1 alone is one term
+    assert decompose(TensorHH({(0, 3000): Fraction(1)}), (1,)) == {
+        1: HPoly.d_power(2999, 3000)
+    }
+
+
 @given(tensors)
 def test_decompose_then_recompose_is_identity(t):
     assert recompose(decompose(t)) == t

@@ -161,6 +161,15 @@ class TestCoaction:
         assert f.max_v_degree() == 2
         assert sorted(f.coact()) == [0, 1, 2]
 
+    @given(polys, st.integers(0, 6))
+    def test_cut_keeps_the_leading_components(self, f, upto):
+        full = f.coact()
+        assert f.coact(upto) == {s: g for s, g in full.items() if s <= upto}
+
+    def test_negative_cut_rejected(self):
+        with pytest.raises(ValueError):
+            AB.monomial(("v", "a")).coact(-1)
+
 
 def test_commutative_config_sorts_words():
     alg = AlgebraConfig({"a": 1, "b": 1}, commutative=True)

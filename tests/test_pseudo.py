@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from confalg.hopf import HPoly
 from confalg.ncpoly import AlgebraConfig, ConfigError, NCPoly
@@ -186,6 +187,39 @@ def test_sesquilinearity_of_the_split_products():
                 if n:
                     rhs = rhs + pa.nth(kind, x, n - 1, y).scale(n)
                 assert lhs == rhs
+
+
+# P-elements of H (x) A over AB with D-powers and v-degrees up to 6
+_words = st.lists(st.sampled_from(("a", "b", "v")), max_size=6).map(tuple)
+_polys = st.dictionaries(
+    _words, st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=1, max_size=2
+).map(AB.poly)
+_pelements = st.dictionaries(st.integers(0, 6), _polys, min_size=1, max_size=2).map(
+    lambda parts: PElement(AB, parts)
+)
+
+
+@given(_pelements, _pelements, st.sets(st.integers(0, 14), min_size=1, max_size=3))
+def test_cut_pseudoproduct_keeps_the_requested_products(x, y, ns):
+    # y's D^(s) lands in slot 1, which only reaches n >= s: components past
+    # max(ns) and splitting terms at other n are never needed
+    full = PseudoAlgebra(AB).nproducts(ProductKind.P8, x, y)
+    cut = PseudoAlgebra(AB, lambda f: f.coact(max(ns)))
+    got = canonicalize(cut.pprod(ProductKind.P8, x, y), ns)
+    assert set(got.coeffs) <= ns
+    for n in ns:
+        assert got.coeff(n) == full.coeff(n), n
+
+
+def test_canonicalize_at_requested_n_matches_the_full_form():
+    pa = PseudoAlgebra(AB)
+    x = pel(AB, ("v", "a"), d=1)
+    y = pel(AB, ("v", "v", "b"), d=2)
+    t = pa.pprod(ProductKind.P8, x, y)
+    full = canonicalize(t)
+    assert full.max_index() > 2
+    assert canonicalize(t, (0, 2)).coeffs == {n: full.coeff(n) for n in (0, 2) if full.coeff(n)}
+    assert canonicalize(t, ()).coeffs == {}
 
 
 def test_roundtrip_on_random_tensors():
