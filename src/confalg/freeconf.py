@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_key
 from .linear import Linear, accumulate, exact, integral
 from . import pseudo
-from .pseudo import _COEFF_POOL, PElement, ProductKind, PseudoAlgebra, as_rng, standard_coaction
+from .pseudo import _COEFF_POOL, _index, PElement, ProductKind, PseudoAlgebra, as_rng, standard_coaction
 
 
 class NotInSpan(Exception):
@@ -105,6 +105,8 @@ class FreeConformal:
         if config.commutative:
             raise ConfigError("normal words need the noncommutative word algebra")
         self.alg = config
+        # (n(a) - 1)! per letter, the factors of _weight
+        self._letter_weight = {name: math.factorial(n - 1) for name, n in config.n.items()}
         # the full coaction, for locality_of; cprods builds a cut one per call
         self.pseudo = PseudoAlgebra(config, standard_coaction)
         # iota of D-free words, generators too, each scaled by its weight
@@ -143,8 +145,7 @@ class FreeConformal:
         u .n w has exactly the letters of u and w, so W is multiplicative
         over products and the scaling cancels in cprods.
         """
-        n = self.alg.n
-        return math.prod(math.factorial(n[name] - 1) for name in gens)
+        return math.prod(map(self._letter_weight.__getitem__, gens))
 
     def _iota_nc(self, gens: tuple[str, ...], indices: tuple[int, ...]) -> NCPoly:
         """W * iota of a D-free word, folded right to left over its memoised suffixes."""
@@ -284,9 +285,7 @@ class FreeConformal:
         it multiplies back in is divided out with cu * cw.  locality_of
         keeps the full pseudoproduct.
         """
-        acc: dict[int, dict[NormalWord, Fraction]] = {integral(n): {} for n in ns}
-        if any(n < 0 for n in acc):
-            raise ValueError("product index must be nonnegative")
+        acc: dict[int, dict[NormalWord, Fraction]] = {_index(n): {} for n in ns}
         if not acc:
             return {}
         want = tuple(acc)
@@ -330,9 +329,7 @@ class FreeConformal:
 
     def cprod_rw(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
         """n-th product via axiom-level rewriting; no embedding involved."""
-        n = integral(n)  # a cached key must not let 1.0 or True stand for 1
-        if n < 0:
-            raise ValueError("product index must be nonnegative")
+        n = _index(n)  # a cached key must not let 1.0 or True stand for 1
         out = ConfElement()
         for u, cu in x.terms.items():
             self.validate(u)

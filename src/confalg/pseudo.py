@@ -5,8 +5,10 @@ resulting two- and three-slot tensors, extraction of the n-th products, the
 expanded composition of * on three arguments, associativity and poly-linear
 identity checking, and the pseudocommutator.
 
-Both arities use confalg.hopf's formulas: split() applies decompose slot by
-slot, and flatten and star_expanded share D-powers by its coproduct _spread.
+Both arities use confalg.hopf's formulas: canonicalize splits each two-slot
+entry by decompose, at the requested n alone or at every n; split() applies
+decompose slot by slot to three-slot tensors; flatten and star_expanded share
+D-powers by its coproduct _spread.
 """
 
 from __future__ import annotations
@@ -158,10 +160,23 @@ class _SlotTensor(AlgLinear):
         return self._new({tuple(key[m] for m in source): p for key, p in self.entries.items()})
 
     def split(self) -> dict[tuple[int, ...], PElement]:
-        """Unique coordinates over ((-D)^(n_1) (x) ... (x) (-D)^(n_(m-1)) (x) 1), h acting on P."""
+        """Unique coordinates over ((-D)^(n_1) (x) ... (x) (-D)^(n_(m-1)) (x) 1), h acting on P.
+
+        The canonical form of three-slot tensors.  decompose splits each
+        entry's last two slots, then each earlier slot against the merged
+        right-hand h (decompose is linear, Delta coassociative); seeded with
+        the int 1, every h has int coefficients, so int values stay ints.
+        """
         acc: dict[tuple[int, ...], PElement] = {}
         for key, p in self.entries.items():
-            for idx, h in _monomial_parts(key):
+            parts = {(n,): h for n, h in decompose(TensorHH._of({key[-2:]: 1})).items()}
+            for i in reversed(key[:-2]):
+                parts = {
+                    (m,) + rest: g
+                    for rest, h in parts.items()
+                    for m, g in decompose(TensorHH._of({(i, e): c for e, c in h.coeffs.items()})).items()
+                }
+            for idx, h in parts.items():
                 accumulate(acc, idx, p.hpoly_mul(h))
         return acc
 
@@ -219,7 +234,7 @@ class CanonicalPseudo(AlgLinear):
         return integral(n)
 
     def coeff(self, n: int) -> PElement:
-        return self.coeffs.get(n) or PElement(self.alg)
+        return self.coeffs.get(integral(n)) or PElement(self.alg)
 
     def max_index(self) -> int:
         """Largest n with c_n nonzero; -1 if all vanish."""
@@ -238,40 +253,13 @@ class CanonicalPseudo(AlgLinear):
         return " + ".join(f"[n={n}]({self.coeffs[n]!r})" for n in sorted(self.coeffs))
 
 
-_MONO_CACHE: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], HPoly], ...]] = {}
-
-
-def _monomial_parts(key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], HPoly], ...]:
-    """D^i_1 (x) ... (x) D^i_m as sum ((-D)^(n_1) (x) ... (x) (-D)^(n_(m-1)) (x) 1) Delta(h).
-
-    decompose splits the last two slots, then each earlier slot against the
-    merged right-hand h (decompose is linear, Delta coassociative).  Seeded
-    with the int 1, every h has int coefficients, so splitting keeps the int
-    values of a trusted tensor ints.
-    """
-    hit = _MONO_CACHE.get(key)
-    if hit is None:
-        parts = {(n,): h for n, h in decompose(TensorHH._of({key[-2:]: 1})).items()}
-        for i in reversed(key[:-2]):
-            parts = {
-                (m,) + rest: g
-                for rest, h in parts.items()
-                for m, g in decompose(TensorHH._of({(i, e): c for e, c in h.coeffs.items()})).items()
-            }
-        hit = _MONO_CACHE[key] = tuple(sorted(parts.items()))
-    return hit
-
-
 def canonicalize(t: PseudoTensor, ns: Iterable[int] | None = None) -> CanonicalPseudo:
     """Rewrite a two-slot tensor over the basis ((-D)^(n) (x) 1).
 
-    With ns given, only the coefficients c_n for n in ns are computed: each
-    entry is split by decompose at those n alone, bypassing the all-n rows
-    of _MONO_CACHE.  The result then holds no other n.
+    Each entry D^i (x) D^j is split by decompose, at the n in ns alone when
+    ns is given (the result then holds no other n), at every n otherwise.
     """
-    if ns is None:
-        return CanonicalPseudo._of(t.alg, {n: p for (n,), p in t.split().items()})
-    ns = tuple(ns)
+    ns = None if ns is None else tuple(ns)
     acc: dict[int, PElement] = {}
     for key, p in t.entries.items():
         for n, h in decompose(TensorHH._of({key: 1}), ns).items():
@@ -316,6 +304,14 @@ def associator_identity() -> tuple[IdentityTerm, ...]:
         IdentityTerm((1, 2, 3), ((1, 2), 3), 1),
         IdentityTerm((1, 2, 3), (1, (2, 3)), -1),
     )
+
+
+def _index(n) -> int:
+    """A product index: an int (through integral) that is not negative."""
+    n = integral(n)
+    if n < 0:
+        raise ValueError("product index must be nonnegative")
+    return n
 
 
 def _tree_leaves(tree, out: list[int]) -> None:
@@ -366,9 +362,9 @@ class PseudoAlgebra:
         return canonicalize(self.pprod(kind, x, y))
 
     def nth(self, kind: ProductKind, x: PElement, n: int, y: PElement) -> PElement:
-        if n < 0:
-            raise ValueError("product index must be nonnegative")
-        return self.nproducts(kind, x, y).coeff(n)
+        """The n-th product of x and y: the pseudoproduct split at n alone."""
+        n = _index(n)
+        return canonicalize(self.pprod(kind, x, y), (n,)).coeff(n)
 
     def star_expanded(self, kind: ProductKind, left, right):
         """Compose * with itself: three total slots at most.
@@ -406,7 +402,8 @@ class PseudoAlgebra:
         return self.pprod(kind, x, y) - self.pprod(kind, y, x).swap()
 
     def comm_nth(self, x: PElement, n: int, y: PElement, kind: ProductKind = ProductKind.P8) -> PElement:
-        return canonicalize(self.pcommutator(x, y, kind)).coeff(n)
+        n = _index(n)
+        return canonicalize(self.pcommutator(x, y, kind), (n,)).coeff(n)
 
     def _eval_tree(self, kind: ProductKind, tree, sigma: tuple[int, ...], args):
         if isinstance(tree, int):

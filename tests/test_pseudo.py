@@ -99,6 +99,23 @@ class TestPseudoProduct:
         assert not pa.comm_nth(L, 2, L)
         assert not pa.comm_nth(L, 3, L)
 
+    def test_product_index_is_a_nonnegative_int(self):
+        # n is taken as given or refused: 1.5 must not read as 0, nor 1.0 or True as 1
+        pa = PseudoAlgebra(ONEGEN)
+        x = pel(ONEGEN, ("v",))
+        can = pa.nproducts(ProductKind.P8, x, x)
+        for n in (1.5, 1.0, True, "1"):
+            with pytest.raises(TypeError):
+                pa.nth(ProductKind.P8, x, n, x)
+            with pytest.raises(TypeError):
+                pa.comm_nth(x, n, x)
+            with pytest.raises(TypeError):
+                can.coeff(n)
+        with pytest.raises(ValueError):
+            pa.nth(ProductKind.P8, x, -1, x)
+        with pytest.raises(ValueError):
+            pa.comm_nth(x, -1, x)
+
     def test_canonical_splitting_of_weyl_square(self):
         pa = PseudoAlgebra(ONEGEN)
         x = pel(ONEGEN, ("v",))
@@ -156,15 +173,20 @@ def test_closed_form_for_embedded_factors():
 
 
 def test_nth_vanishes_beyond_the_coaction_depth():
-    pa = PseudoAlgebra(AB)
-    rng = as_rng(3)
-    for _ in range(30):
-        x = random_pelement(rng, AB, max_d=2, max_len=3)
-        y = random_pelement(rng, AB, max_d=2, max_len=3)
-        can = pa.nproducts(ProductKind.P9, x, y)
-        top = can.max_index()
-        assert not pa.nth(ProductKind.P9, x, top + 1, y)
-        assert not pa.nth(ProductKind.P9, x, top + 4, y)
+    # nth splits at its one n, nproducts at every n; all five kinds, the
+    # commutative ones on the commutative twin
+    for kind, alg in [(k, AB) for k in NONCOMM_KINDS] + [(k, AB_COMM) for k in COMM_KINDS]:
+        pa = PseudoAlgebra(alg)
+        rng = as_rng(3)
+        for _ in range(30):
+            x = random_pelement(rng, alg, max_d=2, max_len=3)
+            y = random_pelement(rng, alg, max_d=2, max_len=3)
+            can = pa.nproducts(kind, x, y)
+            top = can.max_index()
+            for n in range(top + 2):
+                assert pa.nth(kind, x, n, y) == can.coeff(n), (kind, n)
+            assert not pa.nth(kind, x, top + 1, y)
+            assert not pa.nth(kind, x, top + 4, y)
 
 
 def test_sesquilinearity_of_the_split_products():
@@ -231,8 +253,12 @@ def test_roundtrip_on_random_tensors():
             p = random_pelement(rng, AB, max_d=1, max_len=2)
             entries[key] = entries[key] + p if key in entries else p
         t = PseudoTensor(AB, entries)
-        assert canonicalize(t).expand() == t
-        assert t.split() == {(n,): p for n, p in canonicalize(t).coeffs.items()}
+        full = canonicalize(t)
+        assert full.expand() == t
+        assert t.split() == {(n,): p for n, p in full.coeffs.items()}
+        # D-shifted values at arbitrary keys, which no P8 product makes
+        ns = set(rng.sample(range(8), rng.randint(0, 4)))
+        assert canonicalize(t, ns).coeffs == {n: p for n, p in full.coeffs.items() if n in ns}
 
 
 @pytest.mark.parametrize("coaction", ("standard", "corrupt"))
