@@ -113,10 +113,17 @@ def pelement_from_json(alg: AlgebraConfig, raw) -> PElement:
     parts: dict[int, NCPoly] = {}
     try:
         for part in raw["parts"]:
+            d = integral(part["d"])
+            if d < 0:
+                raise ValueError(f"negative D-degree: {d}")
             terms: dict[tuple, Fraction] = {}
             for t in part["terms"]:
-                accumulate(terms, alg.word(tuple(t["word"])), exact(t["coeff"]))
-            accumulate(parts, integral(part["d"]), NCPoly(alg, terms))
+                word = t["word"]
+                # a string would pass as its letters: "vvb" is not ["v", "v", "b"]
+                if not isinstance(word, list) or not all(isinstance(nm, str) for nm in word):
+                    raise TypeError(f"a word must be a list of letter names, not {word!r}")
+                accumulate(terms, alg.word(word), exact(t["coeff"]))
+            accumulate(parts, d, NCPoly(alg, terms))
         return PElement(alg, parts)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, ConfigError) as exc:
         raise UsageError(f"bad raw element: {exc}") from exc

@@ -105,15 +105,19 @@ class FreeConformal:
         if config.commutative:
             raise ConfigError("normal words need the noncommutative word algebra")
         self.alg = config
-        # (n(a) - 1)! per letter, the factors of _weight
-        self._letter_weight = {name: math.factorial(n - 1) for name, n in config.n.items()}
+        # per letter: its word v^(n-1) a and (n(a) - 1)!, a factor of W
+        self._letters = {
+            name: (_generator_word(config, name), math.factorial(n - 1))
+            for name, n in config.n.items()
+        }
         # the full coaction, for locality_of; cprods builds a cut one per call
         self.pseudo = PseudoAlgebra(config, standard_coaction)
-        # iota of D-free words, generators too, each scaled by its weight
-        # W = prod (n(a) - 1)! over its letters (see _weight): a generator is
-        # the bare word v^(n-1) a, and every coefficient is an int.  The
-        # rewriting engine makes none.
-        self._iota_cache: dict[tuple[tuple[str, ...], tuple[int, ...]], NCPoly] = {}
+        # (u, W, W * iota(u)) for each D-free word u met so far, generators
+        # too, keyed by u's hat word: the monomial reduce eliminates, and a
+        # bijection onto D-free normal words.  W = prod (n(a) - 1)! over u's
+        # letters (see _iota_nc): a generator is the bare word v^(n-1) a, and
+        # every coefficient is an int.  The rewriting engine makes none.
+        self._iota_cache: dict[Word, tuple[NormalWord, int, NCPoly]] = {}
         # _rw_dfree results by (gens_u, indices_u, n, gens_w, indices_w)
         self._rw_cache: dict[tuple, ConfElement] = {}
 
@@ -139,36 +143,50 @@ class FreeConformal:
 
     # ---- realization engine -------------------------------------------
 
-    def _weight(self, gens: tuple[str, ...]) -> int:
-        """W = prod (n(a) - 1)! over the letters: the scale of a cached image.
+    def _iota_nc(self, u: NormalWord, hat: Word) -> tuple[NormalWord, int, NCPoly]:
+        """(u0, W, W * iota(u0)) for u's D-free part u0 with hat word hat.
 
-        u .n w has exactly the letters of u and w, so W is multiplicative
-        over products and the scaling cancels in cprods.
+        W = prod (n(a) - 1)! over the letters.  u .n w has exactly the letters
+        of u and w, so W is multiplicative over products and the scaling
+        cancels in cprods.  A miss finds u's longest cached suffix, then
+        folds right to left over the shorter ones, caching each under its own
+        hat word: that of the suffix from letter g_k on is v^(n(g_k) - 1)
+        followed by u's hat word from g_k's letter on.  The scaled image of
+        g .m tail is (-1)^m v^(n(g)-1) g times the m-th v-derivative of the
+        tail's, built by prefixing each monomial of the derivative with g's
+        word; no two products collide, so nothing is collected.
         """
-        return math.prod(map(self._letter_weight.__getitem__, gens))
-
-    def _iota_nc(self, gens: tuple[str, ...], indices: tuple[int, ...]) -> NCPoly:
-        """W * iota of a D-free word, folded right to left over its memoised suffixes."""
         cache = self._iota_cache
-        val = cache.get((gens, indices))
-        if val is not None:
-            return val
-        for k in range(len(gens) - 1, -1, -1):
-            hit = cache.get((gens[k:], indices[k:]))
-            if hit is None:
-                if val is None:  # the last letter
-                    hit = NCPoly._of(self.alg, {_generator_word(self.alg, gens[k]): 1})
-                else:  # iota(g .m tail) = (-1)^m iota(g) * d^m/dv^m iota(tail)
-                    m = indices[k]
-                    hit = (self._iota_nc(gens[k:k + 1], ()) * val.vderiv(m)).scale((-1) ** m)
-                cache[gens[k:], indices[k:]] = hit
-            val = hit
-        return val
+        entry = cache.get(hat)
+        if entry is not None:
+            return entry
+        gens, indices, V = u.gens, u.indices, self.alg.V
+        starts = [pos for pos, code in enumerate(hat) if code != V]
+        keys = [hat]  # of the suffixes not cached, longest first
+        for k in range(1, len(gens)):
+            key = (V,) * (self.alg.n[gens[k]] - 1) + hat[starts[k]:]
+            entry = cache.get(key)
+            if entry is not None:
+                break
+            keys.append(key)
+        for k in range(len(keys) - 1, -1, -1):
+            prefix, weight = self._letters[gens[k]]
+            if entry is None:  # the last letter
+                image = {prefix: 1}
+            else:
+                m = indices[k]
+                sign = (-1) ** m
+                image = {prefix + w: sign * c for w, c in entry[2].vderiv(m).terms.items()}
+                weight *= entry[1]
+            word = NormalWord(0, gens[k:], indices[k:]) if k else u.dfree()
+            entry = cache[keys[k]] = (word, weight, NCPoly._of(self.alg, image))
+        return entry
 
     def _scaled(self, u: NormalWord) -> tuple[PElement, int]:
         """(W * iota(u), W) with int coefficients; validates u."""
         self.validate(u)
-        return PElement._of(self.alg, {u.s: self._iota_nc(u.gens, u.indices)}), self._weight(u.gens)
+        _, weight, image = self._iota_nc(u, self._hat(u))
+        return PElement._of(self.alg, {u.s: image}), weight
 
     def iota_word(self, u: NormalWord) -> PElement:
         p, weight = self._scaled(u)
@@ -234,14 +252,17 @@ class FreeConformal:
     def reduce(self, p: PElement) -> ConfElement:
         """Express p in normal words, greedily eliminating lowest monomials.
 
-        Each step divides by the leading coefficient of an int-scaled image
-        and multiplies the quotient by that image's weight W.  An int slice
-        divides exactly; a remainder raises RuntimeError, because only the
-        realize pipeline makes int slices and its quotients are integers.
-        Fraction slices use true division.  Every returned value is a
-        Fraction.  Raises NotInSpan when some slice's lowest monomial is not
-        a hat word.
+        The lowest monomial of each step is looked up in the hat-keyed image
+        cache; word_to_normal and the image build run only the first time a
+        hat word is seen.  Each step divides by the leading coefficient of an
+        int-scaled image and multiplies the quotient by that image's weight
+        W.  An int slice divides exactly; a remainder raises RuntimeError,
+        because only the realize pipeline makes int slices and its quotients
+        are integers.  Fraction slices use true division.  Every returned
+        value is a Fraction.  Raises NotInSpan when some slice's lowest
+        monomial is not a hat word.
         """
+        cache = self._iota_cache
         out: dict[NormalWord, Fraction] = {}
         for d in sorted(p.parts):
             g = dict(p.parts[d].terms)  # eliminated in place
@@ -250,11 +271,14 @@ class FreeConformal:
                 w = min(g, key=deglex_key)
                 if deglex_key(w) <= done:
                     raise RuntimeError("reduction failed to make progress")
-                hit = self.word_to_normal(w)
+                hit = cache.get(w)
                 if hit is None:
-                    raise NotInSpan(w, self.alg.word_names(w))
-                _, base = hit
-                core = self._iota_nc(base.gens, base.indices).terms
+                    found = self.word_to_normal(w)
+                    if found is None:
+                        raise NotInSpan(w, self.alg.word_names(w))
+                    hit = self._iota_nc(found[1], w)
+                base, weight, image = hit
+                core = image.terms
                 num, den = g[w], core[w]
                 if num.__class__ is int:
                     coeff, rest = divmod(num, den)
@@ -263,7 +287,7 @@ class FreeConformal:
                 else:
                     coeff = num / den
                 u = base if d == 0 else NormalWord(d, base.gens, base.indices)
-                out[u] = exact(coeff * self._weight(base.gens))
+                out[u] = exact(coeff * weight)
                 minus = -coeff
                 for k, c in core.items():
                     accumulate(g, k, c * minus)

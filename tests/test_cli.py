@@ -80,6 +80,23 @@ class TestReduce:
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and "integer" in err
 
+    @pytest.mark.parametrize(
+        "part",
+        [
+            {"d": 0, "terms": [{"coeff": "1", "word": "vvb"}]},
+            {"d": 0, "terms": [{"coeff": "1", "word": ["v", 1, "b"]}]},
+            {"d": -1, "terms": []},
+            {"d": -1, "terms": [{"coeff": "1", "word": ["v", "a", "v", "b"]}]},
+        ],
+        ids=["string-word", "non-string-letter", "negative-d-no-terms", "negative-d"],
+    )
+    def test_raw_element_malformed_word_or_degree_exits_1(self, capsys, tmp_path, part):
+        path = tmp_path / "raw_bad.json"
+        path.write_text(json.dumps({"parts": [part]}), encoding="utf-8")
+        rc, out, err = run(capsys, "reduce", "--config", CONFIG, "--raw-element", str(path))
+        assert rc == 1 and out == ""
+        assert err.startswith("error: bad raw element: ")
+
     def test_raw_element_outside_span_exits_2(self, capsys):
         rc, out, err = run(
             capsys,

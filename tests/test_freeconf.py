@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from confalg.cli import load_config
 from confalg.freeconf import (
     ConfElement,
     FreeConformal,
@@ -22,6 +23,8 @@ from confalg import pseudo
 from confalg.hopf import HPoly, TensorHH, decompose
 from confalg.ncpoly import AlgebraConfig, ConfigError, NCPoly, deglex_key
 from confalg.pseudo import CanonicalPseudo, PElement, ProductKind, PseudoAlgebra, as_rng
+
+from conftest import DATA
 
 
 def weight(alg, u: NormalWord) -> int:
@@ -169,7 +172,8 @@ class TestReduce:
         # eliminated greedily: reduce refuses instead of looping
         fc = FreeConformal(AlgebraConfig({"a": 1}))
         alg = fc.alg
-        fc._iota_cache[(("a",), ())] = alg.poly({("a",): 1, (): 1})
+        a = alg.word(("a",))  # the hat word of the generator a
+        fc._iota_cache[a] = (fc.normal(0, ("a",), ()), 1, alg.poly({("a",): 1, (): 1}))
         with pytest.raises(RuntimeError, match="progress"):
             fc.reduce(PElement.from_poly(alg, alg.monomial(("a",))))
 
@@ -449,12 +453,65 @@ class TestIntegerPipeline:
         fc = FreeConformal(AlgebraConfig({"a": 1}))
         alg = fc.alg
         a = alg.word(("a",))
-        fc._iota_cache[(("a",), ())] = NCPoly._of(alg, {a: 2})
+        fc._iota_cache[a] = (fc.normal(0, ("a",), ()), 1, NCPoly._of(alg, {a: 2}))
         with pytest.raises(RuntimeError, match="inexact"):
             fc.reduce(PElement._of(alg, {0: NCPoly._of(alg, {a: 3})}))
         assert fc.reduce(PElement.from_poly(alg, alg.monomial(("a",), 3))) == ConfElement.single(
             fc.normal(0, ("a",), ()), Fraction(3, 2)
         )
+
+
+class TestHatKeyedImages:
+    """One image cache keyed by hat word, filled by prefixing tail images."""
+
+    @pytest.fixture(
+        scope="class", params=["config_ab.json", "config_xyz.json", "config_onegen.json"]
+    )
+    def fc(self, request):
+        alg, _ = load_config(str(DATA / request.param))
+        return FreeConformal(alg)
+
+    def test_every_key_is_the_hat_word_of_its_word(self, fc):
+        basis = fc.enumerate_basis(3)
+        for u in basis:
+            fc.iota_word(u)
+        cache = fc._iota_cache
+        assert len(cache) == len(basis)  # suffixes of basis words are basis words
+        for key, (u, weight, image) in cache.items():
+            assert key == fc.hat_word(u)[1]
+            assert weight == math.prod(math.factorial(fc.alg.n_of(g) - 1) for g in u.gens)
+            assert image == fc.iota_word(u).parts[0].scale(weight)
+
+    def test_prefix_built_image_is_the_product_formula(self, fc):
+        for u in fc.enumerate_basis(3):
+            if not u.indices:
+                continue
+            m = u.indices[0]
+            head = fc.iota_word(NormalWord(0, u.gens[:1], ())).parts[0]
+            tail = fc.iota_word(NormalWord(0, u.gens[1:], u.indices[1:])).parts[0]
+            want = (head * tail.vderiv(m)).scale((-1) ** m)
+            assert fc.iota_word(u).parts[0] == want, u
+
+    def test_a_seen_hat_word_is_not_parsed_again(self, fc, monkeypatch):
+        rng = as_rng(109)
+        x = random_element(rng, fc, max_k=2, max_s=1, max_terms=2)
+        y = random_element(rng, fc, max_k=2, max_s=1, max_terms=2)
+        fresh = FreeConformal(fc.alg)
+        canon = fresh.pseudo.nproducts(ProductKind.P8, fresh.iota(x), fresh.iota(y))
+        parsed = []
+        real = FreeConformal.word_to_normal
+
+        def spy(self, w):
+            parsed.append(w)
+            return real(self, w)
+
+        monkeypatch.setattr(FreeConformal, "word_to_normal", spy)
+        p = canon.coeff(0)
+        first = fresh.reduce(p)
+        assert parsed  # the product's hat words were new
+        parsed.clear()
+        assert fresh.reduce(p) == first
+        assert parsed == []
 
 
 class TestLocality:
