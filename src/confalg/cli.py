@@ -207,10 +207,10 @@ def cmd_table(args) -> int:
     _, prods = fc.engine(args.engine)
     words = sorted(fc.enumerate_basis(args.max_k, 0), key=fc.sort_key)
     ns = range(args.max_n + 1)
+    singles = [ConfElement.single(w) for w in words]  # each built once, not per cell
     rows: list[str] = []  # each row already serialized: far smaller than its dict
-    for u in words:
-        xu = ConfElement.single(u)
-        values = [prods(xu, ConfElement.single(w), ns) for w in words]
+    for u, xu in zip(words, singles):
+        values = [prods(xu, y, ns) for y in singles]
         for n in ns:
             for w, value in zip(words, values):
                 rows.append(dump_json(
@@ -332,6 +332,12 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # Exact values print and parse in full, however many digits they have:
+    # lift the interpreter's cap on int <-> decimal string conversion (4300
+    # digits by default, on Pythons that have one) for the length of the call.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -341,6 +347,9 @@ def main(argv=None) -> int:
     except NotInSpan as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_IN_SPAN
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

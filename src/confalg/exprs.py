@@ -89,11 +89,15 @@ class _Parser:
 
     def read_int(self, what: str) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # isdecimal, not isdigit: int() refuses digits such as a superscript 2
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error(f"expected {what}", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # past the interpreter's cap on digits in an int
+            raise self.error(f"{what} has too many digits ({self.pos - start})", start) from None
 
     def read_ident(self) -> tuple[int, str]:
         start = self.pos
@@ -162,7 +166,7 @@ class _Parser:
         self.skip_ws()
         start = self.pos
         ch = self.peek()
-        if ch.isdigit() or ch == "-":
+        if ch.isdecimal() or ch == "-":
             coeff = self.parse_rational()
             self.skip_ws()
             if self.peek() == "*":

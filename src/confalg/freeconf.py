@@ -118,8 +118,13 @@ class FreeConformal:
         # letters (see _iota_nc): a generator is the bare word v^(n-1) a, and
         # every coefficient is an int.  The rewriting engine makes none.
         self._iota_cache: dict[Word, tuple[NormalWord, int, NCPoly]] = {}
-        # _rw_dfree results by (gens_u, indices_u, n, gens_w, indices_w)
-        self._rw_cache: dict[tuple, ConfElement] = {}
+        # _rw_dfree values, {D-free word: int}, by
+        # (gens_u, indices_u, n, gens_w, indices_w); Fractions appear only
+        # in cprod_rw.  _rw_interned holds each word those values name, by
+        # (gens, indices), so that each is built, with NormalWord's integral
+        # check on every index, once.
+        self._rw_cache: dict[tuple, dict[NormalWord, int]] = {}
+        self._rw_interned: dict[tuple, NormalWord] = {}
 
     # ---- normal words -------------------------------------------------
 
@@ -352,35 +357,53 @@ class FreeConformal:
         return {n: self.cprod_rw(x, n, y) for n in ns}
 
     def cprod_rw(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
-        """n-th product via axiom-level rewriting; no embedding involved."""
+        """n-th product via axiom-level rewriting; no embedding involved.
+
+        Every coefficient the rules make is an int: binomials, falling
+        factorials and signs.  This is the one place that meets a Fraction:
+        each word pair's int result is scaled by cu * cw, written over the
+        common denominator of all pairs so that the sums stay ints, and every
+        returned value is a Fraction.
+        """
         n = _index(n)  # a cached key must not let 1.0 or True stand for 1
-        out = ConfElement()
+        pairs = []
         for u, cu in x.terms.items():
             self.validate(u)
             for w, cw in y.terms.items():
                 self.validate(w)
-                out = out + self._rw_words(u, n, w).scale(cu * cw)
-        return out
+                pairs.append((u, w, cu * cw))
+        den = math.lcm(*(c.denominator for _, _, c in pairs))
+        acc: dict[NormalWord, int] = {}
+        get = acc.get
+        for u, w, c in pairs:
+            scale = c.numerator * (den // c.denominator)
+            for v, k in self._rw_words(u, n, w).items():
+                acc[v] = get(v, 0) + k * scale
+        return ConfElement._of({v: Fraction(k, den) for v, k in acc.items() if k})
 
-    def _rw_words(self, u: NormalWord, n: int, w: NormalWord) -> ConfElement:
+    def _rw_words(self, u: NormalWord, n: int, w: NormalWord) -> dict[NormalWord, int]:
+        """u_(n) w as {word: int}, by the closed-form D rules over _rw_dfree.
+
+        (D^s x)_(n) y = (-1)^s n!/(n-s)! x_(n-s) y, and
+        x_(n) D^s y = sum_j C(s, j) n!/(n-j)! D^(s-j) (x_(n-j) y).
+        The result may be a dict of _rw_cache: read it, never change it.
+        """
         if n < 0:
-            return ConfElement()
+            return {}
         if u.s:
-            # (D^s x)_(n) y = (-1)^s n(n-1)...(n-s+1) x_(n-s) y
             if n < u.s:
-                return ConfElement()
-            coeff = (-1) ** u.s * math.factorial(n) // math.factorial(n - u.s)
-            return self._rw_words(u.dfree(), n - u.s, w).scale(coeff)
+                return {}
+            coeff = (-1) ** u.s * math.perm(n, u.s)
+            inner = self._rw_words(u.dfree(), n - u.s, w)
+            return {v: c * coeff for v, c in inner.items()}
         if w.s:
-            # x_(n) D^s y = sum_j C(s, j) n!/(n-j)! D^(s-j) (x_(n-j) y)
-            w0 = w.dfree()
-            val = ConfElement()
+            out: dict[NormalWord, int] = {}
             for j in range(min(w.s, n) + 1):
-                inner = self._rw_words(u, n - j, w0)
-                if inner:
-                    coeff = math.comb(w.s, j) * math.perm(n, j)
-                    val = val + inner.d_shift(w.s - j).scale(coeff)
-            return val
+                coeff = math.comb(w.s, j) * math.perm(n, j)
+                s = w.s - j  # each j has its own D-power, so no two terms meet
+                for v, c in self._rw_dfree(u.gens, u.indices, n - j, w.gens, w.indices).items():
+                    out[NormalWord(s, v.gens, v.indices) if s else v] = c * coeff
+            return out
         return self._rw_dfree(u.gens, u.indices, n, w.gens, w.indices)
 
     def _rw_dfree(
@@ -390,52 +413,97 @@ class FreeConformal:
         n: int,
         gw: tuple[str, ...],
         iw: tuple[int, ...],
-    ) -> ConfElement:
-        if n < 0:
-            return ConfElement()
-        key = (gu, iu, n, gw, iw)
-        hit = self._rw_cache.get(key)
-        if hit is not None:
-            return hit
-        if len(gu) == 1:
-            a = gu[0]
-            bound = self.alg.N_of(a, gw[0])
-            if n < bound:
-                val = ConfElement.single(NormalWord(0, (a,) + gw, (n,) + iw))
-            elif len(gw) == 1:
-                val = ConfElement()
-            else:
-                # a_(n) (b_(n1) w1) with n >= N(a, b): push the overflow into
-                # the pair (a, b) by the composition rule, then reassociate.
-                n1 = iw[0]
-                val = ConfElement()
-                for s in range(max(0, n - bound + 1), n + 1):
-                    j = n - s
-                    c_ns = math.comb(n, s)
-                    for t in range(j + 1):
-                        inner = self._rw_dfree((gw[0],), (), n1 + s + t, gw[1:], iw[1:])
-                        if not inner:
-                            continue
-                        coeff = c_ns * (-1) ** t * math.comb(j, t)
-                        val = val + self._left_letter(a, j - t, inner).scale(coeff)
-        else:
-            # (a1_(m1) u1)_(n) w = sum_s (-1)^s C(m1, s) a1_(m1-s) (u1_(n+s) w)
-            a1, m1 = gu[0], iu[0]
-            val = ConfElement()
-            for s in range(m1 + 1):
-                inner = self._rw_dfree(gu[1:], iu[1:], n + s, gw, iw)
-                if not inner:
-                    continue
-                val = val + self._left_letter(a1, m1 - s, inner).scale((-1) ** s * math.comb(m1, s))
-        self._rw_cache[key] = val
-        return val
+    ) -> dict[NormalWord, int]:
+        """u_(n) w for the D-free words u = (gu, iu) and w = (gw, iw).
 
-    def _left_letter(self, a: str, m: int, x: ConfElement) -> ConfElement:
-        """a_(m) x for x a combination of D-free normal words."""
-        out = ConfElement()
-        for u, c in x.terms.items():
-            out = out + self._rw_dfree((a,), (), m, u.gens, u.indices).scale(c)
-        return out
+        The value is {D-free word: int}, memoised in _rw_cache under
+        (gu, iu, n, gw, iw); read it, never change it.  A miss is settled
+        with an explicit stack, not one Python frame per generator: each key
+        on it waits until the keys its rule reads (_rw_rule) are cached, and
+        the words of the value are built once each, through _rw_interned.
+        """
+        cache = self._rw_cache
+        root = (gu, iu, n, gw, iw)
+        val = cache.get(root)
+        if val is not None:
+            return val
+        stack = [[root, None]]  # [key, its rule's terms once expanded]
+        while stack:
+            entry = stack[-1]
+            key, terms = entry
+            if key in cache:  # pushed twice, settled through the other entry
+                stack.pop()
+                continue
+            if terms is None:
+                val, terms = self._rw_rule(key)
+                if terms is None:
+                    cache[key] = val
+                    stack.pop()
+                    continue
+                entry[1] = terms
+                missing = [[dep, None] for _, _, _, dep in terms if dep not in cache]
+                if missing:
+                    stack += missing
+                    continue
+            stack.pop()
+            # the terms' indices m differ, so no two built words meet and no
+            # value is zero: a dict of nonzero ints, nothing to collect
+            word = self._rw_word
+            cache[key] = {
+                word((a,) + v.gens, (m,) + v.indices): coeff * c
+                for coeff, a, m, dep in terms
+                for v, c in cache[dep].items()
+            }
+        return cache[root]
+
+    def _rw_word(self, gens: tuple[str, ...], indices: tuple[int, ...]) -> NormalWord:
+        """The one D-free NormalWord of the rewriting engine for (gens, indices)."""
+        word = self._rw_interned.get((gens, indices))
+        if word is None:
+            word = self._rw_interned[gens, indices] = NormalWord(0, gens, indices)
+        return word
+
+    def _rw_rule(self, key: tuple) -> tuple[dict | None, list | None]:
+        """One rewriting step for a _rw_dfree key (gu, iu, n, gw, iw).
+
+        Either (value, None), when the step settles the key, or (None, terms):
+        the value is then the sum over the terms (coeff, a, m, dep) of coeff
+        times a_(m) applied to dep's value.  Every word of dep's value starts
+        with a letter b whose pair bound N(a, b) exceeds m, so a_(m) only
+        prefixes a .m to each word: the rules never leave normal words.
+        """
+        gu, iu, n, gw, iw = key
+        if n < 0:
+            return {}, None
+        if len(gu) > 1:
+            # (a1_(m1) u1)_(n) w = sum_s (-1)^s C(m1, s) a1_(m1-s) (u1_(n+s) w);
+            # m1 - s <= m1 < N(a1, first letter of u1)
+            a1, m1 = gu[0], iu[0]
+            gu1, iu1 = gu[1:], iu[1:]
+            return None, [
+                ((-1) ** s * math.comb(m1, s), a1, m1 - s, (gu1, iu1, n + s, gw, iw))
+                for s in range(m1 + 1)
+            ]
+        a = gu[0]
+        bound = self.alg.N_of(a, gw[0])
+        if n < bound:
+            return {self._rw_word((a,) + gw, (n,) + iw): 1}, None
+        if len(gw) == 1:
+            return {}, None
+        # a_(n) (b_(n1) w1) with n >= N(a, b): push the overflow into the pair
+        # (a, b) by the composition rule, then reassociate:
+        #   sum_{s >= s0} sum_{t <= n-s} C(n, s) (-1)^t C(n-s, t) a_(n-s-t) (b_(n1+s+t) w1)
+        # with s0 = n - N(a, b) + 1 >= 1.  The terms with s + t = r share
+        # a_(n-r) and b_(n1+r), and C(n, s) C(n-s, r-s) = C(n, r) C(r, s), so
+        # they merge into C(n, r) sum_{s0 <= s <= r} (-1)^(r-s) C(r, s)
+        # = C(n, r) (-1)^(r-s0) C(r-1, r-s0), never zero; n - r < N(a, b).
+        s0 = n - bound + 1
+        b, n1, gw1, iw1 = gw[0], iw[0], gw[1:], iw[1:]
+        return None, [
+            (math.comb(n, r) * (-1) ** (r - s0) * math.comb(r - 1, r - s0), a, n - r,
+             ((b,), (), n1 + r, gw1, iw1))
+            for r in range(s0, n + 1)
+        ]
 
     # ---- bases, counting, locality --------------------------------------
 

@@ -6,6 +6,7 @@ a failed axiom check.
 """
 
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -385,6 +386,82 @@ class TestDeepNesting:
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def doubled(times: int) -> str:
+    """(X .0 X) nested times deep from a: 2^times generators."""
+    expr = "a"
+    for _ in range(times):
+        expr = f"({expr} .0 {expr})"
+    return expr
+
+
+class TestLongWords:
+    """Words far past the recursion limit, under the rewriting engine."""
+
+    def test_2048_generators_reduce_under_rewrite(self, capsys):
+        rc, out, err = run(
+            capsys, "reduce", "--config", CONFIG, "--expr", doubled(11), "--engine", "rewrite"
+        )
+        assert rc == 0 and err == ""
+        assert out.splitlines()[0] == "(a .0 " * 2047 + "a" + ")" * 2047
+
+    def test_4096_generators_reduce_under_rewrite(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "confalg", "reduce", "--config", CONFIG,
+             "--expr", doubled(12), "--engine", "rewrite"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines()[0] == "(a .0 " * 4095 + "a" + ")" * 4095
+
+
+def decimal(k: int) -> str:
+    """k in decimal digits, without the interpreter's cap on their number."""
+    out = []
+    while k:
+        k, low = divmod(k, 10**100)
+        out.append(f"{low:0100d}" if k else str(low))
+    return "".join(reversed(out))
+
+
+class TestLongNumbers:
+    """Exact values print and parse in full, past Python's 4300-digit cap."""
+
+    def test_a_9000_digit_coefficient_prints_under_both_engines(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        outs = []
+        for engine in ("realize", "rewrite"):
+            rc, out, err = run(
+                capsys, "prod", "--config", CONFIG, "--left", "D^3000(a)",
+                "--n", "3001", "--right", "b", "--engine", engine,
+            )
+            assert rc == 0 and err == ""
+            outs.append(out)
+        assert outs[0] == outs[1]
+        # the cap is lifted for the call only
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        # (D^3000 a)_(3001) b = 3001!/1! a_(1) b; the digits are compared as
+        # text, which needs no int conversion under the cap
+        digits = decimal(math.factorial(3001))
+        text, payload = outs[0].splitlines()
+        assert text == f"{digits} * (a .1 b)"
+        assert json.loads(payload)[0]["coeff"] == digits
+
+    def test_a_5000_digit_literal_parses(self, capsys):
+        digits = "7" * 5000
+        rc, out, err = run(capsys, "reduce", "--config", CONFIG, "--expr", f"{digits} * a")
+        assert rc == 0 and err == ""
+        assert out.splitlines()[0] == f"{digits} * a"
+
+    def test_a_5000_digit_literal_in_a_subprocess(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "confalg", "reduce", "--config", CONFIG,
+             "--expr", "7" * 5000 + " * a", "--engine", "rewrite"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("7" * 5000 + " * a\n")
 
 
 class TestDemo:

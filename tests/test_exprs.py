@@ -1,5 +1,6 @@
 """Grammar round trips and parse diagnostics for the expression language."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,7 @@ class TestDiagnostics:
         ("(a . 0 b)", 4),
         ("(D^1(a)", 7),
         ("3 a", 0),
+        ("D^\u00b2(a)", 2),  # a superscript 2 is a digit to isdigit, not to int()
     ]
 
     @pytest.mark.parametrize("text,pos", CASES)
@@ -79,6 +81,20 @@ class TestDiagnostics:
     def test_reserved_derivation_symbol(self, fc):
         with pytest.raises(ParseError):
             evaluate(fc, parse("(D .0 a)"))
+
+    def test_a_literal_past_the_digit_cap_is_a_parse_error(self, fc):
+        text = "2 * a - " + "7" * 5000 + " * b"
+        if not hasattr(sys, "set_int_max_str_digits"):  # no cap: it parses
+            assert evaluate(fc, parse(text))
+            return
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ParseError, match="too many digits") as err:
+                parse(text)
+            assert err.value.pos == 8
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 def test_print_then_parse_is_the_identity(fc):

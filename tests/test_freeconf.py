@@ -461,6 +461,65 @@ class TestIntegerPipeline:
         )
 
 
+class TestRewriteIntCore:
+    """The rewriting engine computes on int dicts and answers in Fractions.
+
+    Its agreement with realize on 300 seeded pairs with D-powers up to 3 is
+    TestIntegerPipeline.test_shifted_multi_term_products_match_rewrite.
+    """
+
+    @pytest.fixture(scope="class", params=["config_ab.json", "config_xyz.json"])
+    def fc(self, request):
+        return FreeConformal(load_config(str(DATA / request.param))[0])
+
+    def test_memo_values_are_int_dicts(self, fc):
+        rng = as_rng(109)
+        for _ in range(40):
+            x = random_element(rng, fc, max_s=2, max_terms=3)
+            y = random_element(rng, fc, max_s=2, max_terms=3)
+            fc.cprods_rw(x, y, range(5))
+        assert fc._rw_cache
+        for value in fc._rw_cache.values():
+            assert type(value) is dict
+            assert all(type(v) is NormalWord and v.s == 0 for v in value)
+            assert all(type(c) is int and c for c in value.values())
+
+    def test_every_returned_coefficient_is_a_fraction(self, fc):
+        rng = as_rng(113)
+        for _ in range(20):
+            u = random_normal_word(rng, fc, max_s=2)
+            w = random_normal_word(rng, fc, max_s=2)
+            x = ConfElement({u: Fraction(1, 2), w: Fraction(-3, 2)})
+            y = random_element(rng, fc, max_s=2, max_terms=3)
+            for n in range(4):
+                got = fc.cprod_rw(x, n, y)
+                assert coefficient_types([got]) <= {Fraction}
+                assert got == fc.cprod(x, n, y), (x, n, y)
+            assert coefficient_types(fc.cprods_rw(y, x, range(4)).values()) <= {Fraction}
+        half = ConfElement.single(fc.normal(0, fc.alg.names[:1], ()), Fraction(1, 2))
+        got = fc.cprod_rw(half, 0, half)
+        assert got and coefficient_types([got]) == {Fraction}
+
+    def test_coefficients_scale_each_word_pair(self, fc):
+        x, y = fc.generator(fc.alg.names[-1]), fc.generator(fc.alg.names[0])
+        xy = fc.cprod_rw(x.d_shift(1), 1, y)
+        assert xy
+        for c in (Fraction(1, 2), Fraction(-3, 2), 3):
+            assert fc.cprod_rw(x.d_shift(1).scale(c), 1, y) == xy.scale(c)
+            assert fc.cprod_rw(x.d_shift(1), 1, y.scale(c)) == xy.scale(c)
+
+
+def test_2048_generator_word_under_both_engines(fc_ab):
+    # (X .0 X) nested 11 times from a: one word far longer than Python's
+    # recursion limit, so no engine may spend a frame per generator
+    fc = FreeConformal(fc_ab.alg)
+    x = y = fc.generator("a")
+    for _ in range(11):
+        x, y = fc.cprod_rw(x, 0, x), fc.cprod(y, 0, y)
+    assert x == y
+    assert x == ConfElement.single(fc.normal(0, ("a",) * 2048, (0,) * 2047))
+
+
 class TestHatKeyedImages:
     """One image cache keyed by hat word, filled by prefixing tail images."""
 
