@@ -454,15 +454,6 @@ class TestLongNumbers:
         assert rc == 0 and err == ""
         assert out.splitlines()[0] == f"{digits} * a"
 
-    def test_a_5000_digit_literal_in_a_subprocess(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "confalg", "reduce", "--config", CONFIG,
-             "--expr", "7" * 5000 + " * a", "--engine", "rewrite"],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0 and proc.stderr == ""
-        assert proc.stdout.startswith("7" * 5000 + " * a\n")
-
 
 class TestDemo:
     def test_current(self, capsys):
