@@ -208,19 +208,18 @@ def cmd_table(args) -> int:
     words = sorted(fc.enumerate_basis(args.max_k, 0), key=fc.sort_key)
     ns = range(args.max_n + 1)
     singles = [ConfElement.single(w) for w in words]  # each built once, not per cell
+    dumped = [dump_json(fc.word_to_json(w)) for w in words]  # likewise
     rows: list[str] = []  # each row already serialized: far smaller than its dict
-    for u, xu in zip(words, singles):
+    for left, xu in zip(dumped, singles):
         values = [prods(xu, y, ns) for y in singles]
         for n in ns:
-            for w, value in zip(words, values):
-                rows.append(dump_json(
-                    {
-                        "left": fc.word_to_json(u),
-                        "n": n,
-                        "right": fc.word_to_json(w),
-                        "value": fc.element_to_json(value[n]),
-                    }
-                ))
+            for right, value in zip(dumped, values):
+                # dump_json of {"left", "n", "right", "value"}: the keys are
+                # already in sorted order
+                rows.append(
+                    f'{{"left":{left},"n":{n},"right":{right},'
+                    f'"value":{dump_json(fc.element_to_json(value[n]))}}}'
+                )
     print("[" + ",".join(rows) + "]")
     return EXIT_OK
 

@@ -125,10 +125,31 @@ class FreeConformal:
         # check on every index, once.
         self._rw_cache: dict[tuple, dict[NormalWord, int]] = {}
         self._rw_interned: dict[tuple, NormalWord] = {}
+        # (letter, m) -> the piece v^(n(letter) - 1 - m) letter that a letter
+        # facing index m adds to a hat word (the first letter faces m = 0),
+        # and _piece_keys, its inverse.  Filled on first use, never for every
+        # m < n(letter) at once: that would take memory quadratic in the
+        # locality.
+        self._pieces: dict[tuple[str, int], Word] = {}
+        self._piece_keys: dict[Word, tuple[str, int]] = {}
 
     # ---- normal words -------------------------------------------------
 
     def validate(self, u: NormalWord) -> NormalWord:
+        """u, once its letters and indices are known valid.
+
+        Returns at once when every (letter, index) pair of u, the first
+        letter's taken with index 0, is a piece already seen.  Otherwise
+        checks every letter, then every index: ConfigError names the first
+        unknown letter, and ValueError the first index outside
+        0 <= n_i < N(a_i, a_(i+1)).  Fills no piece.
+        """
+        pieces = self._pieces
+        for key in zip(u.gens, (0,) + u.indices):
+            if key not in pieces:
+                break
+        else:
+            return u
         for name in u.gens:
             self.alg.n_of(name)
         for i, n in enumerate(u.indices):
@@ -218,41 +239,63 @@ class FreeConformal:
         return (-1) ** sum(u.indices), self._hat(u)
 
     def _hat(self, u: NormalWord) -> Word:
-        """The hat word of u's D-free part, with validate's error on a bad u."""
-        n, index, V = self.alg.n, self.alg.index, self.alg.V
+        """The hat word of u's D-free part: its letters' pieces, concatenated.
+
+        Each piece is read from _pieces and made on its first use.  A letter
+        unknown or facing an index out of range raises validate's error.
+        The pieces extend one list, so the cost is linear in the hat word.
+        """
+        pieces = self._pieces
         hat: list[int] = []
-        for name, m in zip(u.gens, (0,) + u.indices):  # the first letter faces no index
-            run = n.get(name, 0) - 1 - m
-            if m < 0 or run < 0:  # an unknown name, or m >= n(name)
-                self.validate(u)
-            hat += [V] * run
-            hat.append(index[name])
+        for key in zip(u.gens, (0,) + u.indices):  # the first letter faces no index
+            piece = pieces.get(key)
+            if piece is None:
+                name, m = key
+                if not 0 <= m < self.alg.n.get(name, 0):
+                    self.validate(u)
+                piece = self._new_piece(name, m)
+            hat += piece
         return tuple(hat)
 
+    def _new_piece(self, name: str, m: int) -> Word:
+        """Add the piece of letter name facing index m, 0 <= m < n(name)."""
+        piece = (self.alg.V,) * (self.alg.n[name] - 1 - m) + (self.alg.index[name],)
+        self._pieces[name, m] = piece
+        self._piece_keys[piece] = (name, m)
+        return piece
+
     def word_to_normal(self, w: Word) -> tuple[int, NormalWord] | None:
-        """Invert hat_word; None when w is not a hat word."""
+        """Invert hat_word; None when w is not a hat word.
+
+        w is cut after each generator code, and each slice, a v-run and a
+        letter, is looked up in _piece_keys; a slice not seen yet becomes a
+        piece when its run is short enough for its letter.  None when a
+        slice is too long, the first letter faces an index other than 0, a
+        v-run trails, or w is empty.
+        """
         V = self.alg.V
-        segs: list[tuple[int, int]] = []
-        run = 0
-        for code in w:
-            if code == V:
-                run += 1
-            else:
-                segs.append((run, code))
-                run = 0
-        if run or not segs:
+        keys = self._piece_keys
+        names: list[str] = []
+        indices: list[int] = []
+        start = 0
+        for end, code in enumerate(w, 1):
+            if code != V:
+                piece = w[start:end]
+                key = keys.get(piece)
+                if key is None:
+                    name = self.alg.names[code]
+                    m = self.alg.n[name] - len(piece)
+                    if m < 0:
+                        return None
+                    key = name, m
+                    self._new_piece(name, m)
+                names.append(key[0])
+                indices.append(key[1])
+                start = end
+        if start != len(w) or not names or indices[0] != 0:
             return None
-        names = tuple(self.alg.names[code] for _, code in segs)
-        if segs[0][0] != self.alg.n_of(names[0]) - 1:
-            return None
-        indices = []
-        for (e, _), name in zip(segs[1:], names[1:]):
-            n = self.alg.n_of(name) - 1 - e
-            if n < 0:
-                return None
-            indices.append(n)
-        sign = (-1) ** sum(indices)
-        return sign, NormalWord(0, names, tuple(indices))
+        del indices[0]
+        return (-1) ** sum(indices), NormalWord(0, tuple(names), tuple(indices))
 
     def reduce(self, p: PElement) -> ConfElement:
         """Express p in normal words, greedily eliminating lowest monomials.

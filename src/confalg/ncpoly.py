@@ -18,6 +18,9 @@ Word = tuple[int, ...]
 
 V_NAME = "v"
 RESERVED_NAMES = frozenset({"v", "D"})
+# Largest accepted locality.  A generator's image is the word v^(n-1) a
+# over (n-1)!, so a larger n is refused before anything of that size is made.
+MAX_LOCALITY = 100_000
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -28,8 +31,8 @@ class ConfigError(ValueError):
 class AlgebraConfig:
     """Generator alphabet with locality bounds and the word conventions.
 
-    localities: mapping name -> n(a) >= 1; iteration order fixes the letter
-        order unless an explicit order is given.
+    localities: mapping name -> n(a), 1 <= n(a) <= MAX_LOCALITY; iteration
+        order fixes the letter order unless an explicit order is given.
     commutative: store words as sorted multisets instead of sequences.
     """
 
@@ -58,6 +61,8 @@ class AlgebraConfig:
             bound = localities[name]
             if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
                 raise ConfigError(f"locality of {name!r} must be an integer >= 1")
+            if bound > MAX_LOCALITY:
+                raise ConfigError(f"locality of {name!r} must be at most {MAX_LOCALITY}")
             self.n[name] = bound
         self.index = {name: i for i, name in enumerate(self.names)}
         self.V = len(self.names)  # letter code of v

@@ -5,6 +5,7 @@ Each documented exit code has at least one test pinning it: 0 on success,
 a failed axiom check.
 """
 
+import hashlib
 import json
 import math
 import shlex
@@ -13,9 +14,10 @@ import sys
 
 import pytest
 
-from confalg.cli import load_config, main
+from confalg.cli import dump_json, load_config, main
 from confalg.exprs import evaluate, parse
 from confalg.freeconf import ConfElement, FreeConformal
+from confalg.ncpoly import MAX_LOCALITY
 
 from conftest import DATA
 
@@ -146,6 +148,14 @@ class TestConfigHandling:
         )
         assert rc == 1 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("locality", [10**400, MAX_LOCALITY + 1], ids=["10**400", "cap+1"])
+    def test_locality_above_the_cap_exits_1(self, capsys, tmp_path, locality):
+        path = tmp_path / "config_huge.json"
+        path.write_text(json.dumps({"generators": [{"name": "a", "locality": locality}]}))
+        rc, out, err = run(capsys, "reduce", "--config", str(path), "--expr", "a")
+        assert rc == 1 and out == ""
+        assert err == f"error: locality of 'a' must be at most {MAX_LOCALITY}\n"
+
     def test_missing_file_exits_1(self, capsys):
         rc, _, err = run(
             capsys, "reduce", "--config", str(DATA / "no_such.json"), "--expr", "a"
@@ -252,6 +262,46 @@ class TestTable:
             "--engine", "rewrite",
         )
         assert out3 == out
+
+    # stdout sha256 of small tables, pinned so that neither the engines nor
+    # the row assembly can change a byte
+    GOLDEN = [
+        ("config_ab.json", "1", "2",
+         "6e8e0cf1606725639753a2216d056a1e6565409ec265140fc7f8f8f2d53173b8"),
+        ("config_xyz.json", "1", "1",
+         "36eb68c3c09abc873fc95f1fd88a83da97b76b3b5b4871bfdec6d606de38fed9"),
+        ("config_onegen.json", "2", "2",
+         "863e93bb32696dbbf3de338e6cb204f1a60c04be458cd293df27d68d0989e3f0"),
+    ]
+
+    @pytest.mark.parametrize("engine", ["realize", "rewrite"])
+    @pytest.mark.parametrize(("config", "max_k", "max_n", "digest"), GOLDEN)
+    def test_golden_bytes(self, capsys, config, max_k, max_n, digest, engine):
+        rc, out, _ = run(
+            capsys,
+            "table", "--config", str(DATA / config), "--max-k", max_k, "--max-n", max_n,
+            "--engine", engine,
+        )
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_rows_are_what_dump_json_makes(self, capsys, tmp_path):
+        path = tmp_path / "config_long_names.json"
+        path.write_text(json.dumps({"generators": [
+            {"name": "alpha", "locality": 2}, {"name": "b_2", "locality": 1},
+        ]}))
+        outs = []
+        for engine in ("realize", "rewrite"):
+            rc, out, _ = run(
+                capsys,
+                "table", "--config", str(path), "--max-k", "1", "--max-n", "1",
+                "--engine", engine,
+            )
+            assert rc == 0 and out.endswith("]\n")
+            assert dump_json(json.loads(out)) == out.rstrip("\n")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert len(json.loads(outs[0])) == (2 + 2 * 3) ** 2 * 2
 
 
 class TestCheck:

@@ -4,6 +4,7 @@ The two product engines share no code past the word algebra, which is the
 point: each one is the oracle for the other.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -154,6 +155,104 @@ class TestHatWords:
         assert fc.word_to_normal(alg.word(("v", "a"))) is None
         assert fc.word_to_normal(alg.word(("b",))) is None
         assert fc.word_to_normal(()) is None
+
+
+def reference_word_to_normal(fc, w):
+    """word_to_normal as it was before the piece table: a run-length parse."""
+    V = fc.alg.V
+    segs = []
+    run = 0
+    for code in w:
+        if code == V:
+            run += 1
+        else:
+            segs.append((run, code))
+            run = 0
+    if run or not segs:
+        return None
+    names = tuple(fc.alg.names[code] for _, code in segs)
+    if segs[0][0] != fc.alg.n_of(names[0]) - 1:
+        return None
+    indices = []
+    for (e, _), name in zip(segs[1:], names[1:]):
+        n = fc.alg.n_of(name) - 1 - e
+        if n < 0:
+            return None
+        indices.append(n)
+    return (-1) ** sum(indices), NormalWord(0, names, tuple(indices))
+
+
+class TestPieceTable:
+    def test_only_the_pieces_used_are_made(self):
+        # filling every m < n(a) at once would make 10,002 pieces, whose
+        # lengths sum to about 5 * 10^7
+        fc = FreeConformal(AlgebraConfig({"a": 10000, "b": 2}))
+        assert fc._pieces == {}
+        a, b = fc.generator("a"), fc.generator("b")
+        # realize: the generators' hat words, then (a .1 b)'s, parsed by reduce
+        assert fc.cprod(a, 1, b) == ConfElement.single(NormalWord(0, ("a", "b"), (1,)))
+        assert set(fc._pieces) == {("a", 0), ("b", 0), ("b", 1)}
+        # rewrite validates without filling; printing (b .1 a) sorts it
+        ba = fc.cprod_rw(b, 1, a)
+        assert len(fc._pieces) == 3
+        assert fc.element_to_json(ba) == [
+            {"coeff": "1", "word": {"s": 0, "gens": ["b", "a"], "indices": [1]}}
+        ]
+        assert len(fc._pieces) == len(fc._piece_keys) == 4
+        assert fc._pieces["a", 1] == (2,) * 9998 + (0,)
+        for key, piece in fc._pieces.items():
+            assert fc._piece_keys[piece] == key
+
+    def test_word_to_normal_matches_the_run_length_parse(self):
+        alg, _ = load_config(str(DATA / "config_xyz.json"))
+        codes = range(alg.V + 1)  # x, y, z and v
+        words = [w for k in range(7) for w in itertools.product(codes, repeat=k)]
+        assert len(words) == (4 ** 7 - 1) // 3
+        ref = FreeConformal(alg)
+        want = [reference_word_to_normal(ref, w) for w in words]
+        assert sum(x is not None for x in want) > 100
+        fc = FreeConformal(alg)
+        for _ in range(2):  # from an empty table, then from the filled one
+            assert [fc.word_to_normal(w) for w in words] == want
+        for w, found in zip(words, want):
+            if found is not None:
+                assert fc.hat_word(found[1]) == (found[0], w)
+
+    BAD_WORDS = {
+        "unknown first letter": (NormalWord(0, ("c", "a"), (0,)), ConfigError, "unknown generator: 'c'"),
+        "unknown later letter": (
+            NormalWord(0, ("a", "b", "c"), (0, 0)), ConfigError, "unknown generator: 'c'",
+        ),
+        "m >= n at the first index": (
+            NormalWord(0, ("a", "b"), (3,)), ValueError, "index 3 out of range for the pair (a, b)",
+        ),
+        "m >= n at a later index": (
+            NormalWord(0, ("a", "b", "a"), (0, 2)), ValueError,
+            "index 2 out of range for the pair (b, a)",
+        ),
+        "m < 0 at the first index": (
+            NormalWord(1, ("a", "b"), (-1,)), ValueError,
+            "index -1 out of range for the pair (a, b)",
+        ),
+        "m < 0 at a later index": (
+            NormalWord(0, ("b", "a", "b"), (1, -1)), ValueError,
+            "index -1 out of range for the pair (a, b)",
+        ),
+    }
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["empty table", "filled table"])
+    @pytest.mark.parametrize("case", list(BAD_WORDS))
+    def test_bad_words_raise_as_before(self, case, warm):
+        u, kind, message = self.BAD_WORDS[case]
+        fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
+        if warm:
+            for w in fc.enumerate_basis(2):
+                fc.sort_key(w)
+            assert len(fc._pieces) == 5  # every valid (letter, m)
+        for method in (fc.validate, fc._hat, fc.sort_key):
+            with pytest.raises(ValueError) as got:
+                method(u)
+            assert type(got.value) is kind and str(got.value) == message
 
 
 class TestReduce:

@@ -8,7 +8,7 @@ order puts words with early generators first.
 import pytest
 from hypothesis import given, strategies as st
 
-from confalg.ncpoly import AlgebraConfig, ConfigError, NCPoly, deglex_key
+from confalg.ncpoly import MAX_LOCALITY, AlgebraConfig, ConfigError, NCPoly, deglex_key
 
 AB = AlgebraConfig({"a": 2, "b": 3})
 
@@ -51,6 +51,14 @@ class TestConfigValidation:
     def test_bad_localities_rejected(self, bad):
         with pytest.raises(ConfigError):
             AlgebraConfig({"a": bad})
+
+    @pytest.mark.parametrize("bad", [10**400, MAX_LOCALITY + 1], ids=["10**400", "cap+1"])
+    def test_localities_above_the_cap_rejected(self, bad):
+        with pytest.raises(ConfigError, match="locality of 'a' must be at most"):
+            AlgebraConfig({"a": bad})
+
+    def test_the_cap_itself_is_accepted(self):
+        assert AlgebraConfig({"a": MAX_LOCALITY}).n_of("a") == MAX_LOCALITY
 
     def test_order_must_be_a_permutation(self):
         with pytest.raises(ConfigError):
