@@ -8,12 +8,12 @@
 Whitespace is insignificant.  A bare rational zero is allowed as a term and
 denotes the zero element (it is what the printer emits for zero); any other
 bare rational is an error.  D and v are reserved and never name generators.
-Products and D^k(...) nest at most MAX_NESTING levels deep.
+Brackets nest to any depth: parse reads the text in one pass into a tuple
+of postfix steps, and evaluation runs them on a value stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -30,41 +30,6 @@ class ParseError(ValueError):
         self.text = text
         self.pos = pos
         super().__init__(f"{message} (column {pos + 1})")
-
-
-@dataclass(frozen=True)
-class Name:
-    pos: int
-    name: str
-
-
-@dataclass(frozen=True)
-class DPow:
-    pos: int
-    power: int
-    body: object
-
-
-@dataclass(frozen=True)
-class Prod:
-    pos: int
-    n: int
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Term:
-    coeff: Fraction
-    factor: object | None  # None encodes the bare zero term
-
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple[Term, ...]
-
-
-MAX_NESTING = 200
 
 
 class _Parser:
@@ -130,118 +95,127 @@ class _Parser:
         value = Fraction(num, den)
         return -value if neg else value
 
-    def parse_factor(self):
-        self.skip_ws()
-        start = self.pos
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            left = self.parse_expr()
-            self.skip_ws()
-            if self.peek() != ".":
-                raise self.error("expected '.' and a product index")
-            self.pos += 1
-            n = self.read_int("an integer product index")
-            right = self.parse_expr()
-            self.skip_ws()
-            self.expect(")")
-            return Prod(start, n, left, right)
-        if ch.isalpha() or ch == "_":
-            pos, ident = self.read_ident()
-            if ident == "D":
-                if self.peek() != "^":
-                    raise self.error("reserved symbol D must appear as D^k(...)", pos)
-                self.pos += 1
-                power = self.read_int("an integer power")
-                self.skip_ws()
-                self.expect("(")
-                body = self.parse_expr()
-                self.skip_ws()
-                self.expect(")")
-                return DPow(pos, power, body)
-            return Name(pos, ident)
-        raise self.error("expected a factor")
+    def parse_all(self) -> tuple:
+        """The text as postfix steps (op, arg, pos), read left to right.
 
-    def parse_term(self) -> Term:
-        self.skip_ws()
-        start = self.pos
-        ch = self.peek()
-        if ch.isdecimal() or ch == "-":
-            coeff = self.parse_rational()
-            self.skip_ws()
-            if self.peek() == "*":
-                self.pos += 1
-                return Term(coeff, self.parse_factor())
-            if coeff == 0:
-                return Term(Fraction(0), None)
-            raise self.error("expected '*' after a coefficient", start)
-        return Term(Fraction(1), self.parse_factor())
-
-    def parse_expr(self) -> Sum:
-        terms = [self.parse_term()]
+        Open brackets wait on an explicit list, each with the term it is
+        the factor of: that term's coefficient, where its factor's steps
+        start, and whether it is the first term of its sum.
+        """
+        steps: list[tuple] = []
+        append = steps.append
+        brackets: list[tuple] = []
+        sign, first = 1, True
         while True:
+            # a term: its coefficient, then its factor down to a name
             self.skip_ws()
+            at = self.pos
             ch = self.peek()
-            if ch == "+" or ch == "-":
-                sign = 1 if ch == "+" else -1
-                self.pos += 1
-                term = self.parse_term()
-                terms.append(Term(term.coeff * sign, term.factor))
-            else:
-                return Sum(tuple(terms))
+            coeff = sign
+            bare = False
+            if ch.isdecimal() or ch == "-":
+                coeff = self.parse_rational() * sign
+                self.skip_ws()
+                if self.peek() == "*":
+                    self.pos += 1
+                elif coeff == 0:
+                    bare = True
+                else:
+                    raise self.error("expected '*' after a coefficient", at)
+            mark = len(steps)
+            if not bare:
+                self.skip_ws()
+                at = self.pos
+                ch = self.peek()
+                if ch == "(":
+                    self.pos += 1
+                    brackets.append(("(", None, at, coeff, mark, first))
+                    sign, first = 1, True
+                    continue
+                if not (ch.isalpha() or ch == "_"):
+                    raise self.error("expected a factor")
+                at, ident = self.read_ident()
+                if ident == "D":
+                    if self.peek() != "^":
+                        raise self.error("reserved symbol D must appear as D^k(...)", at)
+                    self.pos += 1
+                    power = self.read_int("an integer power")
+                    self.skip_ws()
+                    self.expect("(")
+                    brackets.append(("D", power, at, coeff, mark, first))
+                    sign, first = 1, True
+                    continue
+                append(("name", ident, at))
+            while True:
+                # a factor is complete: finish its term, then go on or close
+                if coeff == 0:  # nothing under a zero coefficient is evaluated
+                    del steps[mark:]
+                    append(("zero", None, at))
+                elif coeff != 1:
+                    append(("scale", coeff, at))
+                if not first:
+                    append(("add", None, at))
+                self.skip_ws()
+                ch = self.peek()
+                if ch == "+" or ch == "-":
+                    self.pos += 1
+                    sign, first = (1 if ch == "+" else -1), False
+                    break
+                if not brackets:
+                    if self.pos != len(self.text):
+                        raise self.error("unexpected trailing input")
+                    return tuple(steps)
+                op, arg, at, coeff, mark, first = brackets.pop()
+                if op == "(":  # the left operand is complete
+                    if ch != ".":
+                        raise self.error("expected '.' and a product index")
+                    self.pos += 1
+                    n = self.read_int("an integer product index")
+                    brackets.append(("prod", n, at, coeff, mark, first))
+                    sign, first = 1, True
+                    break
+                self.expect(")")
+                append((op, arg, at))
 
-    def parse_all(self) -> Sum:
-        # every product and every D^k opens one bracket level
-        depth = 0
-        for pos, ch in enumerate(self.text):
-            depth += (ch == "(") - (ch == ")")
-            if depth > MAX_NESTING:
-                raise self.error(f"expression nests deeper than {MAX_NESTING} levels", pos)
-        node = self.parse_expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("unexpected trailing input")
-        return node
 
-
-def parse(text: str) -> Sum:
+def parse(text: str) -> tuple:
     return _Parser(text).parse_all()
 
 
-def _walk(node, zero, leaf, product):
-    """Evaluate a parsed expression given the zero, generator and product maps."""
-
-    def walk(nd):
-        if isinstance(nd, Sum):
-            out = zero()
-            for term in nd.terms:
-                out = out + walk(term)
-            return out
-        if isinstance(nd, Term):
-            if nd.factor is None or nd.coeff == 0:
-                return zero()
-            return walk(nd.factor).scale(nd.coeff)
-        if isinstance(nd, Name):
+def _walk(steps, zero, leaf, product):
+    """Run postfix steps on a value stack, given the zero, generator and product maps."""
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    for op, arg, pos in steps:
+        if op == "name":
             try:
-                return leaf(nd.name)
+                push(leaf(arg))
             except ConfigError:
-                raise ParseError(f"unknown generator {nd.name!r}", "", nd.pos) from None
-        if isinstance(nd, DPow):
-            return walk(nd.body).d_shift(nd.power)
-        if isinstance(nd, Prod):
-            return product(walk(nd.left), nd.n, walk(nd.right))
-        raise TypeError(f"not an expression node: {nd!r}")
+                raise ParseError(f"unknown generator {arg!r}", "", pos) from None
+        elif op == "prod":
+            right = pop()
+            stack[-1] = product(stack[-1], arg, right)
+        elif op == "add":
+            right = pop()
+            stack[-1] = stack[-1] + right
+        elif op == "scale":
+            stack[-1] = stack[-1].scale(arg)
+        elif op == "D":
+            stack[-1] = stack[-1].d_shift(arg)
+        elif op == "zero":
+            push(zero())
+        else:
+            raise TypeError(f"not an expression step: {op!r}")
+    return pop()
 
-    return walk(node)
 
-
-def evaluate(fc: FreeConformal, node, engine: str = "realize") -> ConfElement:
+def evaluate(fc: FreeConformal, steps, engine: str = "realize") -> ConfElement:
     """Evaluate a parsed expression to a ConfElement."""
     prod, _ = fc.engine(engine)
-    return _walk(node, ConfElement, fc.generator, prod)
+    return _walk(steps, ConfElement, fc.generator, prod)
 
 
-def evaluate_pseudo(pa: PseudoAlgebra, node, kind: ProductKind = ProductKind.P20) -> PElement:
+def evaluate_pseudo(pa: PseudoAlgebra, steps, kind: ProductKind = ProductKind.P20) -> PElement:
     """Evaluate a parsed expression inside H (x) A with n-th products of kind.
 
     Generators stand for their realization images; D^k shifts the H slot.
@@ -251,4 +225,4 @@ def evaluate_pseudo(pa: PseudoAlgebra, node, kind: ProductKind = ProductKind.P20
     def image(name: str) -> PElement:
         return PElement.from_poly(alg, generator_image(alg, name))
 
-    return _walk(node, partial(PElement, alg), image, partial(pa.nth, kind))
+    return _walk(steps, partial(PElement, alg), image, partial(pa.nth, kind))

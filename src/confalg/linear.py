@@ -30,11 +30,12 @@ def exact(c) -> Fraction:
     """c as a Fraction; only ints, Fractions and rational strings qualify.
 
     Floats, complex numbers and Decimals raise TypeError: 0.1 is not 1/10,
-    and an exact result must not depend on binary rounding.
+    and an exact result must not depend on binary rounding.  So do bools,
+    as in integral(): a JSON true is not the number 1.
     """
     if c.__class__ is Fraction:
         return c
-    if isinstance(c, (int, Fraction, str)):
+    if isinstance(c, (int, Fraction, str)) and not isinstance(c, bool):
         return Fraction(c)
     raise TypeError(
         f"coefficients must be exact (int, Fraction or rational string), "

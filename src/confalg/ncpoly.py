@@ -153,18 +153,29 @@ class NCPoly(AlgLinear):
         return w, self.terms[w]
 
     def vderiv(self, m: int = 1) -> "NCPoly":
-        """m-th v-derivative: iterate the sum over single v deletions."""
+        """m-th v-derivative: iterate the sum over single v deletions.
+
+        Deleting any v of a run of L v's gives the same word, so each run
+        contributes one word, without its last v, L times (a lone v keeps
+        its coefficient object: c * 1 would build a new Fraction).
+        """
         if m < 0:
             raise ValueError("negative derivative order")
         cur = self
         V = self.alg.V
         for _ in range(m):
-            cur = cur._new(collect(
-                (w[:pos] + w[pos + 1:], c)
-                for w, c in cur.terms.items()
-                for pos, code in enumerate(w)
-                if code == V
-            ))
+            pairs = []
+            for w, c in cur.terms.items():
+                run = 0
+                for pos, code in enumerate(w):
+                    if code == V:
+                        run += 1
+                    elif run:
+                        pairs.append((w[:pos - 1] + w[pos:], c if run == 1 else c * run))
+                        run = 0
+                if run:
+                    pairs.append((w[:-1], c if run == 1 else c * run))
+            cur = cur._new(collect(pairs))
             if not cur:
                 break
         return cur

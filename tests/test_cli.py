@@ -74,6 +74,14 @@ class TestReduce:
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and "float" in err
 
+    def test_raw_element_bool_coefficient_exits_1(self, capsys, tmp_path):
+        raw = {"parts": [{"d": 0, "terms": [{"coeff": True, "word": ["v", "a", "v", "b"]}]}]}
+        path = tmp_path / "raw_bool.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        rc, out, err = run(capsys, "reduce", "--config", CONFIG, "--raw-element", str(path))
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and "bool" in err
+
     @pytest.mark.parametrize("d", [0.9, 1.0, True, "1"], ids=repr)
     def test_raw_element_nonintegral_degree_exits_1(self, capsys, tmp_path, d):
         raw = {"parts": [{"d": d, "terms": [{"coeff": "1", "word": ["v", "a", "v", "b"]}]}]}
@@ -429,13 +437,18 @@ class TestDeepNesting:
 
     @pytest.mark.parametrize("shape", ["right", "left", "dpow"])
     def test_far_past_the_limit_exits_1_without_a_traceback(self, shape):
-        proc = subprocess.run(
-            [sys.executable, "-m", "confalg", "reduce", "--config", CONFIG,
-             "--expr", nested(shape, 2000)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        # the 200-level limit is gone: 2,000 levels reduce under both engines
+        outs = []
+        for engine in ("realize", "rewrite"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "confalg", "reduce", "--config", CONFIG,
+                 "--expr", nested(shape, 2000), "--engine", engine],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0 and proc.stdout
+            assert proc.stderr == "" and "Traceback" not in proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 def doubled(times: int) -> str:

@@ -4,10 +4,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confalg import AlgebraConfig, FreeConformal, PElement, PseudoAlgebra
-from confalg.exprs import MAX_NESTING, ParseError, evaluate, evaluate_pseudo, parse
-from confalg.freeconf import random_element
+from confalg.exprs import ParseError, evaluate, evaluate_pseudo, parse
+from confalg.freeconf import ConfElement, NormalWord, random_element, random_normal_word
 from confalg.pseudo import ProductKind, as_rng
 
 
@@ -23,6 +24,12 @@ class TestPositives:
     def test_zero_literal(self, fc):
         assert not evaluate(fc, parse("0"))
         assert not evaluate(fc, parse("a - a"))
+
+    def test_a_zero_coefficient_skips_its_factor(self, fc):
+        # no step under the zero runs, so the unknown q is never looked up
+        assert [op for op, _, _ in parse("0 * (a .0 q)")] == ["zero"]
+        assert not evaluate(fc, parse("0 * (a .0 q)"))
+        assert evaluate(fc, parse("(a .0 b - 0 * D^2(q)) + 0")) == evaluate(fc, parse("(a .0 b)"))
 
     def test_whitespace_is_free(self, fc):
         assert evaluate(fc, parse("  a  +  b ")) == evaluate(fc, parse("a+b"))
@@ -106,6 +113,55 @@ def test_print_then_parse_is_the_identity(fc):
         assert evaluate(fc, parse(text), engine="rewrite") == x
 
 
+def long_word(rng, fc, max_head: int) -> NormalWord:
+    """Up to max_head generators at index 0 in front of a short random word.
+
+    The realization image of a word grows with every nonzero index, so a
+    long word keeps its nonzero indices in its last few products.
+    """
+    core = random_normal_word(rng, fc, max_k=3, max_s=300)
+    head = tuple(rng.choice(fc.alg.names) for _ in range(rng.randint(0, max_head)))
+    return NormalWord(core.s, head + core.gens, (0,) * len(head) + core.indices)
+
+
+nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_head=st.sampled_from([0, 5, 400]),
+    coeffs=st.lists(nonzero_rationals, min_size=1, max_size=3),
+)
+def test_printed_elements_parse_back_under_both_engines(fc, seed, max_head, coeffs):
+    rng = as_rng(seed)
+    x = ConfElement({long_word(rng, fc, max_head): c for c in coeffs})
+    steps = parse(fc.element_to_text(x))
+    assert evaluate(fc, steps) == x
+    assert evaluate(fc, steps, engine="rewrite") == x
+
+
+def doubled(fc, times: int) -> ConfElement:
+    """(X .0 X) nested times deep from a, reduced by the rewriting engine."""
+    x = fc.generator("a")
+    for _ in range(times):
+        x = fc.cprod_rw(x, 0, x)
+    return x
+
+
+def test_a_256_generator_word_parses_back(fc):
+    x = doubled(fc, 8)
+    text = fc.element_to_text(x)
+    assert text == "(a .0 " * 255 + "a" + ")" * 255 and len(text) == 1786
+    assert evaluate(fc, parse(text)) == x
+    assert evaluate(fc, parse(text), engine="rewrite") == x
+
+
+def test_a_2048_generator_word_parses_back(fc):
+    x = doubled(fc, 11)
+    assert evaluate(fc, parse(fc.element_to_text(x)), engine="rewrite") == x
+
+
 def test_rendered_zero_parses_back(fc):
     assert fc.element_to_text(evaluate(fc, parse("0"))) == "0"
 
@@ -123,10 +179,7 @@ def test_pseudo_evaluation_uses_the_symmetric_product():
     assert y == ia.scale(2) + ib.d_shift(1)
 
 
-def test_nesting_limit():
-    assert MAX_NESTING == 200
-    parse("(a .0 " * 200 + "b" + ")" * 200)
-    parse("D^1(" * 200 + "a" + ")" * 200)
-    for text in ("(a .0 " * 201 + "b" + ")" * 201, "D^1(" * 201 + "a" + ")" * 201):
-        with pytest.raises(ParseError, match="deeper than 200"):
-            parse(text)
+def test_nesting_has_no_limit():
+    # one open bracket per level, held on a list rather than the call stack
+    assert parse("(a .0 " * 5000 + "b" + ")" * 5000)[-1][0] == "prod"
+    assert parse("D^1(" * 5000 + "a" + ")" * 5000)[-1] == ("D", 1, 0)

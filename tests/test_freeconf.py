@@ -619,6 +619,16 @@ def test_2048_generator_word_under_both_engines(fc_ab):
     assert x == ConfElement.single(fc.normal(0, ("a",) * 2048, (0,) * 2047))
 
 
+def test_a_long_v_run_under_both_engines():
+    # realize takes v-derivatives of a's image v^9999 a, which cost one word
+    # per v-run: one word per v made this take seconds
+    fc = FreeConformal(AlgebraConfig({"a": 10000, "b": 2}))
+    a, b = fc.generator("a"), fc.generator("b")
+    ba = fc.cprod(b, 1, a)
+    assert ba == fc.cprod_rw(b, 1, a)
+    assert ba == ConfElement.single(fc.normal(0, ("b", "a"), (1,)))
+
+
 class TestHatKeyedImages:
     """One image cache keyed by hat word, filled by prefixing tail images."""
 

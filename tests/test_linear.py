@@ -104,13 +104,13 @@ def test_container_laws(cls):
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
-@pytest.mark.parametrize("bad", [0.5, 1.0, 1j, Decimal("0.5")], ids=repr)
+@pytest.mark.parametrize("bad", [0.5, 1.0, 1j, Decimal("0.5"), True], ids=repr)
 def test_scale_rejects_inexact_scalars(cls, bad):
     with pytest.raises(TypeError):
         CASES[cls][0]().scale(bad)
 
 
-@pytest.mark.parametrize("bad", [0.1, 2.0, 1 + 0j, Decimal("0.1")], ids=repr)
+@pytest.mark.parametrize("bad", [0.1, 2.0, 1 + 0j, Decimal("0.1"), True], ids=repr)
 def test_constructors_reject_inexact_coefficients(bad):
     with pytest.raises(TypeError):
         ConfElement({U: bad})

@@ -128,6 +128,33 @@ def test_vderiv_counts_positions():
     assert f.vderiv(3) == NCPoly(AB)
 
 
+def single_deletions(f: NCPoly, m: int) -> NCPoly:
+    """vderiv as it was: one word per v, m times over."""
+    V = f.alg.V
+    for _ in range(m):
+        out = NCPoly(f.alg)
+        for w, c in f.terms.items():
+            for pos, code in enumerate(w):
+                if code == V:
+                    out = out + NCPoly(f.alg, {w[:pos] + w[pos + 1:]: c})
+        f = out
+    return f
+
+
+# words as runs: (letter, run length), v runs up to 50 long
+runs = st.lists(st.tuples(letters, st.integers(1, 50)), max_size=4).map(
+    lambda rs: tuple(code for code, k in rs for _ in range(k))
+)
+
+
+@pytest.mark.parametrize("alg", [AB, AlgebraConfig({"a": 2, "b": 3}, commutative=True)],
+                         ids=["words", "commutative"])
+@given(st.dictionaries(runs, rationals, max_size=3), st.integers(0, 3))
+def test_vderiv_matches_single_deletions_on_long_runs(alg, terms, m):
+    f = NCPoly(alg, terms)
+    assert f.vderiv(m) == single_deletions(f, m)
+
+
 @given(polys, polys, st.integers(0, 4))
 def test_vderiv_product_rule(f, g, m):
     from confalg.hopf import binomial
