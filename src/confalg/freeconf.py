@@ -105,7 +105,8 @@ class FreeConformal:
         if config.commutative:
             raise ConfigError("normal words need the noncommutative word algebra")
         self.alg = config
-        # per letter: its word v^(n-1) a and (n(a) - 1)!, a factor of W
+        # per letter: its word v^(n-1) a, whose suffixes are the letter's hat
+        # pieces (see _hat), and (n(a) - 1)!, a factor of W
         self._letters = {
             name: (_generator_word(config, name), math.factorial(n - 1))
             for name, n in config.n.items()
@@ -125,31 +126,16 @@ class FreeConformal:
         # check on every index, once.
         self._rw_cache: dict[tuple, dict[NormalWord, int]] = {}
         self._rw_interned: dict[tuple, NormalWord] = {}
-        # (letter, m) -> the piece v^(n(letter) - 1 - m) letter that a letter
-        # facing index m adds to a hat word (the first letter faces m = 0),
-        # and _piece_keys, its inverse.  Filled on first use, never for every
-        # m < n(letter) at once: that would take memory quadratic in the
-        # locality.
-        self._pieces: dict[tuple[str, int], Word] = {}
-        self._piece_keys: dict[Word, tuple[str, int]] = {}
 
     # ---- normal words -------------------------------------------------
 
     def validate(self, u: NormalWord) -> NormalWord:
         """u, once its letters and indices are known valid.
 
-        Returns at once when every (letter, index) pair of u, the first
-        letter's taken with index 0, is a piece already seen.  Otherwise
-        checks every letter, then every index: ConfigError names the first
+        Checks every letter, then every index: ConfigError names the first
         unknown letter, and ValueError the first index outside
-        0 <= n_i < N(a_i, a_(i+1)).  Fills no piece.
+        0 <= n_i < N(a_i, a_(i+1)).
         """
-        pieces = self._pieces
-        for key in zip(u.gens, (0,) + u.indices):
-            if key not in pieces:
-                break
-        else:
-            return u
         for name in u.gens:
             self.alg.n_of(name)
         for i, n in enumerate(u.indices):
@@ -209,8 +195,7 @@ class FreeConformal:
         return entry
 
     def _scaled(self, u: NormalWord) -> tuple[PElement, int]:
-        """(W * iota(u), W) with int coefficients; validates u."""
-        self.validate(u)
+        """(W * iota(u), W) with int coefficients; _hat validates u."""
         _, weight, image = self._iota_nc(u, self._hat(u))
         return PElement._of(self.alg, {u.s: image}), weight
 
@@ -239,58 +224,43 @@ class FreeConformal:
         return (-1) ** sum(u.indices), self._hat(u)
 
     def _hat(self, u: NormalWord) -> Word:
-        """The hat word of u's D-free part: its letters' pieces, concatenated.
+        """The hat word of u's D-free part: one piece per letter, concatenated.
 
-        Each piece is read from _pieces and made on its first use.  A letter
-        unknown or facing an index out of range raises validate's error.
-        The pieces extend one list, so the cost is linear in the hat word.
+        A letter a facing index m (the first letter faces 0) adds the piece
+        v^(n(a) - 1 - m) a: its generator word without the first m v's.  A
+        letter unknown or facing an index out of range raises validate's
+        error.  The pieces extend one list, so the cost is linear in the hat
+        word.
         """
-        pieces = self._pieces
+        letters = self._letters
         hat: list[int] = []
-        for key in zip(u.gens, (0,) + u.indices):  # the first letter faces no index
-            piece = pieces.get(key)
-            if piece is None:
-                name, m = key
-                if not 0 <= m < self.alg.n.get(name, 0):
-                    self.validate(u)
-                piece = self._new_piece(name, m)
-            hat += piece
+        for name, m in zip(u.gens, (0,) + u.indices):  # the first letter faces no index
+            entry = letters.get(name)
+            if entry is None or not 0 <= m < len(entry[0]):
+                self.validate(u)
+            hat += entry[0][m:]
         return tuple(hat)
-
-    def _new_piece(self, name: str, m: int) -> Word:
-        """Add the piece of letter name facing index m, 0 <= m < n(name)."""
-        piece = (self.alg.V,) * (self.alg.n[name] - 1 - m) + (self.alg.index[name],)
-        self._pieces[name, m] = piece
-        self._piece_keys[piece] = (name, m)
-        return piece
 
     def word_to_normal(self, w: Word) -> tuple[int, NormalWord] | None:
         """Invert hat_word; None when w is not a hat word.
 
-        w is cut after each generator code, and each slice, a v-run and a
-        letter, is looked up in _piece_keys; a slice not seen yet becomes a
-        piece when its run is short enough for its letter.  None when a
-        slice is too long, the first letter faces an index other than 0, a
-        v-run trails, or w is empty.
+        w is cut after each generator code: a slice of length L that ends in
+        letter a is a's piece facing index n(a) - L.  None when an index is
+        negative, the first letter faces an index other than 0, a v-run
+        trails, or w is empty.
         """
-        V = self.alg.V
-        keys = self._piece_keys
+        V, names_of, n = self.alg.V, self.alg.names, self.alg.n
         names: list[str] = []
         indices: list[int] = []
         start = 0
         for end, code in enumerate(w, 1):
             if code != V:
-                piece = w[start:end]
-                key = keys.get(piece)
-                if key is None:
-                    name = self.alg.names[code]
-                    m = self.alg.n[name] - len(piece)
-                    if m < 0:
-                        return None
-                    key = name, m
-                    self._new_piece(name, m)
-                names.append(key[0])
-                indices.append(key[1])
+                name = names_of[code]
+                m = n[name] - (end - start)
+                if m < 0:
+                    return None
+                names.append(name)
+                indices.append(m)
                 start = end
         if start != len(w) or not names or indices[0] != 0:
             return None

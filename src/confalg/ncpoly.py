@@ -44,12 +44,12 @@ class AlgebraConfig:
         commutative: bool = False,
     ):
         names = list(order) if order is not None else list(localities)
+        if order is not None and set(names) != set(localities):
+            raise ConfigError("order must list exactly the declared generators")
         if not names:
             raise ConfigError("at least one generator is required")
         if len(set(names)) != len(names):
             raise ConfigError("duplicate generator name")
-        if order is not None and set(names) != set(localities):
-            raise ConfigError("order must list exactly the declared generators")
         for name in names:
             if not isinstance(name, str) or not _NAME_RE.match(name):
                 raise ConfigError(f"bad generator name: {name!r}")

@@ -105,12 +105,42 @@ class TestRealizationMap:
             assert fc.iota(x.scale(-3)) == fc.iota(x).scale(-3)
 
 
+def reference_word_to_normal(fc, w):
+    """word_to_normal as a run-length parse, the reference for the cut-based one."""
+    V = fc.alg.V
+    segs = []
+    run = 0
+    for code in w:
+        if code == V:
+            run += 1
+        else:
+            segs.append((run, code))
+            run = 0
+    if run or not segs:
+        return None
+    names = tuple(fc.alg.names[code] for _, code in segs)
+    if segs[0][0] != fc.alg.n_of(names[0]) - 1:
+        return None
+    indices = []
+    for (e, _), name in zip(segs[1:], names[1:]):
+        n = fc.alg.n_of(name) - 1 - e
+        if n < 0:
+            return None
+        indices.append(n)
+    return (-1) ** sum(indices), NormalWord(0, names, tuple(indices))
+
+
 class TestHatWords:
     def test_frozen_hats(self, fc):
         assert fc.hat_word(fc.normal(0, ("a", "b"), (0,))) == (1, (0, 2, 1))
         assert fc.hat_word(fc.normal(0, ("a", "b"), (1,))) == (-1, (0, 1))
         big = FreeConformal(AlgebraConfig({"c": 3}))
         assert big.hat_word(big.normal(0, ("c",), ())) == (1, (1, 1, 0))
+        # a = 0, b = 1, v = 2: a facing index 1 keeps 9,998 of its 9,999 v's
+        tall = FreeConformal(AlgebraConfig({"a": 10000, "b": 2}))
+        ba = tall.normal(0, ("b", "a"), (1,))
+        assert tall.hat_word(ba) == (-1, (2, 1) + (2,) * 9998 + (0,))
+        assert tall.word_to_normal((2, 1) + (2,) * 9998 + (0,)) == (-1, ba)
 
     def test_hat_is_the_lowest_monomial_of_the_image(self, fc):
         for u in fc.enumerate_basis(2):
@@ -156,53 +186,6 @@ class TestHatWords:
         assert fc.word_to_normal(alg.word(("b",))) is None
         assert fc.word_to_normal(()) is None
 
-
-def reference_word_to_normal(fc, w):
-    """word_to_normal as it was before the piece table: a run-length parse."""
-    V = fc.alg.V
-    segs = []
-    run = 0
-    for code in w:
-        if code == V:
-            run += 1
-        else:
-            segs.append((run, code))
-            run = 0
-    if run or not segs:
-        return None
-    names = tuple(fc.alg.names[code] for _, code in segs)
-    if segs[0][0] != fc.alg.n_of(names[0]) - 1:
-        return None
-    indices = []
-    for (e, _), name in zip(segs[1:], names[1:]):
-        n = fc.alg.n_of(name) - 1 - e
-        if n < 0:
-            return None
-        indices.append(n)
-    return (-1) ** sum(indices), NormalWord(0, names, tuple(indices))
-
-
-class TestPieceTable:
-    def test_only_the_pieces_used_are_made(self):
-        # filling every m < n(a) at once would make 10,002 pieces, whose
-        # lengths sum to about 5 * 10^7
-        fc = FreeConformal(AlgebraConfig({"a": 10000, "b": 2}))
-        assert fc._pieces == {}
-        a, b = fc.generator("a"), fc.generator("b")
-        # realize: the generators' hat words, then (a .1 b)'s, parsed by reduce
-        assert fc.cprod(a, 1, b) == ConfElement.single(NormalWord(0, ("a", "b"), (1,)))
-        assert set(fc._pieces) == {("a", 0), ("b", 0), ("b", 1)}
-        # rewrite validates without filling; printing (b .1 a) sorts it
-        ba = fc.cprod_rw(b, 1, a)
-        assert len(fc._pieces) == 3
-        assert fc.element_to_json(ba) == [
-            {"coeff": "1", "word": {"s": 0, "gens": ["b", "a"], "indices": [1]}}
-        ]
-        assert len(fc._pieces) == len(fc._piece_keys) == 4
-        assert fc._pieces["a", 1] == (2,) * 9998 + (0,)
-        for key, piece in fc._pieces.items():
-            assert fc._piece_keys[piece] == key
-
     def test_word_to_normal_matches_the_run_length_parse(self):
         alg, _ = load_config(str(DATA / "config_xyz.json"))
         codes = range(alg.V + 1)  # x, y, z and v
@@ -240,7 +223,7 @@ class TestPieceTable:
         ),
     }
 
-    @pytest.mark.parametrize("warm", [False, True], ids=["empty table", "filled table"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
     @pytest.mark.parametrize("case", list(BAD_WORDS))
     def test_bad_words_raise_as_before(self, case, warm):
         u, kind, message = self.BAD_WORDS[case]
@@ -248,7 +231,6 @@ class TestPieceTable:
         if warm:
             for w in fc.enumerate_basis(2):
                 fc.sort_key(w)
-            assert len(fc._pieces) == 5  # every valid (letter, m)
         for method in (fc.validate, fc._hat, fc.sort_key):
             with pytest.raises(ValueError) as got:
                 method(u)

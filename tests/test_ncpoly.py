@@ -69,6 +69,13 @@ class TestConfigValidation:
         assert alg.names == ("b", "a")
         assert alg.letter("b") == 0
 
+    def test_an_empty_order_is_an_order_error(self):
+        with pytest.raises(ConfigError, match="^order must list exactly the declared generators$"):
+            AlgebraConfig({"a": 2}, order=[])
+        for order in (None, []):  # nothing declared keeps its own message
+            with pytest.raises(ConfigError, match="^at least one generator is required$"):
+                AlgebraConfig({}, order=order)
+
     def test_unknown_letter_rejected(self):
         with pytest.raises(ConfigError):
             AB.word(("a", "q"))
