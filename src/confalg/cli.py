@@ -131,7 +131,7 @@ def pelement_from_json(alg: AlgebraConfig, raw) -> PElement:
 
 def _print_element(fc: FreeConformal, x: ConfElement) -> None:
     print(fc.element_to_text(x))
-    print(dump_json(fc.element_to_json(x)))
+    print(fc.element_to_json_text(x))
 
 
 def _print_pelement(alg: AlgebraConfig, p: PElement) -> None:
@@ -165,11 +165,17 @@ def cmd_prod(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
     if mode == "conformal":
+        engine = args.engine or "realize"
         fc = FreeConformal(alg)
-        left = evaluate(fc, parse(args.left), engine=args.engine)
-        right = evaluate(fc, parse(args.right), engine=args.engine)
-        prod, _ = fc.engine(args.engine)
+        left = evaluate(fc, parse(args.left), engine=engine)
+        right = evaluate(fc, parse(args.right), engine=engine)
+        prod, _ = fc.engine(engine)
         _print_element(fc, prod(left, args.n, right))
+    elif args.engine is not None:
+        raise UsageError(
+            "--engine needs mode \"conformal\"; a pseudo-commutative prod is "
+            "the P20 product of the pseudoalgebra, under no engine"
+        )
     else:
         pa = PseudoAlgebra(alg)
         left = evaluate_pseudo(pa, parse(args.left))
@@ -204,23 +210,20 @@ def cmd_table(args) -> int:
     if args.max_n < 0 or args.max_k < 0:
         raise UsageError("--max-n and --max-k must be nonnegative")
     fc = FreeConformal(alg)
-    _, prods = fc.engine(args.engine)
     words = sorted(fc.enumerate_basis(args.max_k, 0), key=fc.sort_key)
-    ns = range(args.max_n + 1)
-    singles = [ConfElement.single(w) for w in words]  # each built once, not per cell
-    dumped = [dump_json(fc.word_to_json(w)) for w in words]  # likewise
-    rows: list[str] = []  # each row already serialized: far smaller than its dict
-    for left, xu in zip(dumped, singles):
-        values = [prods(xu, y, ns) for y in singles]
-        for n in ns:
-            for right, value in zip(dumped, values):
-                # dump_json of {"left", "n", "right", "value"}: the keys are
-                # already in sorted order
-                rows.append(
-                    f'{{"left":{left},"n":{n},"right":{right},'
-                    f'"value":{dump_json(fc.element_to_json(value[n]))}}}'
-                )
-    print("[" + ",".join(rows) + "]")
+    text = {w: fc.word_to_json_text(w) for w in words}  # each built once, not per cell
+    write = sys.stdout.write
+    write("[")
+    sep = ""
+    for u, n, w, value in fc.table_rows(words, range(args.max_n + 1), args.engine):
+        # dump_json of {"left", "n", "right", "value"}: the keys are already
+        # in sorted order
+        write(
+            f'{sep}{{"left":{text[u]},"n":{n},"right":{text[w]},'
+            f'"value":{fc.element_to_json_text(value)}}}'
+        )
+        sep = ","
+    write("]\n")
     return EXIT_OK
 
 
@@ -298,7 +301,9 @@ def build_parser() -> _Parser:
     p.add_argument("--left", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--engine", choices=ENGINES, default="realize")
+    # no default: a pseudo-commutative config refuses the flag (realize is
+    # the conformal default)
+    p.add_argument("--engine", choices=ENGINES)
     p.set_defaults(func=cmd_prod)
 
     p = sub.add_parser("basis", help="enumerate normal words and count them")

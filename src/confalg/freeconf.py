@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_key
 from .linear import Linear, accumulate, exact, integral
@@ -111,7 +111,8 @@ class FreeConformal:
             name: (_generator_word(config, name), math.factorial(n - 1))
             for name, n in config.n.items()
         }
-        # the full coaction, for locality_of; cprods builds a cut one per call
+        # the full coaction, for locality_of; cprods and table_rows build a
+        # cut one (_cut) per call
         self.pseudo = PseudoAlgebra(config, standard_coaction)
         # (u, W, W * iota(u)) for each D-free word u met so far, generators
         # too, keyed by u's hat word: the monomial reduce eliminates, and a
@@ -280,8 +281,21 @@ class FreeConformal:
         value is a Fraction.  Raises NotInSpan when some slice's lowest
         monomial is not a hat word.
         """
+        return ConfElement._of(self._eliminate(p, True))
+
+    def _eliminate(self, p: PElement, weigh: bool) -> dict:
+        """reduce's elimination: {word: quotient times W} with weigh, as
+        Fractions, else {word: quotient} as ints.
+
+        Without weigh, p must be a slice of the pseudoproduct of the scaled
+        images of two words u and w.  Every word it reaches has the letters
+        of u and w, so W = W_u * W_w, and the bare quotients are the
+        coordinates of p / (W_u * W_w): integers, structure constants of the
+        algebra.  A Fraction slice (a split at n >= 2 makes one) then
+        divides exactly too, and a remainder raises RuntimeError.
+        """
         cache = self._iota_cache
-        out: dict[NormalWord, Fraction] = {}
+        out: dict[NormalWord, Fraction | int] = {}
         for d in sorted(p.parts):
             g = dict(p.parts[d].terms)  # eliminated in place
             done = (-1, ())  # deg-lex key of the last eliminated monomial
@@ -298,19 +312,82 @@ class FreeConformal:
                 base, weight, image = hit
                 core = image.terms
                 num, den = g[w], core[w]
-                if num.__class__ is int:
-                    coeff, rest = divmod(num, den)
+                if num.__class__ is int or not weigh:
+                    coeff, rest = divmod(num, den)  # an int quotient either way
                     if rest:
                         raise RuntimeError(f"inexact elimination: {num} / {den} at {w!r}")
                 else:
                     coeff = num / den
                 u = base if d == 0 else NormalWord(d, base.gens, base.indices)
-                out[u] = exact(coeff * weight)
+                out[u] = exact(coeff * weight) if weigh else coeff
                 minus = -coeff
                 for k, c in core.items():
                     accumulate(g, k, c * minus)
                 done = deglex_key(w)
-        return ConfElement._of(out)
+        return out
+
+    def _cut(self, top: int) -> PseudoAlgebra:
+        """A PseudoAlgebra whose coaction stops at component top.
+
+        The coaction of each polynomial is built once: cprods and table_rows
+        hand pprod the same cached image of a right word for every word pair
+        it is in.
+        """
+        built: dict[int, tuple[NCPoly, dict[int, NCPoly]]] = {}
+
+        def coaction(f: NCPoly) -> dict[int, NCPoly]:
+            # NCPoly is unhashable, so f is keyed by identity; the entry keeps
+            # f alive, so no other object can take its id
+            hit = built.get(id(f))
+            if hit is None:
+                hit = built[id(f)] = (f, f.coact(top))
+            return hit[1]
+
+        return PseudoAlgebra(self.alg, coaction)
+
+    def _realize_pair(
+        self, cut: PseudoAlgebra, pu: PElement, pw: PElement, want: tuple[int, ...]
+    ) -> dict[int, dict[NormalWord, int]]:
+        """{n: u_(n) w as {word: int}} for each n in want.
+
+        pu and pw are the scaled images of u and w, and cut is _cut(max(want)).
+        One P8 pseudoproduct, split at the requested n alone, and each slice
+        eliminated: the quotients are the coefficients, because the weights
+        W_u * W_w cancel (see _eliminate).
+        """
+        # looked up in pseudo at call time, where bench/spans.py wraps it
+        canon = pseudo.canonicalize(cut.pprod(ProductKind.P8, pu, pw), want)
+        try:
+            return {n: self._eliminate(canon.coeff(n), False) for n in want}
+        except NotInSpan as exc:  # would falsify the image-subalgebra claim
+            raise RuntimeError(f"internal reduction failure: {exc}") from exc
+
+    def _bilinear(
+        self, x: ConfElement, y: ConfElement, want: tuple[int, ...], pair: Callable
+    ) -> dict[int, ConfElement]:
+        """{n: the sum of cu * cw * pair(u, w)[n] over the word pairs} for n in want.
+
+        pair(u, w) gives {n: {word: int}}.  The products cu * cw are written
+        over one common denominator, so the sums stay ints and each output
+        term gets one Fraction.
+        """
+        den_x = math.lcm(*(c.denominator for c in x.terms.values()))
+        den_y = math.lcm(*(c.denominator for c in y.terms.values()))
+        acc: dict[int, dict[NormalWord, int]] = {n: {} for n in want}
+        for u, cu in x.terms.items():
+            su = cu.numerator * (den_x // cu.denominator)
+            for w, cw in y.terms.items():
+                scale = su * cw.numerator * (den_y // cw.denominator)
+                for n, value in pair(u, w).items():
+                    out = acc[n]
+                    get = out.get
+                    for v, k in value.items():
+                        out[v] = get(v, 0) + k * scale
+        den = den_x * den_y
+        return {
+            n: ConfElement._of({v: Fraction(k, den) for v, k in out.items() if k})
+            for n, out in acc.items()
+        }
 
     def cprods(
         self, x: ConfElement, y: ConfElement, ns: Iterable[int]
@@ -318,40 +395,59 @@ class FreeConformal:
         """{n: x_(n) y} for each n in ns, through the realization engine.
 
         Each word pair costs one P8 pseudoproduct of the int-scaled images,
-        built only as far as the requested n reach.  y's coaction stops at
-        component max(ns): its D^(s) lands in slot 1, and an entry
-        D^i (x) D^j reaches only n in [i, i + j].  The canonical form then
-        splits each entry at the requested n alone, and those coefficients,
-        scaled by W_u * W_w, are reduced.  Every output word v has
-        W_v = W_u * W_w, so reduce's quotients are integers and the weight
-        it multiplies back in is divided out with cu * cw.  locality_of
-        keeps the full pseudoproduct.
+        built only as far as the requested n reach (_realize_pair).  y's
+        coaction stops at component max(ns): its D^(s) lands in slot 1, and
+        an entry D^i (x) D^j reaches only n in [i, i + j].  Each word of y
+        is scaled and coacted once per call, not once per pair.  The
+        canonical form then splits each entry at the requested n alone, and
+        those coefficients are eliminated.  locality_of keeps the full
+        pseudoproduct.
         """
-        acc: dict[int, dict[NormalWord, Fraction]] = {_index(n): {} for n in ns}
-        if not acc:
+        want = _requested(ns)
+        if not want:
             return {}
-        want = tuple(acc)
-        top = max(want)
-        cut = PseudoAlgebra(self.alg, lambda f: f.coact(top))
-        ys = [(self._scaled(w), cw) for w, cw in y.terms.items()]
-        for u, cu in x.terms.items():
-            pu, wu = self._scaled(u)
-            for (pw, ww), cw in ys:
-                # looked up in pseudo at call time, where bench/spans.py wraps it
-                canon = pseudo.canonicalize(cut.pprod(ProductKind.P8, pu, pw), want)
-                c = cu * cw / (wu * ww)
-                for n, out in acc.items():
-                    try:
-                        value = self.reduce(canon.coeff(n))
-                    except NotInSpan as exc:  # would falsify the image-subalgebra claim
-                        raise RuntimeError(f"internal reduction failure: {exc}") from exc
-                    for v, cv in value.terms.items():
-                        accumulate(out, v, cv * c)
-        return {n: ConfElement._of(out) for n, out in acc.items()}
+        cut = self._cut(max(want))
+        images = {u: self._scaled(u)[0] for u in (*y.terms, *x.terms)}
+        return self._bilinear(
+            x, y, want, lambda u, w: self._realize_pair(cut, images[u], images[w], want)
+        )
 
     def cprod(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
         """n-th product through the realization engine."""
         return self.cprods(x, y, (n,))[n]
+
+    def table_rows(
+        self, words: Iterable[NormalWord], ns: Iterable[int], engine: str = "realize"
+    ) -> Iterator[tuple[NormalWord, int, NormalWord, ConfElement]]:
+        """Each cell (u, n, w, u_(n) w) of the table over words x ns x words.
+
+        Cells come one at a time, u slowest and w fastest, through the named
+        engine's per-pair path.  Work that depends on one word is done once
+        per table, not once per cell: each word is validated once, and under
+        realize scaled once, with its cut coaction built once.  Each value
+        term is an int until its one Fraction.
+        """
+        self.engine(engine)  # an unknown name raises ValueError
+        words = list(words)
+        want = _requested(ns)
+        if not want:
+            return
+        if engine == "realize":
+            cut = self._cut(max(want))
+            images = [self._scaled(w)[0] for w in words]
+            for u, pu in zip(words, images):
+                # every n of a pair comes from one pseudoproduct
+                block = [self._realize_pair(cut, pu, pw, want) for pw in images]
+                for n in want:
+                    for w, value in zip(words, block):
+                        yield u, n, w, _as_element(value[n])
+        else:
+            for w in words:
+                self.validate(w)
+            for u in words:
+                for n in want:
+                    for w in words:
+                        yield u, n, w, _as_element(self._rw_words(u, n, w))
 
     def engine(self, name: str) -> tuple[Callable, Callable]:
         """The (cprod, cprods) methods of the named engine, looked up now."""
@@ -366,33 +462,25 @@ class FreeConformal:
     def cprods_rw(
         self, x: ConfElement, y: ConfElement, ns: Iterable[int]
     ) -> dict[int, ConfElement]:
-        """{n: x_(n) y} for each n in ns, through the rewriting engine."""
-        return {n: self.cprod_rw(x, n, y) for n in ns}
-
-    def cprod_rw(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
-        """n-th product via axiom-level rewriting; no embedding involved.
+        """{n: x_(n) y} for each n in ns, through the rewriting engine.
 
         Every coefficient the rules make is an int: binomials, falling
-        factorials and signs.  This is the one place that meets a Fraction:
-        each word pair's int result is scaled by cu * cw, written over the
-        common denominator of all pairs so that the sums stay ints, and every
-        returned value is a Fraction.
+        factorials and signs.  Each word pair's {word: int} from _rw_words
+        is scaled by cu * cw over a common denominator (_bilinear), and
+        every returned value is a Fraction.
         """
-        n = _index(n)  # a cached key must not let 1.0 or True stand for 1
-        pairs = []
-        for u, cu in x.terms.items():
+        want = _requested(ns)
+        if not want:
+            return {}
+        for u in (*x.terms, *y.terms):
             self.validate(u)
-            for w, cw in y.terms.items():
-                self.validate(w)
-                pairs.append((u, w, cu * cw))
-        den = math.lcm(*(c.denominator for _, _, c in pairs))
-        acc: dict[NormalWord, int] = {}
-        get = acc.get
-        for u, w, c in pairs:
-            scale = c.numerator * (den // c.denominator)
-            for v, k in self._rw_words(u, n, w).items():
-                acc[v] = get(v, 0) + k * scale
-        return ConfElement._of({v: Fraction(k, den) for v, k in acc.items() if k})
+        return self._bilinear(
+            x, y, want, lambda u, w: {n: self._rw_words(u, n, w) for n in want}
+        )
+
+    def cprod_rw(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
+        """n-th product via axiom-level rewriting; no embedding involved."""
+        return self.cprods_rw(x, y, (n,))[n]
 
     def _rw_words(self, u: NormalWord, n: int, w: NormalWord) -> dict[NormalWord, int]:
         """u_(n) w as {word: int}, by the closed-form D rules over _rw_dfree.
@@ -596,6 +684,23 @@ class FreeConformal:
             for u, c in self.sorted_terms(x)
         ]
 
+    def word_to_json_text(self, u: NormalWord) -> str:
+        """The CLI's dump_json of word_to_json(u), for a valid word u."""
+        gens = '","'.join(u.gens)
+        indices = ",".join(map(str, u.indices))
+        return f'{{"gens":["{gens}"],"indices":[{indices}],"s":{u.s}}}'
+
+    def element_to_json_text(self, x: ConfElement) -> str:
+        """The CLI's dump_json of element_to_json(x), assembled from strings.
+
+        sorted_terms validates every word, so each name is a config name:
+        an ASCII identifier, with nothing to escape.
+        """
+        text = self.word_to_json_text
+        return "[" + ",".join(
+            f'{{"coeff":"{c}","word":{text(u)}}}' for u, c in self.sorted_terms(x)
+        ) + "]"
+
     def element_from_json(self, items: Iterable[Mapping]) -> ConfElement:
         out: dict[NormalWord, Fraction] = {}
         for item in items:
@@ -627,6 +732,20 @@ class FreeConformal:
             else:
                 bits.append(f" + {body}" if c > 0 else f" - {body}")
         return "".join(bits)
+
+
+def _requested(ns: Iterable[int]) -> tuple[int, ...]:
+    """The distinct product indices of ns, in order.
+
+    Each goes through _index: a cached key must not let 1.0 or True stand
+    for 1.
+    """
+    return tuple({_index(n): None for n in ns})
+
+
+def _as_element(value: Mapping[NormalWord, int]) -> ConfElement:
+    """One word pair's {word: int} as a ConfElement: one Fraction per term."""
+    return ConfElement._of({v: Fraction(k) for v, k in value.items()})
 
 
 def random_normal_word(seed, fc: FreeConformal, *, max_k: int = 2, max_s: int = 1) -> NormalWord:

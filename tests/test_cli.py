@@ -207,6 +207,17 @@ class TestProd:
             {"d": 0, "terms": [{"coeff": "1", "word": ["a", "b", "v"]}]}
         ]
 
+    @pytest.mark.parametrize("engine", ["realize", "rewrite"])
+    def test_pseudo_commutative_refuses_an_engine(self, capsys, engine):
+        # neither engine computes a pseudo-commutative product: P20 does
+        rc, out, err = run(
+            capsys,
+            "prod", "--config", CONFIG_COMM, "--left", "a", "--n", "0", "--right", "b",
+            "--engine", engine,
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "--engine" in err
+
     def test_negative_index_exits_1(self, capsys):
         rc, _, err = run(
             capsys, "prod", "--config", CONFIG, "--left", "a", "--n", "-1", "--right", "b"

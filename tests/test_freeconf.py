@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from confalg.cli import load_config
+from confalg.cli import dump_json, load_config, main
 from confalg.freeconf import (
     ConfElement,
     FreeConformal,
@@ -461,6 +461,64 @@ class TestRequestedProductsOnly:
         assert rows and all(set(r) <= {1} for r in rows)
 
 
+class TestTableRows:
+    """table_rows against the per-pair cprods and cprods_rw."""
+
+    @pytest.fixture(
+        scope="class", params=["config_ab.json", "config_xyz.json", "config_onegen.json"]
+    )
+    def alg(self, request):
+        return load_config(str(DATA / request.param))[0]
+
+    @pytest.mark.parametrize("engine", ["realize", "rewrite"])
+    def test_rows_match_the_per_pair_products(self, alg, engine):
+        fc, ref = FreeConformal(alg), FreeConformal(alg)
+        words = fc.enumerate_basis(1)
+        ns = range(4)
+        _, prods = ref.engine(engine)
+        rows = fc.table_rows(words, ns, engine)
+        for u in words:
+            x = ConfElement.single(u)
+            want = {w: prods(x, ConfElement.single(w), ns) for w in words}
+            for n in ns:
+                for w in words:
+                    got = next(rows)
+                    assert got == (u, n, w, want[w][n]), (u, n, w)
+                    assert coefficient_types([got[3]]) <= {Fraction}
+        assert next(rows, None) is None
+
+    def test_rows_stream(self, monkeypatch):
+        fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
+        words = fc.enumerate_basis(1)
+        calls = spy_pprod(monkeypatch)
+        rows = fc.table_rows(words, range(2))
+        assert calls == []
+        next(rows)
+        # the first left word's pairs, one pseudoproduct each for both n
+        assert len(calls) == len(words)
+
+    def test_no_n_and_unknown_engines(self):
+        fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
+        words = fc.enumerate_basis(1)
+        assert list(fc.table_rows(words, ())) == []
+        with pytest.raises(ValueError, match="unknown engine"):
+            next(fc.table_rows(words, range(2), "magic"))
+
+    def test_realize_table_coacts_each_right_word_once(self, monkeypatch, capsys):
+        coacts = []
+        real = NCPoly.coact
+        monkeypatch.setattr(NCPoly, "coact", lambda f, *a: coacts.append(a) or real(f, *a))
+        calls = spy_pprod(monkeypatch)
+        rc = main([
+            "table", "--config", str(DATA / "config_ab.json"), "--max-k", "1", "--max-n", "3",
+            "--engine", "realize",
+        ])
+        assert rc == 0 and capsys.readouterr().out.startswith('[{"left":')
+        # 12 words: one cut coaction per right word, one pseudoproduct per pair
+        assert len(coacts) == 12 and set(coacts) == {(3,)}
+        assert len(calls) == 144
+
+
 def spy_pprod(monkeypatch) -> list:
     """Record every PseudoAlgebra.pprod call; cprods builds its own algebra."""
     calls = []
@@ -748,6 +806,39 @@ class TestSerialization:
                 )
             for keys in grouped.values():
                 assert keys == sorted(keys)
+
+
+class TestJsonText:
+    """The string renderer writes what dump_json writes of the dicts."""
+
+    # 40-digit numerators and denominators, negative and fractional
+    BIG = 10**39 + 7
+
+    def test_elements_match_dump_json(self):
+        fc = FreeConformal(AlgebraConfig({"alpha": 3, "b_2": 2}))
+        rng = as_rng(131)
+        scales = [1, -1, Fraction(-3, 2), self.BIG, -self.BIG, Fraction(self.BIG, 3),
+                  Fraction(-1, self.BIG)]
+        seen = set()
+        for _ in range(200):
+            x = random_element(rng, fc, max_k=3, max_s=3, max_terms=4, nonzero=False)
+            x = ConfElement({u: c * rng.choice(scales) for u, c in x.terms.items()})
+            for u, c in x.terms.items():
+                seen |= {("D", u.s > 0), ("neg", c < 0), ("frac", c.denominator > 1),
+                         ("big", len(str(abs(c))) >= 40)}
+            assert fc.element_to_json_text(x) == dump_json(fc.element_to_json(x)), x
+        assert all((kind, True) in seen for kind in ("D", "neg", "frac", "big"))
+        assert fc.element_to_json_text(ConfElement()) == "[]" == dump_json(fc.element_to_json(ConfElement()))
+
+    def test_words_match_dump_json(self):
+        fc = FreeConformal(AlgebraConfig({"alpha": 3, "b_2": 2}))
+        for u in fc.enumerate_basis(2, max_s=2):
+            assert fc.word_to_json_text(u) == dump_json(fc.word_to_json(u))
+
+    def test_unknown_letters_raise(self):
+        fc = FreeConformal(AlgebraConfig({"a": 2}))
+        with pytest.raises(ConfigError):
+            fc.element_to_json_text(ConfElement.single(NormalWord(0, ('"',), ())))
 
 
 def test_random_element_determinism(fc):
