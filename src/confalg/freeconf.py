@@ -111,8 +111,7 @@ class FreeConformal:
             name: (_generator_word(config, name), math.factorial(n - 1))
             for name, n in config.n.items()
         }
-        # the full coaction, for locality_of; cprods and table_rows build a
-        # cut one (_cut) per call
+        # the full coaction, for locality_of; _pair builds a cut one per call
         self.pseudo = PseudoAlgebra(config, standard_coaction)
         # (u, W, W * iota(u)) for each D-free word u met so far, generators
         # too, keyed by u's hat word: the monomial reduce eliminates, and a
@@ -326,13 +325,25 @@ class FreeConformal:
                 done = deglex_key(w)
         return out
 
-    def _cut(self, top: int) -> PseudoAlgebra:
-        """A PseudoAlgebra whose coaction stops at component top.
+    def _pair(
+        self, engine: str, words: Iterable[NormalWord], want: tuple[int, ...]
+    ) -> Callable[[NormalWord, NormalWord], dict[int, dict[NormalWord, int]]]:
+        """The named engine's per-pair core for words, its per-word work done.
 
-        The coaction of each polynomial is built once: cprods and table_rows
-        hand pprod the same cached image of a right word for every word pair
-        it is in.
+        The result maps (u, w), both among words, to {n: u_(n) w as
+        {word: int}} for each n in want.  Rewrite validates each word, and
+        each pair is _rw_words.  Realize scales each word once and coacts it
+        at most once, as far as component max(want), for all the pairs it
+        is in.  Each pair is then one P8 pseudoproduct, split at the
+        requested n alone, and each slice eliminated: the quotients are the
+        coefficients, because the weights W_u * W_w cancel (see _eliminate).
         """
+        if engine == "rewrite":
+            for u in words:
+                self.validate(u)
+            return lambda u, w: {n: self._rw_words(u, n, w) for n in want}
+        top = max(want)
+        images = {u: self._scaled(u)[0] for u in words}
         built: dict[int, tuple[NCPoly, dict[int, NCPoly]]] = {}
 
         def coaction(f: NCPoly) -> dict[int, NCPoly]:
@@ -343,34 +354,31 @@ class FreeConformal:
                 hit = built[id(f)] = (f, f.coact(top))
             return hit[1]
 
-        return PseudoAlgebra(self.alg, coaction)
+        cut = PseudoAlgebra(self.alg, coaction)
 
-    def _realize_pair(
-        self, cut: PseudoAlgebra, pu: PElement, pw: PElement, want: tuple[int, ...]
-    ) -> dict[int, dict[NormalWord, int]]:
-        """{n: u_(n) w as {word: int}} for each n in want.
+        def pair(u: NormalWord, w: NormalWord) -> dict[int, dict[NormalWord, int]]:
+            # looked up in pseudo at call time, where bench/spans.py wraps it
+            canon = pseudo.canonicalize(cut.pprod(ProductKind.P8, images[u], images[w]), want)
+            try:
+                return {n: self._eliminate(canon.coeff(n), False) for n in want}
+            except NotInSpan as exc:  # would falsify the image-subalgebra claim
+                raise RuntimeError(f"internal reduction failure: {exc}") from exc
 
-        pu and pw are the scaled images of u and w, and cut is _cut(max(want)).
-        One P8 pseudoproduct, split at the requested n alone, and each slice
-        eliminated: the quotients are the coefficients, because the weights
-        W_u * W_w cancel (see _eliminate).
-        """
-        # looked up in pseudo at call time, where bench/spans.py wraps it
-        canon = pseudo.canonicalize(cut.pprod(ProductKind.P8, pu, pw), want)
-        try:
-            return {n: self._eliminate(canon.coeff(n), False) for n in want}
-        except NotInSpan as exc:  # would falsify the image-subalgebra claim
-            raise RuntimeError(f"internal reduction failure: {exc}") from exc
+        return pair
 
-    def _bilinear(
-        self, x: ConfElement, y: ConfElement, want: tuple[int, ...], pair: Callable
+    def _products(
+        self, engine: str, x: ConfElement, y: ConfElement, ns: Iterable[int]
     ) -> dict[int, ConfElement]:
-        """{n: the sum of cu * cw * pair(u, w)[n] over the word pairs} for n in want.
+        """{n: x_(n) y} for each n in ns, through the named engine.
 
-        pair(u, w) gives {n: {word: int}}.  The products cu * cw are written
+        Each word pair's {word: int} from _pair is scaled by cu * cw, written
         over one common denominator, so the sums stay ints and each output
         term gets one Fraction.
         """
+        want = _requested(ns)
+        if not want:
+            return {}
+        pair = self._pair(engine, (*y.terms, *x.terms), want)
         den_x = math.lcm(*(c.denominator for c in x.terms.values()))
         den_y = math.lcm(*(c.denominator for c in y.terms.values()))
         acc: dict[int, dict[NormalWord, int]] = {n: {} for n in want}
@@ -395,37 +403,29 @@ class FreeConformal:
         """{n: x_(n) y} for each n in ns, through the realization engine.
 
         Each word pair costs one P8 pseudoproduct of the int-scaled images,
-        built only as far as the requested n reach (_realize_pair).  y's
-        coaction stops at component max(ns): its D^(s) lands in slot 1, and
-        an entry D^i (x) D^j reaches only n in [i, i + j].  Each word of y
-        is scaled and coacted once per call, not once per pair.  The
-        canonical form then splits each entry at the requested n alone, and
-        those coefficients are eliminated.  locality_of keeps the full
-        pseudoproduct.
+        built only as far as the requested n reach (_pair).  y's coaction
+        stops at component max(ns): its D^(s) lands in slot 1, and an entry
+        D^i (x) D^j reaches only n in [i, i + j].  Each word is scaled and
+        coacted once per call, not once per pair.  The canonical form then
+        splits each entry at the requested n alone, and those coefficients
+        are eliminated.  locality_of keeps the full pseudoproduct.
         """
-        want = _requested(ns)
-        if not want:
-            return {}
-        cut = self._cut(max(want))
-        images = {u: self._scaled(u)[0] for u in (*y.terms, *x.terms)}
-        return self._bilinear(
-            x, y, want, lambda u, w: self._realize_pair(cut, images[u], images[w], want)
-        )
+        return self._products("realize", x, y, ns)
 
     def cprod(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
         """n-th product through the realization engine."""
         return self.cprods(x, y, (n,))[n]
 
     def table_rows(
-        self, words: Iterable[NormalWord], ns: Iterable[int], engine: str = "realize"
+        self, words: Iterable[NormalWord], ns: Iterable[int], engine: str
     ) -> Iterator[tuple[NormalWord, int, NormalWord, ConfElement]]:
         """Each cell (u, n, w, u_(n) w) of the table over words x ns x words.
 
-        Cells come one at a time, u slowest and w fastest, through the named
-        engine's per-pair path.  Work that depends on one word is done once
-        per table, not once per cell: each word is validated once, and under
-        realize scaled once, with its cut coaction built once.  Each value
-        term is an int until its one Fraction.
+        Cells come one at a time, u slowest and w fastest.  Under realize,
+        each word is scaled once and coacted once per table, not once per
+        cell (_pair), and each value term is an int until its one Fraction.
+        Under rewrite, each cell is one cprod_rw, the product that
+        bench/spans.py counts as the rewrite engine's work.
         """
         self.engine(engine)  # an unknown name raises ValueError
         words = list(words)
@@ -433,21 +433,19 @@ class FreeConformal:
         if not want:
             return
         if engine == "realize":
-            cut = self._cut(max(want))
-            images = [self._scaled(w)[0] for w in words]
-            for u, pu in zip(words, images):
-                # every n of a pair comes from one pseudoproduct
-                block = [self._realize_pair(cut, pu, pw, want) for pw in images]
-                for n in want:
-                    for w, value in zip(words, block):
-                        yield u, n, w, _as_element(value[n])
+            pair = self._pair(engine, words, want)
+            cells = lambda u, w: {
+                n: ConfElement._of({v: Fraction(k) for v, k in value.items()})
+                for n, value in pair(u, w).items()
+            }
         else:
-            for w in words:
-                self.validate(w)
-            for u in words:
-                for n in want:
-                    for w in words:
-                        yield u, n, w, _as_element(self._rw_words(u, n, w))
+            single = {w: ConfElement.single(w) for w in words}
+            cells = lambda u, w: {n: self.cprod_rw(single[u], n, single[w]) for n in want}
+        for u in words:
+            block = [cells(u, w) for w in words]  # every n of a pair at once
+            for n in want:
+                for w, value in zip(words, block):
+                    yield u, n, w, value[n]
 
     def engine(self, name: str) -> tuple[Callable, Callable]:
         """The (cprod, cprods) methods of the named engine, looked up now."""
@@ -466,17 +464,10 @@ class FreeConformal:
 
         Every coefficient the rules make is an int: binomials, falling
         factorials and signs.  Each word pair's {word: int} from _rw_words
-        is scaled by cu * cw over a common denominator (_bilinear), and
+        is scaled by cu * cw over a common denominator (_products), and
         every returned value is a Fraction.
         """
-        want = _requested(ns)
-        if not want:
-            return {}
-        for u in (*x.terms, *y.terms):
-            self.validate(u)
-        return self._bilinear(
-            x, y, want, lambda u, w: {n: self._rw_words(u, n, w) for n in want}
-        )
+        return self._products("rewrite", x, y, ns)
 
     def cprod_rw(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
         """n-th product via axiom-level rewriting; no embedding involved."""
@@ -741,11 +732,6 @@ def _requested(ns: Iterable[int]) -> tuple[int, ...]:
     for 1.
     """
     return tuple({_index(n): None for n in ns})
-
-
-def _as_element(value: Mapping[NormalWord, int]) -> ConfElement:
-    """One word pair's {word: int} as a ConfElement: one Fraction per term."""
-    return ConfElement._of({v: Fraction(k) for v, k in value.items()})
 
 
 def random_normal_word(seed, fc: FreeConformal, *, max_k: int = 2, max_s: int = 1) -> NormalWord:

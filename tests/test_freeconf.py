@@ -491,7 +491,7 @@ class TestTableRows:
         fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
         words = fc.enumerate_basis(1)
         calls = spy_pprod(monkeypatch)
-        rows = fc.table_rows(words, range(2))
+        rows = fc.table_rows(words, range(2), "realize")
         assert calls == []
         next(rows)
         # the first left word's pairs, one pseudoproduct each for both n
@@ -500,7 +500,7 @@ class TestTableRows:
     def test_no_n_and_unknown_engines(self):
         fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
         words = fc.enumerate_basis(1)
-        assert list(fc.table_rows(words, ())) == []
+        assert list(fc.table_rows(words, (), "realize")) == []
         with pytest.raises(ValueError, match="unknown engine"):
             next(fc.table_rows(words, range(2), "magic"))
 
