@@ -11,7 +11,6 @@ from .hopf import HPoly, Scalar, TensorHH, antipode, binomial, comult, counit, d
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_key
 from .pseudo import (
     COACTIONS,
-    CanonicalPseudo,
     IdentityTerm,
     PElement,
     ProductKind,
@@ -42,7 +41,6 @@ from .exprs import ParseError, evaluate, evaluate_pseudo, parse
 
 __all__ = [
     "AlgebraConfig",
-    "CanonicalPseudo",
     "COACTIONS",
     "ConfElement",
     "ConfigError",

@@ -11,7 +11,7 @@ import shlex
 from functools import partial
 
 from .freeconf import ConfElement, FreeConformal, random_element
-from .ncpoly import AlgebraConfig
+from .ncpoly import AlgebraConfig, ConfigError
 from .pseudo import COACTIONS, ProductKind, PseudoAlgebra, as_rng, random_pelement
 from .pseudo import associator_identity, commutativity_identity
 
@@ -101,10 +101,13 @@ def run(
     """Check axiom on trials seeded draws; coaction names an entry of COACTIONS.
 
     Returns the PASS-line label ("" for the conformal axioms) and either
-    None or the first failure as (trial, case, detail).
+    None or the first failure as (trial, case, detail).  A conformal axiom
+    on a commutative config raises ConfigError from FreeConformal.
     """
-    if axiom not in AXIOMS or (axiom in CONFORMAL_AXIOMS and (alg.commutative or coaction != "standard")):
-        raise ValueError(f"cannot check {axiom!r} under coaction {coaction!r} on this config")
+    if axiom not in AXIOMS:
+        raise ValueError(f"unknown axiom: {axiom!r}")
+    if axiom in CONFORMAL_AXIOMS and coaction != "standard":
+        raise ConfigError("--coaction only affects pseudo-assoc and identity")
     label, cases = _cases(alg, axiom, coaction)
     rng = as_rng(seed)
     for t in range(trials):

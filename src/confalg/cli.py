@@ -82,14 +82,6 @@ def load_config(path: str) -> tuple[AlgebraConfig, str]:
     return alg, mode
 
 
-def _require_conformal(mode: str, what: str) -> None:
-    if mode != "conformal":
-        raise UsageError(
-            f"{what} needs mode \"conformal\"; the commutative construction "
-            "has no normal-word basis"
-        )
-
-
 def pelement_to_json(alg: AlgebraConfig, p: PElement) -> list:
     out = []
     for d in sorted(p.parts):
@@ -140,8 +132,7 @@ def _print_pelement(alg: AlgebraConfig, p: PElement) -> None:
 
 
 def cmd_reduce(args) -> int:
-    alg, mode = load_config(args.config)
-    _require_conformal(mode, "reduce")
+    alg, _ = load_config(args.config)
     fc = FreeConformal(alg)
     if (args.expr is None) == (args.raw_element is None):
         raise UsageError("reduce needs exactly one of --expr or --raw-element")
@@ -185,11 +176,9 @@ def cmd_prod(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    alg, mode = load_config(args.config)
-    _require_conformal(mode, "basis")
+    fc = FreeConformal(load_config(args.config)[0])
     if args.max_k < 0 or args.max_s < 0:
         raise UsageError("--max-k and --max-s must be nonnegative")
-    fc = FreeConformal(alg)
     words = fc.enumerate_basis(args.max_k, args.max_s)
     counts = []
     for k in range(args.max_k + 1):
@@ -205,11 +194,9 @@ def cmd_basis(args) -> int:
 
 
 def cmd_table(args) -> int:
-    alg, mode = load_config(args.config)
-    _require_conformal(mode, "table")
+    fc = FreeConformal(load_config(args.config)[0])
     if args.max_n < 0 or args.max_k < 0:
         raise UsageError("--max-n and --max-k must be nonnegative")
-    fc = FreeConformal(alg)
     words = sorted(fc.enumerate_basis(args.max_k, 0), key=fc.sort_key)
     text = {w: fc.word_to_json_text(w) for w in words}  # each built once, not per cell
     write = sys.stdout.write
@@ -228,13 +215,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_check(args) -> int:
-    alg, mode = load_config(args.config)
+    alg, _ = load_config(args.config)
     if args.trials < 1:
         raise UsageError("--trials must be positive")
-    if args.axiom in checks.CONFORMAL_AXIOMS and args.coaction != "standard":
-        raise UsageError("--coaction only affects pseudo-assoc and identity")
-    if args.axiom in checks.CONFORMAL_AXIOMS and mode != "conformal":
-        raise UsageError(f"axiom {args.axiom} needs mode \"conformal\"")
     label, failure = checks.run(alg, args.axiom, args.trials, args.seed, args.coaction)
     if failure is None:
         count = f"{label}, {args.trials} trials each" if label else f"{args.trials} trials"

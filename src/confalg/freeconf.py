@@ -103,7 +103,10 @@ class FreeConformal:
 
     def __init__(self, config: AlgebraConfig):
         if config.commutative:
-            raise ConfigError("normal words need the noncommutative word algebra")
+            raise ConfigError(
+                'normal words need mode "conformal"; the commutative construction '
+                "has no normal-word basis"
+            )
         self.alg = config
         # per letter: its word v^(n-1) a, whose suffixes are the letter's hat
         # pieces (see _hat), and (n(a) - 1)!, a factor of W
@@ -355,12 +358,13 @@ class FreeConformal:
             return hit[1]
 
         cut = PseudoAlgebra(self.alg, coaction)
+        zero = PElement(self.alg)
 
         def pair(u: NormalWord, w: NormalWord) -> dict[int, dict[NormalWord, int]]:
             # looked up in pseudo at call time, where bench/spans.py wraps it
             canon = pseudo.canonicalize(cut.pprod(ProductKind.P8, images[u], images[w]), want)
             try:
-                return {n: self._eliminate(canon.coeff(n), False) for n in want}
+                return {n: self._eliminate(canon.get(n, zero), False) for n in want}
             except NotInSpan as exc:  # would falsify the image-subalgebra claim
                 raise RuntimeError(f"internal reduction failure: {exc}") from exc
 
@@ -625,7 +629,7 @@ class FreeConformal:
         if not x or not y:
             raise ValueError("locality is defined for nonzero elements")
         canon = self.pseudo.nproducts(ProductKind.P8, self.iota(x), self.iota(y))
-        return 1 + canon.max_index()
+        return 1 + max(canon, default=-1)
 
     def associativity_defect(
         self,

@@ -28,6 +28,14 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _index(n) -> int:
+    """A product index: an int (through integral) that is not negative."""
+    n = integral(n)
+    if n < 0:
+        raise ValueError("product index must be nonnegative")
+    return n
+
+
 class HPoly(Linear):
     """Polynomial in D over Q, stored as {degree: coefficient}."""
 
@@ -152,9 +160,10 @@ def decompose(t: TensorHH, ns: Iterable[int] | None = None) -> dict[int, HPoly]:
 
     With ns given, only the nonzero h_n for n in ns are built: D^i (x) D^j
     reaches n only through the term z^m with m = i + j - n, 0 <= m <= j,
-    so it costs one term per requested n instead of j + 1.
+    so it costs one term per requested n instead of j + 1.  Each n in ns
+    must be a nonnegative int: TypeError or ValueError otherwise.
     """
-    wanted = None if ns is None else set(ns)
+    wanted = None if ns is None else {_index(n) for n in ns}
     acc: dict[int, dict[int, Fraction]] = {}
     for (i, j), c in t.coeffs.items():
         # D^i (x) D^j = x^i (z - x)^j

@@ -4,9 +4,9 @@ A combination is a dict {key: value} that holds no zero value, so equality
 is dict equality and truth is nonemptiness.  Scalar classes (HPoly,
 TensorHH, NCPoly, ConfElement) hold Fraction values; only trusted
 containers inside the realize pipeline and the splitting's cached parts
-hold ints.  Nested classes (PElement, PseudoTensor, PseudoTensor3,
-CanonicalPseudo) hold combinations of the layer below, which answer to the
-same +, -, scale and truth tests, so one implementation serves both.
+hold ints.  Nested classes (PElement, PseudoTensor, PseudoTensor3) hold
+combinations of the layer below, which answer to the same +, -, scale and
+truth tests, so one implementation serves both.
 
 exact() is the only place where an outside number becomes a coefficient;
 integral() does the same for D-degrees and product indices.

@@ -5,10 +5,10 @@ resulting two- and three-slot tensors, extraction of the n-th products, the
 expanded composition of * on three arguments, associativity and poly-linear
 identity checking, and the pseudocommutator.
 
-Both arities use confalg.hopf's formulas: canonicalize splits each two-slot
-entry by decompose, at the requested n alone or at every n; split() applies
-decompose slot by slot to three-slot tensors; flatten and star_expanded share
-D-powers by its coproduct _spread.
+Both arities use confalg.hopf's formulas: split() applies decompose slot by
+slot to every entry, at the requested n alone or at every n, and gives the
+canonical form as a plain dict; flatten and star_expanded share D-powers by
+its coproduct _spread.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Iterable
 
-from .hopf import HPoly, TensorHH, _spread, decompose
+from .hopf import HPoly, TensorHH, _index, _spread, decompose
 from .linear import AlgLinear, Linear, accumulate, exact, integral
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word
 
@@ -159,17 +159,20 @@ class _SlotTensor(AlgLinear):
         source = [sigma.index(dest) for dest in range(1, self._slots + 1)]
         return self._new({tuple(key[m] for m in source): p for key, p in self.entries.items()})
 
-    def split(self) -> dict[tuple[int, ...], PElement]:
+    def split(self, ns: Iterable[int] | None = None) -> dict[tuple[int, ...], PElement]:
         """Unique coordinates over ((-D)^(n_1) (x) ... (x) (-D)^(n_(m-1)) (x) 1), h acting on P.
 
-        The canonical form of three-slot tensors.  decompose splits each
-        entry's last two slots, then each earlier slot against the merged
-        right-hand h (decompose is linear, Delta coassociative); seeded with
-        the int 1, every h has int coefficients, so int values stay ints.
+        The canonical form of every arity: keys (n,) for two slots, (I, J)
+        for three.  decompose splits each entry's last two slots, at the n
+        in ns alone when ns is given (the last coordinate then takes no
+        other value), then each earlier slot against the merged right-hand
+        h (decompose is linear, Delta coassociative); seeded with the int
+        1, every h has int coefficients, so int values stay ints.
         """
+        ns = None if ns is None else tuple(ns)
         acc: dict[tuple[int, ...], PElement] = {}
         for key, p in self.entries.items():
-            parts = {(n,): h for n, h in decompose(TensorHH._of({key[-2:]: 1})).items()}
+            parts = {(n,): h for n, h in decompose(TensorHH._of({key[-2:]: 1}), ns).items()}
             for i in reversed(key[:-2]):
                 parts = {
                     (m,) + rest: g
@@ -210,61 +213,18 @@ class PseudoTensor(_SlotTensor):
     __slots__ = ()
     _slots = 2
     flatten = _SlotTensor.flatten  # own attribute, so tracing can wrap it
+    canonical = _SlotTensor.split  # {(n,): c_n} over ((-D)^(n) (x) 1)
 
     def swap(self) -> "PseudoTensor":
         """Exchange the two free H slots (sigma_12)."""
         return self.permute((2, 1))
 
-    def canonical(self) -> "CanonicalPseudo":
-        return canonicalize(self)
 
-
-class CanonicalPseudo(AlgLinear):
-    """Unique form {n: c_n} for sum_n ((-D)^(n) (x) 1) (x)_H c_n.
-
-    When the tensor is a pseudoproduct x * y, c_n is the n-th product of
-    x and y.
-    """
-
-    __slots__ = ()
-    _nested = True
-    coeffs = Linear.terms
-
-    def _key(self, n) -> int:
-        return integral(n)
-
-    def coeff(self, n: int) -> PElement:
-        return self.coeffs.get(integral(n)) or PElement(self.alg)
-
-    def max_index(self) -> int:
-        """Largest n with c_n nonzero; -1 if all vanish."""
-        return max(self.coeffs, default=-1)
-
-    def expand(self) -> PseudoTensor:
-        """Back to a two-slot presentation ((-D)^(n) (x) 1) (x)_H c_n."""
-        return PseudoTensor._of(self.alg, {
-            (n, 0): p.scale(Fraction((-1) ** n, math.factorial(n)))
-            for n, p in self.coeffs.items()
-        })
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"[n={n}]({self.coeffs[n]!r})" for n in sorted(self.coeffs))
-
-
-def canonicalize(t: PseudoTensor, ns: Iterable[int] | None = None) -> CanonicalPseudo:
-    """Rewrite a two-slot tensor over the basis ((-D)^(n) (x) 1).
-
-    Each entry D^i (x) D^j is split by decompose, at the n in ns alone when
-    ns is given (the result then holds no other n), at every n otherwise.
-    """
-    ns = None if ns is None else tuple(ns)
-    acc: dict[int, PElement] = {}
-    for key, p in t.entries.items():
-        for n, h in decompose(TensorHH._of({key: 1}), ns).items():
-            accumulate(acc, n, p.hpoly_mul(h))
-    return CanonicalPseudo._of(t.alg, acc)
+def canonicalize(t: PseudoTensor, ns: Iterable[int] | None = None) -> dict[int, PElement]:
+    """{n: c_n} for t = sum_n ((-D)^(n) (x) 1) (x)_H c_n, at the n in ns alone
+    when ns is given.  When t is a pseudoproduct x * y, c_n is the n-th
+    product of x and y."""
+    return {n: c for (n,), c in t.split(ns).items()}
 
 
 class PseudoTensor3(_SlotTensor):
@@ -304,14 +264,6 @@ def associator_identity() -> tuple[IdentityTerm, ...]:
         IdentityTerm((1, 2, 3), ((1, 2), 3), 1),
         IdentityTerm((1, 2, 3), (1, (2, 3)), -1),
     )
-
-
-def _index(n) -> int:
-    """A product index: an int (through integral) that is not negative."""
-    n = integral(n)
-    if n < 0:
-        raise ValueError("product index must be nonnegative")
-    return n
 
 
 def _tree_leaves(tree, out: list[int]) -> None:
@@ -357,14 +309,14 @@ class PseudoAlgebra:
             self.alg, {k: PElement._of(self.alg, {0: v}) for k, v in acc.items()}
         )
 
-    def nproducts(self, kind: ProductKind, x: PElement, y: PElement) -> CanonicalPseudo:
-        """All n-th products of x and y at once."""
+    def nproducts(self, kind: ProductKind, x: PElement, y: PElement) -> dict[int, PElement]:
+        """All nonzero n-th products of x and y at once, as {n: x_(n) y}."""
         return canonicalize(self.pprod(kind, x, y))
 
     def nth(self, kind: ProductKind, x: PElement, n: int, y: PElement) -> PElement:
         """The n-th product of x and y: the pseudoproduct split at n alone."""
         n = _index(n)
-        return canonicalize(self.pprod(kind, x, y), (n,)).coeff(n)
+        return canonicalize(self.pprod(kind, x, y), (n,)).get(n) or PElement(self.alg)
 
     def star_expanded(self, kind: ProductKind, left, right):
         """Compose * with itself: three total slots at most.
@@ -403,7 +355,7 @@ class PseudoAlgebra:
 
     def comm_nth(self, x: PElement, n: int, y: PElement, kind: ProductKind = ProductKind.P8) -> PElement:
         n = _index(n)
-        return canonicalize(self.pcommutator(x, y, kind), (n,)).coeff(n)
+        return canonicalize(self.pcommutator(x, y, kind), (n,)).get(n) or PElement(self.alg)
 
     def _eval_tree(self, kind: ProductKind, tree, sigma: tuple[int, ...], args):
         if isinstance(tree, int):
@@ -449,11 +401,7 @@ class PseudoAlgebra:
             return {}
         if n == 1:
             return {(): acc} if acc else {}
-        if n == 2:
-            coords = {(t,): p for t, p in canonicalize(acc).coeffs.items()}
-        else:
-            coords = acc.canonical()
-        return dict(sorted(coords.items()))
+        return dict(sorted(acc.canonical().items()))
 
 
 def as_rng(seed) -> random.Random:

@@ -7,6 +7,7 @@ clock includes all cache warming.
 
 import itertools
 import json
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -23,6 +24,7 @@ from confalg.pseudo import (
     PElement,
     ProductKind,
     PseudoAlgebra,
+    PseudoTensor,
     as_rng,
     associator_identity,
     commutativity_identity,
@@ -147,7 +149,11 @@ def test_criterion_06_canonical_splitting_round_trips():
         p = random_pelement(rng, alg, max_d=2, max_len=3)
         q = random_pelement(rng, alg, max_d=2, max_len=3)
         t = pa.pprod(ProductKind.P8, p, q)
-        assert t.canonical().expand() == t, trial
+        # ((-D)^(n) (x) 1) (x)_H c_n, with (-D)^(n) = (-1)^n D^n / n!
+        back = PseudoTensor(alg, {
+            (n, 0): c.scale(Fraction((-1) ** n, math.factorial(n))) for (n,), c in t.canonical().items()
+        })
+        assert back == t, trial
 
     # same splitting at the coefficient level, random two-sided polynomials
     for trial in range(100):

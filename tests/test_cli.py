@@ -403,6 +403,35 @@ class TestCheck:
         rc2, out2, _ = run(capsys, *argv[1:])
         assert rc2 == 3 and out2 == out
 
+    # stdout sha256 of failing checks under the corrupt coaction: the one
+    # CLI path where the three-slot splitting gets nonzero coordinates. The
+    # replay line prints --config as given, so the paths are relative.
+    CORRUPT_GOLDEN = [
+        ("config_ab.json", "identity", "0", "bd135cf120d1c550808b20dba5d529d7e87afdc0081bd9677e36c535855fae58"),
+        ("config_ab.json", "identity", "3", "460426c43eb9b5ad7c3ede76427797cc4ad269fd5ca1bc3cc9f393e3fa6edfa2"),
+        ("config_ab.json", "identity", "7", "237a6a3679cecaef7a83346b1d2602ba8e49b4655e22f9677dbbef7d4e8fdafe"),
+        ("config_ab.json", "pseudo-assoc", "0", "03e862931a7b69a8bdd7174c3fc98927d09d90b1974067cf7e466a9eca01b1da"),
+        ("config_ab.json", "pseudo-assoc", "3", "ed029474da20edf3b1653e1e91745b86a29f9ebc96779063bfece60544a229d1"),
+        ("config_ab.json", "pseudo-assoc", "7", "7d33848f013d5c5d90040446b773c51cfaa4035d6654aab5062dd35495037231"),
+        ("config_comm.json", "identity", "0", "170d0f2ffd93caf446525c69d084d0cd1a512420a43c47207d02c5935e5a07e7"),
+        ("config_comm.json", "identity", "3", "ec2384a1dccdca8a3b17649e9e0117e108b0d4db0eeede0d2f79fba7a1c4365a"),
+        ("config_comm.json", "identity", "7", "efa98e81eb2e0492cee68957af766c3392cd6a640f99c752b0d1bd85fe8af14d"),
+        ("config_comm.json", "pseudo-assoc", "0", "4c2efa7d6ad9decad07feb33874dcd15550e5aa968d07753ba3949e33d4270fa"),
+        ("config_comm.json", "pseudo-assoc", "3", "d99e20cb988a7f7edc5b98c3469797be9858f5bc5d74f5c74af2bae4ae886cce"),
+        ("config_comm.json", "pseudo-assoc", "7", "fbc375cb0ae946eceacaf93eea6198392e677d1b587b7ba5785526b4e36aff3c"),
+    ]
+
+    @pytest.mark.parametrize(("config", "axiom", "seed", "digest"), CORRUPT_GOLDEN)
+    def test_corrupt_coaction_golden_bytes(self, capsys, monkeypatch, config, axiom, seed, digest):
+        monkeypatch.chdir(DATA.parent.parent)
+        rc, out, _ = run(
+            capsys,
+            "check", "--config", f"tests/data/{config}", "--axiom", axiom,
+            "--coaction", "corrupt", "--trials", "10", "--seed", seed,
+        )
+        assert rc == 3
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         ("axiom", "method", "fake"),
         [

@@ -1,0 +1,34 @@
+"""The package runs on the standard library alone: no runtime dependencies."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import confalg
+
+SOURCES = sorted(Path(confalg.__file__).parent.glob("*.py"))
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Top-level names of the modules a parsed file imports; relative
+    imports count as confalg."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            out.add("confalg" if node.level else node.module.partition(".")[0])
+    return out
+
+
+def test_every_source_file_is_checked():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "freeconf.py", "pseudo.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_confalg_or_stdlib(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    outside = imported_modules(tree) - {"confalg"} - set(sys.stdlib_module_names)
+    assert outside == set(), f"{path.name} imports {sorted(outside)}"

@@ -1,4 +1,4 @@
-"""The exact linear-combination core, exercised through all eight containers.
+"""The exact linear-combination core, exercised through all seven containers.
 
 Every container stores a sparse {key: value} dict without zeros, compares
 term by term, and accepts only exact coefficients: ints, Fractions and
@@ -13,7 +13,6 @@ import pytest
 import confalg
 from confalg import (
     AlgebraConfig,
-    CanonicalPseudo,
     ConfElement,
     FreeConformal,
     HPoly,
@@ -57,11 +56,6 @@ CASES = {
         PElement(ALG),
     ),
     PseudoTensor3: (lambda: PseudoTensor3(ALG, {(0, 1, 0): _pel()}), (5, 5, 5), PElement(ALG)),
-    CanonicalPseudo: (
-        lambda: CanonicalPseudo(ALG, {0: _pel(), 1: _pel().scale(-1)}),
-        7,
-        PElement(ALG),
-    ),
 }
 CLASSES = list(CASES)
 
@@ -154,7 +148,6 @@ def test_degrees_and_indices_must_be_ints(bad):
         lambda: PElement(ALG, {bad: _poly()}),
         lambda: PseudoTensor(ALG, {(bad, 0): _pel()}),
         lambda: PseudoTensor3(ALG, {(0, 0, bad): _pel()}),
-        lambda: CanonicalPseudo(ALG, {bad: _pel()}),
         lambda: NormalWord(bad, ("a",), ()),
         lambda: NormalWord(0, ("a", "b"), (bad,)),
     ):

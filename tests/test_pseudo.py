@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from confalg.hopf import HPoly
+from confalg.hopf import HPoly, TensorHH, decompose
 from confalg.ncpoly import AlgebraConfig, ConfigError, NCPoly
 from confalg.pseudo import (
     COACTIONS,
@@ -36,6 +36,15 @@ COMM_KINDS = (ProductKind.P10, ProductKind.P20)
 
 def pel(alg, names, coeff=1, d=0):
     return PElement.from_poly(alg, alg.monomial(names, coeff)).d_shift(d)
+
+
+def expand(cls, alg, coords):
+    """Back from split's coordinates: key -> ((-D)^(k_1) (x) ... (x) 1) (x)_H c,
+    with (-D)^(k) = (-1)^k D^k / k!."""
+    return cls(alg, {
+        key + (0,): c.scale(Fraction((-1) ** sum(key), math.prod(map(math.factorial, key))))
+        for key, c in coords.items()
+    })
 
 
 class TestPElement:
@@ -103,18 +112,35 @@ class TestPseudoProduct:
         # n is taken as given or refused: 1.5 must not read as 0, nor 1.0 or True as 1
         pa = PseudoAlgebra(ONEGEN)
         x = pel(ONEGEN, ("v",))
-        can = pa.nproducts(ProductKind.P8, x, x)
         for n in (1.5, 1.0, True, "1"):
             with pytest.raises(TypeError):
                 pa.nth(ProductKind.P8, x, n, x)
             with pytest.raises(TypeError):
                 pa.comm_nth(x, n, x)
-            with pytest.raises(TypeError):
-                can.coeff(n)
         with pytest.raises(ValueError):
             pa.nth(ProductKind.P8, x, -1, x)
         with pytest.raises(ValueError):
             pa.comm_nth(x, -1, x)
+
+    def test_split_indices_are_nonnegative_ints(self):
+        # checked once, in decompose: True must not read as 1, 1.5 or -1 as
+        # "no such product", nor may 1.0 reach math.comb
+        pa = PseudoAlgebra(ONEGEN)
+        x = pel(ONEGEN, ("v",), d=1)
+        t2 = pa.pprod(ProductKind.P8, x, x)
+        t3 = pa.star_expanded(ProductKind.P8, t2, x)
+        assert t2 and t3
+        calls = (
+            lambda ns: canonicalize(t2, ns),
+            lambda ns: t3.split(ns),
+            lambda ns: decompose(TensorHH({(1, 2): 1}), ns),
+        )
+        for call in calls:
+            for n in (1.5, 1.0, True, "1"):
+                with pytest.raises(TypeError):
+                    call((n,))
+            with pytest.raises(ValueError):
+                call((0, -1))
 
     def test_canonical_splitting_of_weyl_square(self):
         pa = PseudoAlgebra(ONEGEN)
@@ -125,10 +151,9 @@ class TestPseudoProduct:
             (1, 0): pel(ONEGEN, ("v",)),
         }
         can = canonicalize(t)
-        assert can.coeff(0) == pel(ONEGEN, ("v", "v"))
-        assert can.coeff(1) == pel(ONEGEN, ("v",), -1)
-        assert can.max_index() == 1
-        assert can.expand() == t
+        assert can == {0: pel(ONEGEN, ("v", "v")), 1: pel(ONEGEN, ("v",), -1)}
+        assert t.canonical() == {(n,): p for n, p in can.items()}
+        assert expand(PseudoTensor, ONEGEN, t.canonical()) == t
 
     @pytest.mark.parametrize(
         ("kind", "alg", "want"),
@@ -182,9 +207,9 @@ def test_nth_vanishes_beyond_the_coaction_depth():
             x = random_pelement(rng, alg, max_d=2, max_len=3)
             y = random_pelement(rng, alg, max_d=2, max_len=3)
             can = pa.nproducts(kind, x, y)
-            top = can.max_index()
+            top = max(can, default=-1)
             for n in range(top + 2):
-                assert pa.nth(kind, x, n, y) == can.coeff(n), (kind, n)
+                assert pa.nth(kind, x, n, y) == can.get(n, PElement(alg)), (kind, n)
             assert not pa.nth(kind, x, top + 1, y)
             assert not pa.nth(kind, x, top + 4, y)
 
@@ -228,9 +253,7 @@ def test_cut_pseudoproduct_keeps_the_requested_products(x, y, ns):
     full = PseudoAlgebra(AB).nproducts(ProductKind.P8, x, y)
     cut = PseudoAlgebra(AB, lambda f: f.coact(max(ns)))
     got = canonicalize(cut.pprod(ProductKind.P8, x, y), ns)
-    assert set(got.coeffs) <= ns
-    for n in ns:
-        assert got.coeff(n) == full.coeff(n), n
+    assert got == {n: p for n, p in full.items() if n in ns}
 
 
 def test_canonicalize_at_requested_n_matches_the_full_form():
@@ -239,9 +262,9 @@ def test_canonicalize_at_requested_n_matches_the_full_form():
     y = pel(AB, ("v", "v", "b"), d=2)
     t = pa.pprod(ProductKind.P8, x, y)
     full = canonicalize(t)
-    assert full.max_index() > 2
-    assert canonicalize(t, (0, 2)).coeffs == {n: full.coeff(n) for n in (0, 2) if full.coeff(n)}
-    assert canonicalize(t, ()).coeffs == {}
+    assert max(full) > 2
+    assert canonicalize(t, (0, 2)) == {n: full[n] for n in (0, 2) if n in full}
+    assert canonicalize(t, ()) == {}
 
 
 def test_roundtrip_on_random_tensors():
@@ -253,12 +276,12 @@ def test_roundtrip_on_random_tensors():
             p = random_pelement(rng, AB, max_d=1, max_len=2)
             entries[key] = entries[key] + p if key in entries else p
         t = PseudoTensor(AB, entries)
-        full = canonicalize(t)
-        assert full.expand() == t
-        assert t.split() == {(n,): p for n, p in full.coeffs.items()}
+        full = t.canonical()
+        assert expand(PseudoTensor, AB, full) == t
         # D-shifted values at arbitrary keys, which no P8 product makes
         ns = set(rng.sample(range(8), rng.randint(0, 4)))
-        assert canonicalize(t, ns).coeffs == {n: p for n, p in full.coeffs.items() if n in ns}
+        assert t.split(ns) == {k: p for k, p in full.items() if k[0] in ns}
+        assert canonicalize(t, ns) == {n: p for (n,), p in full.items() if n in ns}
 
 
 @pytest.mark.parametrize("coaction", ("standard", "corrupt"))
@@ -268,7 +291,6 @@ def test_roundtrip_on_random_tensors():
     ids=[k.value for k in NONCOMM_KINDS + COMM_KINDS],
 )
 def test_three_slot_coordinates_round_trip(kind, alg, coaction):
-    # (I, J) -> ((-D)^(I) (x) (-D)^(J) (x) 1) (x)_H c, with (-D)^(k) = (-1)^k D^k / k!
     pa = PseudoAlgebra(alg, COACTIONS[coaction])
     rng = as_rng(59)
     for _ in range(4):
@@ -279,11 +301,10 @@ def test_three_slot_coordinates_round_trip(kind, alg, coaction):
         ):
             coords = t.canonical()
             assert coords
-            back = PseudoTensor3(alg, {
-                (i, j, 0): p.scale(Fraction((-1) ** (i + j), math.factorial(i) * math.factorial(j)))
-                for (i, j), p in coords.items()
-            })
-            assert back == t
+            assert expand(PseudoTensor3, alg, coords) == t
+            # ns restricts the last coordinate, J
+            for ns in ((), (0,), (1, 3), range(6)):
+                assert t.split(ns) == {k: p for k, p in coords.items() if k[1] in ns}
 
 
 class TestAssociativity:
