@@ -204,10 +204,10 @@ def cmd_table(args) -> int:
     sep = ""
     for u, n, w, value in fc.table_rows(words, range(args.max_n + 1), args.engine):
         # dump_json of {"left", "n", "right", "value"}: the keys are already
-        # in sorted order
+        # in sorted order, and so are the value's terms (table_rows)
         write(
             f'{sep}{{"left":{text[u]},"n":{n},"right":{text[w]},'
-            f'"value":{fc.element_to_json_text(value)}}}'
+            f'"value":{fc._terms_to_json_text(value.terms.items())}}}'
         )
         sep = ","
     write("]\n")

@@ -295,6 +295,11 @@ class FreeConformal:
         coordinates of p / (W_u * W_w): integers, structure constants of the
         algebra.  A Fraction slice (a split at n >= 2 makes one) then
         divides exactly too, and a remainder raises RuntimeError.
+
+        The result lists its words in sort_key order: the slices go by
+        ascending D-power d, and within a slice each eliminated monomial,
+        the hat word of the word it yields, is strictly above the last in
+        deg-lex, as the done check enforces.
         """
         cache = self._iota_cache
         out: dict[NormalWord, Fraction | int] = {}
@@ -377,7 +382,8 @@ class FreeConformal:
 
         Each word pair's {word: int} from _pair is scaled by cu * cw, written
         over one common denominator, so the sums stay ints and each output
-        term gets one Fraction.
+        term gets one Fraction.  For a single word pair each value keeps the
+        order of the pair's dict.
         """
         want = _requested(ns)
         if not want:
@@ -425,11 +431,13 @@ class FreeConformal:
     ) -> Iterator[tuple[NormalWord, int, NormalWord, ConfElement]]:
         """Each cell (u, n, w, u_(n) w) of the table over words x ns x words.
 
-        Cells come one at a time, u slowest and w fastest.  Under realize,
-        each word is scaled once and coacted once per table, not once per
-        cell (_pair), and each value term is an int until its one Fraction.
-        Under rewrite, each cell is one cprod_rw, the product that
-        bench/spans.py counts as the rewrite engine's work.
+        Cells come one at a time, u slowest and w fastest.  Every value
+        lists its terms in sort_key order, by construction, not by a sort:
+        see _eliminate, _rw_words and _rw_rule.  Under realize, each word is
+        scaled once and coacted once per table, not once per cell (_pair),
+        and each value term is an int until its one Fraction.  Under
+        rewrite, each cell is one cprod_rw of two single words, the product
+        that bench/spans.py counts as the rewrite engine's work.
         """
         self.engine(engine)  # an unknown name raises ValueError
         words = list(words)
@@ -483,6 +491,9 @@ class FreeConformal:
         (D^s x)_(n) y = (-1)^s n!/(n-s)! x_(n-s) y, and
         x_(n) D^s y = sum_j C(s, j) n!/(n-j)! D^(s-j) (x_(n-j) y).
         The result may be a dict of _rw_cache: read it, never change it.
+        It lists its words in sort_key order: a D-power on u only scales
+        the inner value, j runs down so that the D-powers s - j go up, and
+        each block is a _rw_dfree value, ordered as _rw_rule shows.
         """
         if n < 0:
             return {}
@@ -494,7 +505,7 @@ class FreeConformal:
             return {v: c * coeff for v, c in inner.items()}
         if w.s:
             out: dict[NormalWord, int] = {}
-            for j in range(min(w.s, n) + 1):
+            for j in range(min(w.s, n), -1, -1):
                 coeff = math.comb(w.s, j) * math.perm(n, j)
                 s = w.s - j  # each j has its own D-power, so no two terms meet
                 for v, c in self._rw_dfree(u.gens, u.indices, n - j, w.gens, w.indices).items():
@@ -567,6 +578,18 @@ class FreeConformal:
         times a_(m) applied to dep's value.  Every word of dep's value starts
         with a letter b whose pair bound N(a, b) exceeds m, so a_(m) only
         prefixes a .m to each word: the rules never leave normal words.
+
+        Each value lists its words in sort_key order, by induction over the
+        rules.  Every term of u_(n) w has u's and w's letters and the index
+        sum of u and w plus n, so all words of one value have hat words of
+        one length, and there deg-lex is plain lex.  All words of a dep value
+        start with the same letter b, whose hat piece in a .m v is
+        v^(n(b) - 1 - m) b, and v is the largest letter code.  The terms'
+        m fall as the rules' s (or r) rise, so each term's v-run before b is
+        longer than the last one's, and the blocks come in ascending order.
+        Within a block, the hat words are one common prefix followed by the
+        dep value's hat words with their first m letters, all v, dropped:
+        the order of the dep value, which is sorted by induction.
         """
         gu, iu, n, gw, iw = key
         if n < 0:
@@ -688,13 +711,17 @@ class FreeConformal:
     def element_to_json_text(self, x: ConfElement) -> str:
         """The CLI's dump_json of element_to_json(x), assembled from strings.
 
-        sorted_terms validates every word, so each name is a config name:
-        an ASCII identifier, with nothing to escape.
+        Sort, then join.  sorted_terms validates every word, so each name is
+        a config name: an ASCII identifier, with nothing to escape.  The
+        table joins table_rows values unsorted, without that validation;
+        the engines build those words from config names, so the same holds.
         """
+        return self._terms_to_json_text(self.sorted_terms(x))
+
+    def _terms_to_json_text(self, terms: Iterable[tuple[NormalWord, Fraction]]) -> str:
+        """element_to_json_text's join, over terms already in sort_key order."""
         text = self.word_to_json_text
-        return "[" + ",".join(
-            f'{{"coeff":"{c}","word":{text(u)}}}' for u, c in self.sorted_terms(x)
-        ) + "]"
+        return "[" + ",".join(f'{{"coeff":"{c}","word":{text(u)}}}' for u, c in terms) + "]"
 
     def element_from_json(self, items: Iterable[Mapping]) -> ConfElement:
         out: dict[NormalWord, Fraction] = {}

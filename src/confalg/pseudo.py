@@ -167,9 +167,11 @@ class _SlotTensor(AlgLinear):
         in ns alone when ns is given (the last coordinate then takes no
         other value), then each earlier slot against the merged right-hand
         h (decompose is linear, Delta coassociative); seeded with the int
-        1, every h has int coefficients, so int values stay ints.
+        1, every h has int coefficients, so int values stay ints.  Each n
+        in ns must be a nonnegative int, checked here so that a zero tensor
+        refuses what a nonzero one does: TypeError or ValueError otherwise.
         """
-        ns = None if ns is None else tuple(ns)
+        ns = None if ns is None else tuple(map(_index, ns))
         acc: dict[tuple[int, ...], PElement] = {}
         for key, p in self.entries.items():
             parts = {(n,): h for n, h in decompose(TensorHH._of({key[-2:]: 1}), ns).items()}

@@ -294,6 +294,9 @@ class TestTable:
     GOLDEN = [
         ("config_ab.json", "1", "2",
          "6e8e0cf1606725639753a2216d056a1e6565409ec265140fc7f8f8f2d53173b8"),
+        # config_ab with "order": ["b", "a"]: the other monomial order
+        ("config_ba.json", "1", "2",
+         "2a564909f5fb80478ad60904d750b0aa602c1ad537f457dbbc2b4ad5db579987"),
         ("config_xyz.json", "1", "1",
          "36eb68c3c09abc873fc95f1fd88a83da97b76b3b5b4871bfdec6d606de38fed9"),
         ("config_onegen.json", "2", "2",

@@ -487,6 +487,27 @@ class TestTableRows:
                     assert coefficient_types([got[3]]) <= {Fraction}
         assert next(rows, None) is None
 
+    @pytest.mark.parametrize("engine", ["realize", "rewrite"])
+    @pytest.mark.parametrize(
+        ("config", "max_k", "max_n"),
+        [
+            ("config_ab.json", 1, 3),
+            ("config_ba.json", 1, 3),
+            ("config_xyz.json", 1, 3),
+            ("config_onegen.json", 3, 4),
+        ],
+    )
+    def test_values_come_in_sort_key_order(self, config, max_k, max_n, engine):
+        # the table renders values unsorted; D-shifted words take the D rules
+        fc = FreeConformal(load_config(str(DATA / config))[0])
+        words = fc.enumerate_basis(max_k, max_s=1)
+        multi = 0
+        for _, _, _, value in fc.table_rows(words, range(max_n + 1), engine):
+            assert list(value.terms) == [u for u, _ in fc.sorted_terms(value)], value
+            multi += len(value.terms) > 1
+        # at locality 1, every onegen cell is one word or zero
+        assert multi or config == "config_onegen.json"
+
     def test_rows_stream(self, monkeypatch):
         fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
         words = fc.enumerate_basis(1)
@@ -829,6 +850,16 @@ class TestJsonText:
             assert fc.element_to_json_text(x) == dump_json(fc.element_to_json(x)), x
         assert all((kind, True) in seen for kind in ("D", "neg", "frac", "big"))
         assert fc.element_to_json_text(ConfElement()) == "[]" == dump_json(fc.element_to_json(ConfElement()))
+
+    def test_elements_are_sorted_whatever_their_order(self):
+        fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
+        terms = [(u, Fraction(i + 1)) for i, u in enumerate(fc.enumerate_basis(1, max_s=1))]
+        ordered = sorted(terms, key=lambda item: fc.sort_key(item[0]))
+        x = ConfElement(dict(ordered[::-1]))
+        assert list(x.terms.items()) == ordered[::-1]
+        text = fc.element_to_json_text(x)
+        assert text == dump_json(fc.element_to_json(ConfElement(dict(ordered))))
+        assert text == fc._terms_to_json_text(ordered) != fc._terms_to_json_text(ordered[::-1])
 
     def test_words_match_dump_json(self):
         fc = FreeConformal(AlgebraConfig({"alpha": 3, "b_2": 2}))

@@ -123,8 +123,9 @@ class TestPseudoProduct:
             pa.comm_nth(x, -1, x)
 
     def test_split_indices_are_nonnegative_ints(self):
-        # checked once, in decompose: True must not read as 1, 1.5 or -1 as
-        # "no such product", nor may 1.0 reach math.comb
+        # checked by split and by decompose: True must not read as 1, 1.5 or
+        # -1 as "no such product", nor may 1.0 reach math.comb; a zero tensor
+        # has no entry to decompose, so split checks before its entry loop
         pa = PseudoAlgebra(ONEGEN)
         x = pel(ONEGEN, ("v",), d=1)
         t2 = pa.pprod(ProductKind.P8, x, x)
@@ -134,6 +135,8 @@ class TestPseudoProduct:
             lambda ns: canonicalize(t2, ns),
             lambda ns: t3.split(ns),
             lambda ns: decompose(TensorHH({(1, 2): 1}), ns),
+            lambda ns: canonicalize(PseudoTensor(ONEGEN), ns),
+            lambda ns: PseudoTensor3(ONEGEN).split(ns),
         )
         for call in calls:
             for n in (1.5, 1.0, True, "1"):
