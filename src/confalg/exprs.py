@@ -65,10 +65,8 @@ class _Parser:
             raise self.error(f"{what} has too many digits ({self.pos - start})", start) from None
 
     def read_ident(self) -> tuple[int, str]:
+        """A name at pos, whose first character the caller has checked."""
         start = self.pos
-        ch = self.peek()
-        if not (ch.isalpha() or ch == "_"):
-            raise self.error("expected a name")
         while self.pos < len(self.text) and (
             self.text[self.pos].isalnum() or self.text[self.pos] == "_"
         ):

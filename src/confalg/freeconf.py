@@ -495,8 +495,6 @@ class FreeConformal:
         the inner value, j runs down so that the D-powers s - j go up, and
         each block is a _rw_dfree value, ordered as _rw_rule shows.
         """
-        if n < 0:
-            return {}
         if u.s:
             if n < u.s:
                 return {}
@@ -528,6 +526,13 @@ class FreeConformal:
         with an explicit stack, not one Python frame per generator: each key
         on it waits until the keys its rule reads (_rw_rule) are cached, and
         the words of the value are built once each, through _rw_interned.
+
+        No key is pushed while it is pending, so none is settled twice.
+        Every dep has one generator fewer (len(gu) + len(gw)) than its key:
+        the left rule drops u's first letter, the right rule w's.  So a new
+        dep is smaller than every key on the stack (the key it is a dep of,
+        that key's pending ancestors and their siblings), and the deps of
+        one key differ in n (n + s, or n1 + r).
         """
         cache = self._rw_cache
         root = (gu, iu, n, gw, iw)
@@ -538,9 +543,6 @@ class FreeConformal:
         while stack:
             entry = stack[-1]
             key, terms = entry
-            if key in cache:  # pushed twice, settled through the other entry
-                stack.pop()
-                continue
             if terms is None:
                 val, terms = self._rw_rule(key)
                 if terms is None:
@@ -592,8 +594,6 @@ class FreeConformal:
         the order of the dep value, which is sorted by induction.
         """
         gu, iu, n, gw, iw = key
-        if n < 0:
-            return {}, None
         if len(gu) > 1:
             # (a1_(m1) u1)_(n) w = sum_s (-1)^s C(m1, s) a1_(m1-s) (u1_(n+s) w);
             # m1 - s <= m1 < N(a1, first letter of u1)
@@ -691,7 +691,11 @@ class FreeConformal:
 
     def word_from_json(self, obj: Mapping) -> NormalWord:
         try:
-            u = NormalWord(obj["s"], tuple(obj["gens"]), tuple(obj["indices"]))
+            gens, indices = obj["gens"], obj["indices"]
+            # tuple() would read a string as its letters and a dict as its keys
+            if not (isinstance(gens, list) and isinstance(indices, list)):
+                raise TypeError("gens and indices must be JSON arrays")
+            u = NormalWord(obj["s"], tuple(gens), tuple(indices))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad normal-word object: {obj!r}") from exc
         return self.validate(u)

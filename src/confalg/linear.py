@@ -21,10 +21,6 @@ from typing import Iterable, Mapping
 
 _new_object = object.__new__
 
-# Operations copied, as inherited, into each subclass's own namespace, so
-# that patching one class (bench/spans.py wraps NCPoly's) leaves the others alone.
-_SHARED = ("__bool__", "__eq__", "__add__", "__sub__", "__neg__", "scale")
-
 
 def exact(c) -> Fraction:
     """c as a Fraction; only ints, Fractions and rational strings qualify.
@@ -84,12 +80,6 @@ class Linear:
 
     def __init__(self, terms: Mapping | None = None):
         self.terms = self._collect(terms)
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        for name in _SHARED:
-            if name not in cls.__dict__:
-                setattr(cls, name, getattr(cls, name))
 
     @classmethod
     def _of(cls, terms: dict):

@@ -123,6 +123,9 @@ class NCPoly(AlgLinear):
     """Linear combination of words with Fraction coefficients."""
 
     __slots__ = ()
+    # own attributes, so tracing can wrap NCPoly's arithmetic and no other class's
+    __add__, __sub__, __neg__ = AlgLinear.__add__, AlgLinear.__sub__, AlgLinear.__neg__
+    scale = AlgLinear.scale
 
     def _key(self, w) -> Word:
         w = tuple(w)

@@ -108,6 +108,23 @@ class TestReduce:
         assert rc == 1 and out == ""
         assert err.startswith("error: bad raw element: ")
 
+    @pytest.mark.parametrize(
+        ("text", "prefix"),
+        [
+            (None, "error: cannot read raw element: "),
+            ("{", "error: raw element is not valid JSON: "),
+            ("{}", 'error: raw element must be {"parts": [{"d": ..., "terms": [...]}]}'),
+        ],
+        ids=["missing-file", "invalid-json", "no-parts"],
+    )
+    def test_unreadable_raw_element_exits_1(self, capsys, tmp_path, text, prefix):
+        path = tmp_path / "raw.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        rc, out, err = run(capsys, "reduce", "--config", CONFIG, "--raw-element", str(path))
+        assert rc == 1 and out == ""
+        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+
     def test_raw_element_outside_span_exits_2(self, capsys):
         rc, out, err = run(
             capsys,
@@ -148,7 +165,19 @@ class TestConfigHandling:
         "config_syntax.json",
         "config_not_object.json",
         "config_empty_order.json",
+        "config_no_generators.json",
+        "config_no_locality.json",
+        "config_name_not_string.json",
+        "config_order_not_names.json",
     ]
+    # load_config's own refusals, which AlgebraConfig never sees
+    SHAPE_MESSAGES = {
+        "config_not_object.json": "config must be a JSON object",
+        "config_no_generators.json": "config needs a nonempty generators list",
+        "config_no_locality.json": "each generator entry needs name and locality",
+        "config_name_not_string.json": "generator names must be strings",
+        "config_order_not_names.json": "order must be a list of generator names",
+    }
 
     @pytest.mark.parametrize("name", BAD)
     def test_bad_configs_exit_1(self, capsys, name):
@@ -156,6 +185,13 @@ class TestConfigHandling:
             capsys, "reduce", "--config", str(DATA / "bad" / name), "--expr", "a"
         )
         assert rc == 1 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize(("name", "message"), SHAPE_MESSAGES.items())
+    def test_bad_config_shapes_are_named(self, capsys, name, message):
+        rc, out, err = run(
+            capsys, "reduce", "--config", str(DATA / "bad" / name), "--expr", "a"
+        )
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
 
     def test_empty_order_names_the_order(self, capsys):
         path = str(DATA / "bad" / "config_empty_order.json")
@@ -263,6 +299,10 @@ class TestBasis:
         seen = {json.dumps(w, sort_keys=True) for w in payload["words"]}
         assert len(seen) == payload["total"]
 
+    def test_negative_max_k_exits_1(self, capsys):
+        rc, out, err = run(capsys, "basis", "--config", CONFIG, "--max-k", "-1")
+        assert (rc, out, err) == (1, "", "error: --max-k and --max-s must be nonnegative\n")
+
     def test_byte_stable(self, capsys):
         a = run(capsys, "basis", "--config", CONFIG, "--max-k", "2")
         b = run(capsys, "basis", "--config", CONFIG, "--max-k", "2")
@@ -270,6 +310,10 @@ class TestBasis:
 
 
 class TestTable:
+    def test_negative_max_n_exits_1(self, capsys):
+        rc, out, err = run(capsys, "table", "--config", CONFIG, "--max-n", "-1", "--max-k", "1")
+        assert (rc, out, err) == (1, "", "error: --max-n and --max-k must be nonnegative\n")
+
     def test_structure_and_byte_stability(self, capsys):
         rc, out, _ = run(
             capsys, "table", "--config", CONFIG, "--max-n", "2", "--max-k", "1"

@@ -180,6 +180,12 @@ class TestHatWords:
             fc.sort_key(u)
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
+    def test_hat_word_refuses_a_d_shifted_word(self, fc):
+        with pytest.raises(ValueError) as got:
+            fc.hat_word(fc.normal(1, ("a", "b"), (0,)))
+        assert type(got.value) is ValueError
+        assert str(got.value) == "hat words are defined for D-free normal words"
+
     def test_non_hat_words_map_to_none(self, fc):
         alg = fc.alg
         assert fc.word_to_normal(alg.word(("v", "a"))) is None
@@ -644,6 +650,29 @@ class TestRewriteIntCore:
             assert all(type(v) is NormalWord and v.s == 0 for v in value)
             assert all(type(c) is int and c for c in value.values())
 
+    def test_every_rule_step_drops_one_generator(self, fc):
+        # _rw_dfree's stack never meets a key that is already settled or
+        # pending: every dep is one generator shorter than its key, and the
+        # deps of one key differ.  No n is ever negative.
+        fc = FreeConformal(fc.alg)
+        rng = as_rng(127)
+        for _ in range(60):
+            u = random_normal_word(rng, fc, max_k=3, max_s=0)
+            w = random_normal_word(rng, fc, max_k=3, max_s=0)
+            fc.cprods_rw(ConfElement.single(u), ConfElement.single(w), range(7))
+        size = lambda key: len(key[0]) + len(key[3])
+        expanded = {"left": 0, "right": 0}
+        for key in fc._rw_cache:
+            assert key[2] >= 0, key
+            _, terms = fc._rw_rule(key)
+            if terms is None:
+                continue
+            expanded["left" if len(key[0]) > 1 else "right"] += 1
+            deps = [dep for _, _, _, dep in terms]
+            assert len(set(deps)) == len(deps), key
+            assert all(size(dep) == size(key) - 1 for dep in deps), key
+        assert min(expanded.values()) > 100, expanded
+
     def test_every_returned_coefficient_is_a_fraction(self, fc):
         rng = as_rng(113)
         for _ in range(20):
@@ -750,6 +779,14 @@ class TestLocality:
         assert fc.locality_of(a, b.d_shift(1)) == 3
         assert fc.locality_of(a, a) == 1
 
+    def test_a_zero_factor_is_refused(self, fc):
+        a = fc.generator("a")
+        for x, y in ((ConfElement(), a), (a, ConfElement())):
+            with pytest.raises(ValueError) as got:
+                fc.locality_of(x, y)
+            assert type(got.value) is ValueError
+            assert str(got.value) == "locality is defined for nonzero elements"
+
     def test_left_shift_raises_the_bound(self):
         # the D on the left slot matters: without it the bound would be 1
         fc1 = FreeConformal(AlgebraConfig({"a": 1}))
@@ -775,6 +812,9 @@ class TestEnumeration:
     def test_counts_match_the_formula(self, fc):
         for k in range(4):
             assert fc.basis_count(k) == 2 * 3 ** k
+        with pytest.raises(ValueError) as got:
+            fc.basis_count(-1)
+        assert type(got.value) is ValueError and str(got.value) == "negative length"
         words = fc.enumerate_basis(3)
         by_k = {}
         for u in words:

@@ -159,6 +159,20 @@ def test_degrees_and_indices_must_be_ints(bad):
             fc.word_from_json(dict(fc.word_to_json(U), **patch))
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [{"gens": "ab"}, {"gens": {"a": 1, "b": 2}}, {"gens": ["a"], "indices": ""}],
+    ids=repr,
+)
+def test_word_json_needs_arrays(patch):
+    fc = FreeConformal(ALG)
+    obj = dict(fc.word_to_json(U), **patch)
+    with pytest.raises(ValueError, match="^bad normal-word object: "):
+        fc.word_from_json(obj)
+    with pytest.raises(ValueError, match="^bad normal-word object: "):
+        fc.element_from_json([{"coeff": "1", "word": obj}])
+
+
 def test_public_constructors_still_validate():
     with pytest.raises(ValueError):
         HPoly({-1: 1})

@@ -65,6 +65,9 @@ class TestConfigValidation:
             AlgebraConfig({"a": 1, "b": 1}, order=["a"])
         with pytest.raises(ConfigError):
             AlgebraConfig({"a": 1, "b": 1}, order=["a", "a"])
+        # this order covers every declared name, so only the duplicate check sees it
+        with pytest.raises(ConfigError, match="^duplicate generator name$"):
+            AlgebraConfig({"a": 1}, order=["a", "a"])
         alg = AlgebraConfig({"a": 1, "b": 1}, order=["b", "a"])
         assert alg.names == ("b", "a")
         assert alg.letter("b") == 0

@@ -10,6 +10,7 @@ from confalg.hopf import HPoly, TensorHH, decompose
 from confalg.ncpoly import AlgebraConfig, ConfigError, NCPoly
 from confalg.pseudo import (
     COACTIONS,
+    IdentityTerm,
     PElement,
     ProductKind,
     PseudoAlgebra,
@@ -57,6 +58,11 @@ class TestPElement:
         x = pel(AB, ("a",))
         assert x.d_shift(2) == x.d_shift(1).d_shift(1)
         assert x.d_shift(0) == x
+
+    def test_negative_shift_is_refused(self):
+        with pytest.raises(ValueError) as got:
+            pel(AB, ("a",)).d_shift(-1)
+        assert type(got.value) is ValueError and str(got.value) == "negative shift"
 
     def test_hpoly_mul_expands(self):
         x = pel(AB, ("a",))
@@ -370,6 +376,17 @@ class TestPermutations:
             )
             assert t.swap().swap() == t
 
+    def test_keys_and_permutations_must_fit_the_slots(self):
+        x = pel(AB, ("a",))
+        with pytest.raises(ValueError) as got:
+            PseudoTensor(AB, {(1,): x})
+        assert type(got.value) is ValueError
+        assert str(got.value) == "expected 2 slot degrees, got (1,)"
+        with pytest.raises(ValueError) as got:
+            PseudoTensor(AB, {(0, 1): x}).permute((1, 1))
+        assert type(got.value) is ValueError
+        assert str(got.value) == "not a permutation of 1..2: (1, 1)"
+
     def test_permute_composes(self):
         rng = as_rng(41)
         sigmas = [(1, 3, 2), (2, 1, 3), (3, 1, 2), (2, 3, 1)]
@@ -443,9 +460,25 @@ class TestIdentityEvaluation:
             sizes.append(len(value))
         assert max(sizes) > 1
 
-    def test_malformed_terms_are_rejected(self):
-        from confalg.pseudo import IdentityTerm
+    @pytest.mark.parametrize(
+        ("args", "terms", "kind", "message"),
+        [
+            ([], commutativity_identity(), ValueError, "between one and three arguments are supported"),
+            ([pel(AB, ("a",))] * 4, commutativity_identity(), ValueError,
+             "between one and three arguments are supported"),
+            ([pel(AB, ("a",)), AB.monomial(("b",))], commutativity_identity(), TypeError,
+             "arguments must be PElement values"),
+            ([pel(AB, ("a",))] * 2, (IdentityTerm((1, 2), (1, 2, 3)),), ValueError,
+             "malformed tree node: (1, 2, 3)"),
+        ],
+        ids=["no-arguments", "four-arguments", "not-a-pelement", "three-way-node"],
+    )
+    def test_unusable_arguments_are_named(self, args, terms, kind, message):
+        with pytest.raises((TypeError, ValueError)) as got:
+            PseudoAlgebra(AB).eval_identity(terms, ProductKind.P8, args)
+        assert type(got.value) is kind and str(got.value) == message
 
+    def test_malformed_terms_are_rejected(self):
         pa = PseudoAlgebra(AB)
         x = pel(AB, ("a",))
         with pytest.raises(ValueError):
