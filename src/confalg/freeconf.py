@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_key
-from .linear import Linear, accumulate, exact, integral
+from .linear import Linear, _new_object, accumulate, exact, integral
 from . import pseudo
 from .pseudo import _COEFF_POOL, _index, PElement, ProductKind, PseudoAlgebra, as_rng, standard_coaction
 
@@ -32,17 +32,20 @@ class NotInSpan(Exception):
         super().__init__(f"monomial outside the normal-word span: {shown}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalWord:
     """D^s (a_1 .n_1 (a_2 .n_2 (... a_k .n_k a_{k+1} ...))).
 
     gens has one more entry than indices; index i must satisfy
-    0 <= n_i < N(a_i, a_{i+1}) = n(a_{i+1}).
+    0 <= n_i < N(a_i, a_{i+1}) = n(a_{i+1}).  Every dict of the engines is
+    keyed by words, so the hash of (s, gens, indices) is computed once, at
+    construction; equality and repr read the three fields alone.
     """
 
     s: int
     gens: tuple[str, ...]
     indices: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "s", integral(self.s))
@@ -52,9 +55,29 @@ class NormalWord:
             raise ValueError("negative D-power")
         if len(self.gens) != len(self.indices) + 1:
             raise ValueError("need exactly one more generator than product indices")
+        object.__setattr__(self, "_hash", hash((self.s, self.gens, self.indices)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a str hashes differently in each process, so a pickle carries the
+        # fields alone and the constructor computes the hash again
+        return NormalWord, (self.s, self.gens, self.indices)
+
+    @staticmethod
+    def _of(s: int, gens: tuple[str, ...], indices: tuple[int, ...]) -> "NormalWord":
+        """Trusted constructor: s an int >= 0, indices a tuple of ints, and
+        gens a tuple one longer; nothing is checked or converted."""
+        word = _new_object(NormalWord)
+        object.__setattr__(word, "s", s)
+        object.__setattr__(word, "gens", gens)
+        object.__setattr__(word, "indices", indices)
+        object.__setattr__(word, "_hash", hash((s, gens, indices)))
+        return word
 
     def dfree(self) -> "NormalWord":
-        return self if self.s == 0 else NormalWord(0, self.gens, self.indices)
+        return self if self.s == 0 else NormalWord._of(0, self.gens, self.indices)
 
 
 class ConfElement(Linear):
@@ -122,11 +145,13 @@ class FreeConformal:
         # letters (see _iota_nc): a generator is the bare word v^(n-1) a, and
         # every coefficient is an int.  The rewriting engine makes none.
         self._iota_cache: dict[Word, tuple[NormalWord, int, NCPoly]] = {}
+        # the words the rewriting engine's _pair has validated; a word that
+        # fails validate is never added
+        self._valid: set[NormalWord] = set()
         # _rw_dfree values, {D-free word: int}, by
         # (gens_u, indices_u, n, gens_w, indices_w); Fractions appear only
         # in cprod_rw.  _rw_interned holds each word those values name, by
-        # (gens, indices), so that each is built, with NormalWord's integral
-        # check on every index, once.
+        # (gens, indices), so that each is built and stored once.
         self._rw_cache: dict[tuple, dict[NormalWord, int]] = {}
         self._rw_interned: dict[tuple, NormalWord] = {}
 
@@ -193,7 +218,7 @@ class FreeConformal:
                 sign = (-1) ** m
                 image = {prefix + w: sign * c for w, c in entry[2].vderiv(m).terms.items()}
                 weight *= entry[1]
-            word = NormalWord(0, gens[k:], indices[k:]) if k else u.dfree()
+            word = NormalWord._of(0, gens[k:], indices[k:]) if k else u.dfree()
             entry = cache[keys[k]] = (word, weight, NCPoly._of(self.alg, image))
         return entry
 
@@ -245,7 +270,12 @@ class FreeConformal:
         return tuple(hat)
 
     def word_to_normal(self, w: Word) -> tuple[int, NormalWord] | None:
-        """Invert hat_word; None when w is not a hat word.
+        """Invert hat_word; None when w is not a hat word (see _parse_hat)."""
+        u = self._parse_hat(w)
+        return None if u is None else ((-1) ** sum(u.indices), u)
+
+    def _parse_hat(self, w: Word) -> NormalWord | None:
+        """The D-free word whose hat word is w; None when w is not a hat word.
 
         w is cut after each generator code: a slice of length L that ends in
         letter a is a's piece facing index n(a) - L.  None when an index is
@@ -268,13 +298,13 @@ class FreeConformal:
         if start != len(w) or not names or indices[0] != 0:
             return None
         del indices[0]
-        return (-1) ** sum(indices), NormalWord(0, tuple(names), tuple(indices))
+        return NormalWord._of(0, tuple(names), tuple(indices))
 
     def reduce(self, p: PElement) -> ConfElement:
         """Express p in normal words, greedily eliminating lowest monomials.
 
         The lowest monomial of each step is looked up in the hat-keyed image
-        cache; word_to_normal and the image build run only the first time a
+        cache; _parse_hat and the image build run only the first time a
         hat word is seen.  Each step divides by the leading coefficient of an
         int-scaled image and multiplies the quotient by that image's weight
         W.  An int slice divides exactly; a remainder raises RuntimeError,
@@ -305,17 +335,19 @@ class FreeConformal:
         out: dict[NormalWord, Fraction | int] = {}
         for d in sorted(p.parts):
             g = dict(p.parts[d].terms)  # eliminated in place
+            get = g.get
             done = (-1, ())  # deg-lex key of the last eliminated monomial
             while g:
-                w = min(g, key=deglex_key)
-                if deglex_key(w) <= done:
+                key = min(map(deglex_key, g))
+                if key <= done:
                     raise RuntimeError("reduction failed to make progress")
+                w = key[1]
                 hit = cache.get(w)
                 if hit is None:
-                    found = self.word_to_normal(w)
+                    found = self._parse_hat(w)
                     if found is None:
                         raise NotInSpan(w, self.alg.word_names(w))
-                    hit = self._iota_nc(found[1], w)
+                    hit = self._iota_nc(found, w)
                 base, weight, image = hit
                 core = image.terms
                 num, den = g[w], core[w]
@@ -325,12 +357,16 @@ class FreeConformal:
                         raise RuntimeError(f"inexact elimination: {num} / {den} at {w!r}")
                 else:
                     coeff = num / den
-                u = base if d == 0 else NormalWord(d, base.gens, base.indices)
+                u = base if d == 0 else NormalWord._of(d, base.gens, base.indices)
                 out[u] = exact(coeff * weight) if weigh else coeff
-                minus = -coeff
+                # coeff and every c are nonzero, so a zero lands on a key of g
                 for k, c in core.items():
-                    accumulate(g, k, c * minus)
-                done = deglex_key(w)
+                    value = get(k, 0) - c * coeff
+                    if value:
+                        g[k] = value
+                    else:
+                        del g[k]
+                done = key
         return out
 
     def _pair(
@@ -339,16 +375,18 @@ class FreeConformal:
         """The named engine's per-pair core for words, its per-word work done.
 
         The result maps (u, w), both among words, to {n: u_(n) w as
-        {word: int}} for each n in want.  Rewrite validates each word, and
-        each pair is _rw_words.  Realize scales each word once and coacts it
-        at most once, as far as component max(want), for all the pairs it
-        is in.  Each pair is then one P8 pseudoproduct, split at the
+        {word: int}} for each n in want.  Rewrite validates each word once
+        per FreeConformal (_valid), and each pair is _rw_words.  Realize
+        scales each word once and coacts it at most once, as far as
+        component max(want), for all the pairs it is in.  Each pair is then one P8 pseudoproduct, split at the
         requested n alone, and each slice eliminated: the quotients are the
         coefficients, because the weights W_u * W_w cancel (see _eliminate).
         """
         if engine == "rewrite":
+            valid = self._valid
             for u in words:
-                self.validate(u)
+                if u not in valid:
+                    valid.add(self.validate(u))
             return lambda u, w: {n: self._rw_words(u, n, w) for n in want}
         top = max(want)
         images = {u: self._scaled(u)[0] for u in words}
@@ -507,7 +545,7 @@ class FreeConformal:
                 coeff = math.comb(w.s, j) * math.perm(n, j)
                 s = w.s - j  # each j has its own D-power, so no two terms meet
                 for v, c in self._rw_dfree(u.gens, u.indices, n - j, w.gens, w.indices).items():
-                    out[NormalWord(s, v.gens, v.indices) if s else v] = c * coeff
+                    out[NormalWord._of(s, v.gens, v.indices) if s else v] = c * coeff
             return out
         return self._rw_dfree(u.gens, u.indices, n, w.gens, w.indices)
 
@@ -569,7 +607,7 @@ class FreeConformal:
         """The one D-free NormalWord of the rewriting engine for (gens, indices)."""
         word = self._rw_interned.get((gens, indices))
         if word is None:
-            word = self._rw_interned[gens, indices] = NormalWord(0, gens, indices)
+            word = self._rw_interned[gens, indices] = NormalWord._of(0, gens, indices)
         return word
 
     def _rw_rule(self, key: tuple) -> tuple[dict | None, list | None]:

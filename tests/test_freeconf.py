@@ -6,10 +6,15 @@ point: each one is the oracle for the other.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import confalg
 from confalg.cli import dump_json, load_config, main
 from confalg.freeconf import (
     ConfElement,
@@ -62,6 +67,87 @@ class TestNormalWords:
     def test_commutative_config_is_rejected(self):
         with pytest.raises(ConfigError):
             FreeConformal(AlgebraConfig({"a": 1}, commutative=True))
+
+
+class TestWordStorage:
+    """NormalWord stores its hash; the trusted constructor checks nothing."""
+
+    PARTS = [(0, ("a",), ()), (2, ("b", "a", "b"), (1, 0)), (1, ("a", "b"), (0,))]
+
+    @pytest.mark.parametrize("parts", PARTS)
+    def test_trusted_words_match_public_ones(self, parts):
+        u, v = NormalWord(*parts), NormalWord._of(*parts)
+        assert u == v and hash(u) == hash(v) == hash(parts)
+        assert {u: 1}[v] == 1
+        assert v.dfree() == NormalWord(0, *parts[1:])
+
+    @pytest.mark.parametrize(
+        ("args", "kind"),
+        [
+            ((-1, ("a",), ()), ValueError),
+            ((0, ("a", "b"), (True,)), TypeError),
+            ((0, ("a", "b"), (1.0,)), TypeError),
+            ((0, ("a", "b"), ("1",)), TypeError),
+            ((True, ("a",), ()), TypeError),
+            ((0, ("a", "b"), ()), ValueError),
+            ((0, ("a",), (0,)), ValueError),
+        ],
+    )
+    def test_the_public_constructor_keeps_its_checks(self, args, kind):
+        with pytest.raises(kind):
+            NormalWord(*args)
+
+    def test_repr_shows_the_three_fields(self):
+        u = NormalWord(1, ("a", "b"), (0,))
+        assert repr(u) == "NormalWord(s=1, gens=('a', 'b'), indices=(0,))"
+        assert not hasattr(u, "__dict__")
+
+    def test_pickles_hash_again_in_another_process(self):
+        src = str(Path(confalg.__file__).resolve().parent.parent)
+        word = "NormalWord(2, ('b', 'a'), (1,))"
+        dump = f"import pickle\nfrom confalg.freeconf import NormalWord\nprint(pickle.dumps({word}).hex())"
+        load = (
+            "import pickle, sys\nfrom confalg.freeconf import NormalWord\n"
+            f"u, v = pickle.loads(bytes.fromhex(sys.argv[1])), {word}\n"
+            "print(u == v, hash(u) == hash(v), {v: 1}.get(u) == 1)"
+        )
+
+        def run(seed, *argv):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", *argv], capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.strip()
+
+        assert run("2", load, run("1", dump)) == "True True True"
+
+    def test_rewrite_validates_each_word_once(self, monkeypatch):
+        fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
+        seen = []
+        real = FreeConformal.validate
+
+        def spy(self, u):
+            seen.append(u)
+            return real(self, u)
+
+        monkeypatch.setattr(FreeConformal, "validate", spy)
+        a, b = fc.generator("a"), fc.generator("b")
+        for n in range(3):
+            fc.cprod_rw(a, n, b)
+        assert sorted(seen, key=repr) == [NormalWord(0, ("a",), ()), NormalWord(0, ("b",), ())]
+
+    @pytest.mark.parametrize(
+        ("word", "kind"),
+        [(NormalWord(0, ("a", "b"), (3,)), ValueError), (NormalWord(0, ("a", "c"), (0,)), ConfigError)],
+    )
+    def test_a_refused_word_is_refused_on_every_call(self, word, kind):
+        fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
+        a, bad = fc.generator("a"), ConfElement.single(word)
+        for _ in range(3):
+            with pytest.raises(ValueError) as got:
+                fc.cprod_rw(a, 0, bad)
+            assert type(got.value) is kind
 
 
 class TestRealizationMap:
@@ -757,13 +843,13 @@ class TestHatKeyedImages:
         fresh = FreeConformal(fc.alg)
         canon = fresh.pseudo.nproducts(ProductKind.P8, fresh.iota(x), fresh.iota(y))
         parsed = []
-        real = FreeConformal.word_to_normal
+        real = FreeConformal._parse_hat
 
         def spy(self, w):
             parsed.append(w)
             return real(self, w)
 
-        monkeypatch.setattr(FreeConformal, "word_to_normal", spy)
+        monkeypatch.setattr(FreeConformal, "_parse_hat", spy)
         p = canon[0]
         first = fresh.reduce(p)
         assert parsed  # the product's hat words were new
@@ -850,6 +936,11 @@ class TestSerialization:
         x = ConfElement.single(u, Fraction(-3, 2)) + fc.generator("a")
         assert fc.element_to_text(x) == "a - 3/2 * (b .0 (a .1 b))"
         assert fc.element_to_text(ConfElement()) == "0"
+
+    def test_element_repr(self):
+        x = ConfElement({NormalWord(1, ("a", "b"), (1,)): Fraction(3, 2), NormalWord(0, ("b",), ()): -1})
+        assert repr(x) == "3/2*('a', 'b')/(1,)/D^1 + -1*('b',)/()/D^0"
+        assert repr(ConfElement()) == "0"
 
     def test_rendering_long_words(self, fc):
         # one generator per nesting level: no recursion limit applies

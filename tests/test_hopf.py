@@ -156,3 +156,19 @@ def test_derivative_matches_falling_factorial(f, m):
             coeff *= k - i
         out[k - m] = out.get(k - m, Fraction(0)) + coeff
     assert f.derivative(m) == HPoly(out)
+
+
+def test_reprs_list_terms_by_degree():
+    h = HPoly({3: 1, 0: Fraction(1, 2), 2: -3, 1: 1})
+    assert repr(h) == "1/2 + D + -3*D^2 + D^3"
+    assert repr(HPoly({1: 2})) == "2*D" and repr(HPoly()) == "0"
+    t = TensorHH({(1, 0): Fraction(-1, 2), (0, 2): 3})
+    assert repr(t) == "3*(D^0(x)D^2) + -1/2*(D^1(x)D^0)"
+    assert repr(TensorHH()) == "0"
+
+
+def test_swap_exchanges_the_slots():
+    t = TensorHH({(0, 2): 3, (1, 0): Fraction(-1, 2)})
+    assert t.swap() == TensorHH({(2, 0): 3, (0, 1): Fraction(-1, 2)})
+    assert repr(t.swap()) == "-1/2*(D^0(x)D^1) + 3*(D^2(x)D^0)"
+    assert comult(HPoly({2: 1})).swap() == comult(HPoly({2: 1}))  # Delta is cocommutative

@@ -376,6 +376,11 @@ class TestPermutations:
             )
             assert t.swap().swap() == t
 
+    def test_repr_lists_entries_by_key(self):
+        t = PseudoTensor(AB, {(1, 0): pel(AB, ("a", "b"), 2), (0, 2): pel(AB, ("v", "b"), -1)})
+        assert repr(t) == "(D^0(x)D^2)(x)H[1(x)(-1*vb)] + (D^1(x)D^0)(x)H[1(x)(2*ab)]"
+        assert repr(PseudoTensor(AB)) == "0"
+
     def test_keys_and_permutations_must_fit_the_slots(self):
         x = pel(AB, ("a",))
         with pytest.raises(ValueError) as got:
