@@ -195,6 +195,14 @@ class FreeConformal:
         g .m tail is (-1)^m v^(n(g)-1) g times the m-th v-derivative of the
         tail's, built by prefixing each monomial of the derivative with g's
         word; no two products collide, so nothing is collected.
+
+        Those coefficients do not depend on g, so a sibling h .m tail already
+        cached gives g .m tail's image without a derivative: the key of
+        h .m tail is h's word followed by the rest of g .m tail's key, and
+        swapping the leading word of each of its monomials yields g's.  Only
+        the first fold step can hit: building any word caches every suffix,
+        so a later step's tail, first built here, has no cached sibling.  The
+        cache holds the same keys and images either way.
         """
         cache = self._iota_cache
         entry = cache.get(hat)
@@ -209,14 +217,25 @@ class FreeConformal:
             if entry is not None:
                 break
             keys.append(key)
-        for k in range(len(keys) - 1, -1, -1):
+        first = len(keys) - 1
+        for k in range(first, -1, -1):
             prefix, weight = self._letters[gens[k]]
             if entry is None:  # the last letter
                 image = {prefix: 1}
             else:
-                m = indices[k]
-                sign = (-1) ** m
-                image = {prefix + w: sign * c for w, c in entry[2].vderiv(m).terms.items()}
+                image = None
+                if k == first:
+                    rest = hat[starts[k] + 1:]
+                    for other, (piece, _) in self._letters.items():
+                        hit = cache.get(piece + rest) if other != gens[k] else None
+                        if hit is not None:
+                            cut = len(piece)
+                            image = {prefix + w[cut:]: c for w, c in hit[2].terms.items()}
+                            break
+                if image is None:
+                    m = indices[k]
+                    sign = (-1) ** m
+                    image = {prefix + w: sign * c for w, c in entry[2].vderiv(m).terms.items()}
                 weight *= entry[1]
             word = NormalWord._of(0, gens[k:], indices[k:]) if k else u.dfree()
             entry = cache[keys[k]] = (word, weight, NCPoly._of(self.alg, image))
@@ -330,6 +349,19 @@ class FreeConformal:
         ascending D-power d, and within a slice each eliminated monomial,
         the hat word of the word it yields, is strictly above the last in
         deg-lex, as the done check enforces.
+
+        Without weigh, every monomial of a slice part has one length, so its
+        deg-lex minimum is its plain lexicographic minimum.  Proof: every
+        monomial of an image has one length, because g .m tail's prefixes a
+        fixed word to the m-th v-derivative of the tail's, and each
+        v-derivative deletes one v.  Let L_u and L_w be the image lengths
+        of u and w.  P8 coacts w alone, so the pseudoproduct's entry
+        D^(u.s + s) (x) D^(w.s) holds products of length L_u + L_w - s, the
+        coaction's component s deleting s v's.  Splitting at n sends that
+        entry to D-power d = u.s + s + w.s - n only (decompose), so the
+        slice's part d has the one length L_u + L_w + u.s + w.s - n - d.
+        Each step subtracts an image whose hat word is a monomial of the
+        part, so every term it adds has that length too.
         """
         cache = self._iota_cache
         out: dict[NormalWord, Fraction | int] = {}
@@ -338,10 +370,14 @@ class FreeConformal:
             get = g.get
             done = (-1, ())  # deg-lex key of the last eliminated monomial
             while g:
-                key = min(map(deglex_key, g))
+                if weigh:
+                    key = min(map(deglex_key, g))
+                    w = key[1]
+                else:
+                    w = min(g)
+                    key = (len(w), w)
                 if key <= done:
                     raise RuntimeError("reduction failed to make progress")
-                w = key[1]
                 hit = cache.get(w)
                 if hit is None:
                     found = self._parse_hat(w)

@@ -14,6 +14,7 @@ its coproduct _spread.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -165,16 +166,22 @@ class _SlotTensor(AlgLinear):
         The canonical form of every arity: keys (n,) for two slots, (I, J)
         for three.  decompose splits each entry's last two slots, at the n
         in ns alone when ns is given (the last coordinate then takes no
-        other value), then each earlier slot against the merged right-hand
-        h (decompose is linear, Delta coassociative); seeded with the int
-        1, every h has int coefficients, so int values stay ints.  Each n
-        in ns must be a nonnegative int, checked here so that a zero tensor
-        refuses what a nonzero one does: TypeError or ValueError otherwise.
+        other value, and each row comes from the memo _unit_row), then each
+        earlier slot against the merged right-hand h (decompose is linear,
+        Delta coassociative); seeded with the int 1, every h has int
+        coefficients, so int values stay ints.  Each n in ns must be a
+        nonnegative int, checked here, before the memo, so that a zero
+        tensor refuses what a nonzero one does and True is not read as 1:
+        TypeError or ValueError otherwise.
         """
         ns = None if ns is None else tuple(map(_index, ns))
         acc: dict[tuple[int, ...], PElement] = {}
         for key, p in self.entries.items():
-            parts = {(n,): h for n, h in decompose(TensorHH._of({key[-2:]: 1}), ns).items()}
+            unit = key[-2:]
+            if ns is None:
+                parts = {(n,): h for n, h in decompose(TensorHH._of({unit: 1})).items()}
+            else:
+                parts = {(n,): h for n in ns if (h := _unit_row(*unit, n)) is not None}
             for i in reversed(key[:-2]):
                 parts = {
                     (m,) + rest: g
@@ -207,6 +214,22 @@ class _SlotTensor(AlgLinear):
             "(" + "(x)".join(f"D^{i}" for i in key) + f")(x)H[{self.entries[key]!r}]"
             for key in sorted(self.entries)
         )
+
+
+@functools.lru_cache(maxsize=256)  # like _spread; a table splits a few units only
+def _unit_row(i: int, j: int, n: int) -> HPoly | None:
+    """Row n of decompose(D^i (x) D^j), None when there is none; built once
+    per process.
+
+    A row at one n has one term, so the memo holds at most 256 terms.  It
+    is keyed by n, not by the requested ns: a key over ns would keep all
+    of a wide request's rows alive, and one cprods of D^3000 b over
+    range(3003) would leave 22 MiB of them.  split reads no memo without
+    ns, where decompose gives j + 1 rows at once.  decompose is looked up
+    at call time, where bench/spans.py wraps it, so a span counts misses
+    alone.  Nothing writes to a cached HPoly.
+    """
+    return decompose(TensorHH._of({(i, j): 1}), (n,)).get(n)
 
 
 class PseudoTensor(_SlotTensor):
@@ -306,7 +329,9 @@ class PseudoAlgebra:
                         c, den = sign ** (s + t), math.factorial(s) * math.factorial(t)
                         if den > 1:  # an int c keeps a trusted int tensor int
                             c = Fraction(c, den)
-                        accumulate(acc, (d + s, e + t), (ft * gs).scale(c))
+                        term = ft * gs
+                        # scale(1) would copy the fresh product
+                        accumulate(acc, (d + s, e + t), term if c == 1 else term.scale(c))
         return PseudoTensor._of(
             self.alg, {k: PElement._of(self.alg, {0: v}) for k, v in acc.items()}
         )

@@ -546,6 +546,7 @@ class TestRequestedProductsOnly:
         monkeypatch.setattr(pseudo, "decompose", lambda *a: rows.append(real(*a)) or rows[-1])
         ab0, ab1 = fc.cprod(a, 0, b), fc.cprod(a, 1, b)
         rows.clear()
+        pseudo._unit_row.cache_clear()  # earlier tests' unit splits would hide the calls
         got = fc.cprod(a, 1, b.d_shift(3000))
         assert got == ab0.d_shift(2999).scale(3000) + ab1.d_shift(3000)
         assert got == fc.cprod_rw(a, 1, b.d_shift(3000))
@@ -856,6 +857,92 @@ class TestHatKeyedImages:
         parsed.clear()
         assert fresh.reduce(p) == first
         assert parsed == []
+
+
+def spy_vderiv(monkeypatch) -> list:
+    """Record the order m of every NCPoly.vderiv call."""
+    calls = []
+    real = NCPoly.vderiv
+    monkeypatch.setattr(NCPoly, "vderiv", lambda f, m=1: calls.append(m) or real(f, m))
+    return calls
+
+
+class TestSiblingImages:
+    """g .m tail's image is read off a cached h .m tail's, with no derivative."""
+
+    @pytest.mark.parametrize(
+        "config", ["config_ab.json", "config_ba.json", "config_xyz.json", "config_five.json"]
+    )
+    def test_an_image_is_the_same_with_or_without_siblings(self, config, monkeypatch):
+        alg = load_config(str(DATA / config))[0]
+        warm = FreeConformal(alg)
+        basis = warm.enumerate_basis(3)
+        calls = spy_vderiv(monkeypatch)
+        for u in basis:
+            warm.iota_word(u)
+        # each word with a product took one derivative unless a sibling was cached
+        assert len(calls) < sum(1 for u in basis if u.indices)
+        monkeypatch.undo()
+        for u in basis:
+            alone = FreeConformal(alg)
+            hat = alone._hat(u)
+            word, weight, image = alone._iota_nc(u, hat)
+            got = warm._iota_cache[hat]
+            assert got[:2] == (word, weight), u
+            assert list(got[2].terms.items()) == list(image.terms.items()), u
+
+    def test_a_sibling_takes_no_derivative(self, monkeypatch):
+        fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
+        fc.iota_word(fc.normal(0, ("a", "a", "b"), (1, 2)))
+        calls = spy_vderiv(monkeypatch)
+        got = fc.iota_word(fc.normal(0, ("b", "a", "b"), (1, 2)))
+        assert calls == []
+        monkeypatch.undo()
+        fresh = FreeConformal(fc.alg)
+        assert got == fresh.iota_word(fresh.normal(0, ("b", "a", "b"), (1, 2)))
+
+
+class TestPlainLexSlices:
+    """Every monomial of a pair slice's part has one length (see _eliminate)."""
+
+    @pytest.fixture
+    def lengths(self, monkeypatch) -> list:
+        """The set of monomial lengths of each part of each unweighed slice."""
+        seen = []
+        real = FreeConformal._eliminate
+
+        def spy(fc, p, weigh):
+            if not weigh:
+                seen.extend({len(w) for w in f.terms} for f in p.parts.values())
+            return real(fc, p, weigh)
+
+        monkeypatch.setattr(FreeConformal, "_eliminate", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        ("config", "max_k", "max_s"),
+        [
+            ("config_ab.json", 2, 0),
+            ("config_ba.json", 2, 0),
+            ("config_xyz.json", 1, 1),
+            ("config_five.json", 1, 1),
+        ],
+    )
+    def test_table_slices(self, config, max_k, max_s, lengths):
+        fc = FreeConformal(load_config(str(DATA / config))[0])
+        words = fc.enumerate_basis(max_k, max_s)
+        for _ in fc.table_rows(words, range(4), "realize"):
+            pass
+        assert lengths and all(len(seen) == 1 for seen in lengths)
+
+    def test_d_shifted_products(self, lengths):
+        fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
+        rng = as_rng(211)
+        for _ in range(30):
+            x = random_element(rng, fc, max_k=3, max_s=3, max_terms=3)
+            y = random_element(rng, fc, max_k=3, max_s=3, max_terms=3)
+            assert fc.cprods(x, y, range(5)) == fc.cprods_rw(x, y, range(5))
+        assert lengths and all(len(seen) == 1 for seen in lengths)
 
 
 class TestLocality:

@@ -1,5 +1,6 @@
 """Pseudoalgebra layer: products, canonical splitting, identity checks."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from confalg.pseudo import (
     PseudoAlgebra,
     PseudoTensor,
     PseudoTensor3,
+    _unit_row,
     as_rng,
     associator_identity,
     canonicalize,
@@ -274,6 +276,21 @@ def test_canonicalize_at_requested_n_matches_the_full_form():
     assert max(full) > 2
     assert canonicalize(t, (0, 2)) == {n: full[n] for n in (0, 2) if n in full}
     assert canonicalize(t, ()) == {}
+
+
+def test_the_unit_row_memo_is_decompose():
+    for i, j, n in itertools.product(range(6), range(6), range(12)):
+        assert _unit_row(i, j, n) == decompose(TensorHH({(i, j): 1}), (n,)).get(n)
+
+
+def test_a_filled_memo_still_refuses_a_bool_index():
+    # True == 1 and hash(True) == hash(1): split must check before the memo
+    t = PseudoTensor(AB, {(1, 2): pel(AB, ("v", "b"))})
+    _unit_row.cache_clear()
+    assert t.split([1])
+    assert _unit_row.cache_info().currsize == 1
+    with pytest.raises(TypeError):
+        t.split([True])
 
 
 def test_roundtrip_on_random_tensors():
