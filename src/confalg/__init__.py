@@ -7,7 +7,7 @@ the free conformal algebra itself with two independent product engines
 (freeconf).  A small expression language (exprs) and a CLI (cli) sit on top.
 """
 
-from .hopf import HPoly, Scalar, TensorHH, antipode, binomial, comult, counit, decompose, recompose
+from .hopf import HPoly, TensorHH, antipode, comult, counit, decompose, recompose
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_key
 from .pseudo import (
     COACTIONS,
@@ -56,13 +56,11 @@ __all__ = [
     "PseudoAlgebra",
     "PseudoTensor",
     "PseudoTensor3",
-    "Scalar",
     "TensorHH",
     "Word",
     "antipode",
     "as_rng",
     "associator_identity",
-    "binomial",
     "canonicalize",
     "commutativity_identity",
     "comult",

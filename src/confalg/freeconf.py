@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_key
 from .linear import Linear, _new_object, accumulate, exact, integral
 from . import pseudo
-from .pseudo import _COEFF_POOL, _index, PElement, ProductKind, PseudoAlgebra, as_rng, standard_coaction
+from .pseudo import _COEFF_POOL, _index, PElement, ProductKind, PseudoAlgebra, as_rng
 
 
 class NotInSpan(Exception):
@@ -137,8 +137,6 @@ class FreeConformal:
             name: (_generator_word(config, name), math.factorial(n - 1))
             for name, n in config.n.items()
         }
-        # the full coaction, for locality_of; _pair builds a cut one per call
-        self.pseudo = PseudoAlgebra(config, standard_coaction)
         # (u, W, W * iota(u)) for each D-free word u met so far, generators
         # too, keyed by u's hat word: the monomial reduce eliminates, and a
         # bijection onto D-free normal words.  W = prod (n(a) - 1)! over u's
@@ -193,8 +191,9 @@ class FreeConformal:
         hat word: that of the suffix from letter g_k on is v^(n(g_k) - 1)
         followed by u's hat word from g_k's letter on.  The scaled image of
         g .m tail is (-1)^m v^(n(g)-1) g times the m-th v-derivative of the
-        tail's, built by prefixing each monomial of the derivative with g's
-        word; no two products collide, so nothing is collected.
+        tail's (at m = 0 the tail's image itself), built by prefixing each
+        monomial with g's word; no two products collide, so nothing is
+        collected.
 
         Those coefficients do not depend on g, so a sibling h .m tail already
         cached gives g .m tail's image without a derivative: the key of
@@ -235,7 +234,8 @@ class FreeConformal:
                 if image is None:
                     m = indices[k]
                     sign = (-1) ** m
-                    image = {prefix + w: sign * c for w, c in entry[2].vderiv(m).terms.items()}
+                    tail = entry[2].vderiv(m) if m else entry[2]
+                    image = {prefix + w: sign * c for w, c in tail.terms.items()}
                 weight *= entry[1]
             word = NormalWord._of(0, gens[k:], indices[k:]) if k else u.dfree()
             entry = cache[keys[k]] = (word, weight, NCPoly._of(self.alg, image))
@@ -414,9 +414,10 @@ class FreeConformal:
         {word: int}} for each n in want.  Rewrite validates each word once
         per FreeConformal (_valid), and each pair is _rw_words.  Realize
         scales each word once and coacts it at most once, as far as
-        component max(want), for all the pairs it is in.  Each pair is then one P8 pseudoproduct, split at the
-        requested n alone, and each slice eliminated: the quotients are the
-        coefficients, because the weights W_u * W_w cancel (see _eliminate).
+        component max(want), for all the pairs it is in.  Each pair is then
+        one P8 pseudoproduct, split at the requested n alone, and each slice
+        eliminated: the quotients are the coefficients, because the weights
+        W_u * W_w cancel (see _eliminate).
         """
         if engine == "rewrite":
             valid = self._valid
@@ -722,10 +723,13 @@ class FreeConformal:
 
         iota is injective and x_(n) y reduces from the n-th coefficient of
         iota(x) * iota(y), so N is one past the last nonzero coefficient.
+        That coefficient is read off the canonical form of the uncut P8
+        pseudoproduct under the full coaction, not from the eliminated
+        products, so that the locality check does not rest on elimination.
         """
         if not x or not y:
             raise ValueError("locality is defined for nonzero elements")
-        canon = self.pseudo.nproducts(ProductKind.P8, self.iota(x), self.iota(y))
+        canon = PseudoAlgebra(self.alg).nproducts(ProductKind.P8, self.iota(x), self.iota(y))
         return 1 + max(canon, default=-1)
 
     def associativity_defect(

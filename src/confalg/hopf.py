@@ -18,15 +18,6 @@ from typing import Iterable, Mapping
 
 from .linear import Linear, accumulate, collect, integral
 
-Scalar = Fraction
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), zero outside 0 <= k <= n."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
 
 def _index(n) -> int:
     """A product index: an int (through integral) that is not negative."""
@@ -48,32 +39,12 @@ class HPoly(Linear):
             raise ValueError("negative D-degree")
         return d
 
-    @classmethod
-    def one(cls) -> "HPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def d_power(cls, k: int, coeff=1) -> "HPoly":
-        return cls({k: coeff})
-
-    @classmethod
-    def divided(cls, k: int) -> "HPoly":
-        """D^(k) = D^k / k!."""
-        return cls({k: Fraction(1, math.factorial(k))})
-
     def __mul__(self, other: "HPoly") -> "HPoly":
         return self._new(collect(
             (d1 + d2, c1 * c2)
             for d1, c1 in self.coeffs.items()
             for d2, c2 in other.coeffs.items()
         ))
-
-    def derivative(self, m: int = 1) -> "HPoly":
-        """m-th derivative with respect to D."""
-        cur = self.coeffs
-        for _ in range(m):
-            cur = {d - 1: c * d for d, c in cur.items() if d >= 1}
-        return self._new(cur)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -147,7 +118,7 @@ def antipode(h: HPoly) -> HPoly:
     return HPoly._of({d: c if d % 2 == 0 else -c for d, c in h.coeffs.items()})
 
 
-def counit(h: HPoly) -> Scalar:
+def counit(h: HPoly) -> Fraction:
     return h.coeffs.get(0, Fraction(0))
 
 

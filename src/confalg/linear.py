@@ -94,10 +94,6 @@ class Linear:
         out.terms = terms
         return out
 
-    @classmethod
-    def zero(cls, *context):
-        return cls(*context)
-
     # ---- public-constructor hooks ---------------------------------------
 
     def _key(self, key):

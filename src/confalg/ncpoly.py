@@ -9,7 +9,6 @@ first, ties left to right) is therefore plain tuple comparison of
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .linear import AlgLinear, collect
@@ -108,9 +107,6 @@ class AlgebraConfig:
         names = self.word_names(w)
         return " ".join(names) if any(len(nm) > 1 for nm in names) else "".join(names)
 
-    def poly(self, terms: Mapping[Iterable[str], object]) -> "NCPoly":
-        return NCPoly(self, {self.word(names): c for names, c in terms.items()})
-
     def monomial(self, names: Iterable[str], coeff=1) -> "NCPoly":
         return NCPoly(self, {self.word(names): coeff})
 
@@ -133,7 +129,7 @@ class NCPoly(AlgLinear):
 
     def __mul__(self, other):
         if not isinstance(other, NCPoly):
-            return self.scale(other)
+            return NotImplemented
         pairs = (
             (w1 + w2, c1 * c2)
             for w1, c1 in self.terms.items()
@@ -142,18 +138,6 @@ class NCPoly(AlgLinear):
         if self.alg.commutative:
             pairs = ((tuple(sorted(w)), c) for w, c in pairs)
         return self._new(collect(pairs))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def lowest_monomial(self) -> tuple[Word, Fraction]:
-        """Deg-lex least word with its coefficient; error on zero."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no monomials")
-        w = min(self.terms, key=deglex_key)
-        return w, self.terms[w]
 
     def vderiv(self, m: int = 1) -> "NCPoly":
         """m-th v-derivative: iterate the sum over single v deletions.
@@ -205,15 +189,6 @@ class NCPoly(AlgLinear):
             cur = cur.vderiv(1)
             s += 1
         return out
-
-    def v_degree(self, w: Word) -> int:
-        return sum(1 for code in w if code == self.alg.V)
-
-    def max_v_degree(self) -> int:
-        """Largest v-count over the support; -1 for zero."""
-        if not self.terms:
-            return -1
-        return max(self.v_degree(w) for w in self.terms)
 
     def __repr__(self) -> str:
         if not self.terms:

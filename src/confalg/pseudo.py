@@ -115,15 +115,6 @@ class PElement(AlgLinear):
                 accumulate(out, d + m, f.scale(c))
         return self._new(out)
 
-    def max_d(self) -> int:
-        """Highest D-power present; -1 for zero."""
-        return max(self.parts, default=-1)
-
-    def max_v_degree(self) -> int:
-        if not self.parts:
-            return -1
-        return max(f.max_v_degree() for f in self.parts.values())
-
     def __repr__(self) -> str:
         if not self.parts:
             return "0"

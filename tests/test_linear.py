@@ -65,7 +65,7 @@ def build(cls, terms):
 
 
 def zero(cls):
-    return cls.zero(ALG) if issubclass(cls, AlgLinear) else cls.zero()
+    return cls(ALG) if issubclass(cls, AlgLinear) else cls()
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

@@ -5,6 +5,8 @@ distinguished letter v gets the greatest code, so the degree-lexicographic
 order puts words with early generators first.
 """
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,15 +115,12 @@ class TestArithmetic:
 
     @given(polys)
     def test_scalar_hooks(self, f):
-        assert 2 * f == f.scale(2)
-        assert f * 0 == NCPoly(AB)
+        # scale is the one spelling of a scalar multiple
+        with pytest.raises(TypeError):
+            f * 2
+        with pytest.raises(TypeError):
+            2 * f
         assert -f == f.scale(-1)
-
-    def test_lowest_monomial(self):
-        f = AB.monomial(("b",)) + AB.monomial(("a", "v"), -3)
-        w, c = f.lowest_monomial()
-        assert AB.word_names(w) == ("b",)
-        assert c == 1
 
 
 def test_vderiv_deletes_single_occurrences():
@@ -167,11 +166,9 @@ def test_vderiv_matches_single_deletions_on_long_runs(alg, terms, m):
 
 @given(polys, polys, st.integers(0, 4))
 def test_vderiv_product_rule(f, g, m):
-    from confalg.hopf import binomial
-
     want = NCPoly(AB)
     for s in range(m + 1):
-        want = want + (f.vderiv(s) * g.vderiv(m - s)).scale(binomial(m, s))
+        want = want + (f.vderiv(s) * g.vderiv(m - s)).scale(math.comb(m, s))
     assert (f * g).vderiv(m) == want
 
 
@@ -180,9 +177,9 @@ def test_v_deletion_does_not_preserve_lowest_monomial_order():
     # elimination step: deletion can invert the order of lowest terms
     u1 = AB.monomial(("a", "v", "v", "b"))
     u2 = AB.monomial(("v", "a", "a", "b"))
-    assert deglex_key(u1.lowest_monomial()[0]) < deglex_key(u2.lowest_monomial()[0])
-    low1 = u1.vderiv().lowest_monomial()[0]
-    low2 = u2.vderiv().lowest_monomial()[0]
+    assert min(u1.terms, key=deglex_key) < min(u2.terms, key=deglex_key)
+    low1 = min(u1.vderiv().terms, key=deglex_key)
+    low2 = min(u2.vderiv().terms, key=deglex_key)
     assert deglex_key(low1) > deglex_key(low2)
 
 
@@ -195,7 +192,7 @@ class TestCoaction:
     @given(polys)
     def test_components_are_plain_deletions(self, f):
         parts = f.coact()
-        top = f.max_v_degree()
+        top = max((w.count(AB.V) for w in f.terms), default=-1)
         for s, g in parts.items():
             assert 0 <= s <= top
             assert g == f.vderiv(s)
@@ -203,7 +200,7 @@ class TestCoaction:
 
     def test_grading(self):
         f = AB.monomial(("v", "v", "a"))
-        assert f.max_v_degree() == 2
+        assert max(w.count(AB.V) for w in f.terms) == 2
         assert sorted(f.coact()) == [0, 1, 2]
 
     @given(polys, st.integers(0, 6))
