@@ -76,7 +76,7 @@ def _cases(alg: AlgebraConfig, axiom: str, coaction: str) -> tuple[str, list]:
 
         def draw(rng) -> list:
             args = [random_element(rng, fc, max_k=1, max_s=1) for _ in range(elements)]
-            return args + [rng.randint(0, 2 * alg.max_n()) for _ in range(indices)]
+            return args + [rng.randint(0, 2 * max(alg.n.values())) for _ in range(indices)]
 
         return "", [("", draw, partial(test, fc))]
     pa = PseudoAlgebra(alg, COACTIONS[coaction])

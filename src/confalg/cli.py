@@ -123,7 +123,7 @@ def pelement_from_json(alg: AlgebraConfig, raw) -> PElement:
 
 def _print_element(fc: FreeConformal, x: ConfElement) -> None:
     print(fc.element_to_text(x))
-    print(fc.element_to_json_text(x))
+    print(dump_json(fc.element_to_json(x)))
 
 
 def _print_pelement(alg: AlgebraConfig, p: PElement) -> None:
@@ -238,8 +238,8 @@ def cmd_demo(args) -> int:
     if which == "current":
         alg = AlgebraConfig({"a": 1, "b": 1})
         pa = PseudoAlgebra(alg, current_coaction)
-        xa = PElement.from_poly(alg, alg.monomial(("a",)))
-        xb = PElement.from_poly(alg, alg.monomial(("b",)))
+        xa = PElement(alg, {0: alg.monomial(("a",))})
+        xb = PElement(alg, {0: alg.monomial(("b",))})
         print("current: trivial coaction, the 0-th product is the algebra product")
         for n in range(2):
             print(f"current: (1(x)a) .{n} (1(x)b) = {pa.nth(ProductKind.P8, xa, n, xb)!r}")
@@ -247,12 +247,12 @@ def cmd_demo(args) -> int:
     alg = AlgebraConfig({"a": 1})  # only the letter v is used below
     pa = PseudoAlgebra(alg)
     if which == "weyl":
-        x = PElement.from_poly(alg, alg.monomial(("v",)))
+        x = PElement(alg, {0: alg.monomial(("v",))})
         print(f"weyl: x = {x!r}")
         for n in range(3):
             print(f"weyl: x .{n} x = {pa.nth(ProductKind.P8, x, n, x)!r}")
         return EXIT_OK
-    L = PElement.from_poly(alg, alg.monomial(("v",), -1))
+    L = PElement(alg, {0: alg.monomial(("v",), -1)})
     print(f"virasoro: L = {L!r}")
     for n in range(4):
         print(f"virasoro: [L .{n} L] = {pa.comm_nth(L, n, L)!r}")

@@ -213,14 +213,14 @@ def evaluate(fc: FreeConformal, steps, engine: str = "realize") -> ConfElement:
     return _walk(steps, ConfElement, fc.generator, prod)
 
 
-def evaluate_pseudo(pa: PseudoAlgebra, steps, kind: ProductKind = ProductKind.P20) -> PElement:
-    """Evaluate a parsed expression inside H (x) A with n-th products of kind.
+def evaluate_pseudo(pa: PseudoAlgebra, steps) -> PElement:
+    """Evaluate a parsed expression inside H (x) A with P20 n-th products.
 
     Generators stand for their realization images; D^k shifts the H slot.
     """
     alg = pa.alg
 
     def image(name: str) -> PElement:
-        return PElement.from_poly(alg, generator_image(alg, name))
+        return PElement(alg, {0: generator_image(alg, name)})
 
-    return _walk(steps, partial(PElement, alg), image, partial(pa.nth, kind))
+    return _walk(steps, partial(PElement, alg), image, partial(pa.nth, ProductKind.P20))

@@ -25,11 +25,10 @@ from .pseudo import _COEFF_POOL, _index, PElement, ProductKind, PseudoAlgebra, a
 class NotInSpan(Exception):
     """A realization element lies outside the span of normal-word images."""
 
-    def __init__(self, witness: Word, names: tuple[str, ...] | None = None):
+    def __init__(self, witness: Word, names: tuple[str, ...]):
         self.witness = tuple(witness)
         self.names = names
-        shown = " ".join(names) if names else repr(self.witness)
-        super().__init__(f"monomial outside the normal-word span: {shown}")
+        super().__init__(f"monomial outside the normal-word span: {' '.join(names)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,10 +83,6 @@ class ConfElement(Linear):
     """Linear combination of normal words with Fraction coefficients."""
 
     __slots__ = ()
-
-    @classmethod
-    def single(cls, u: NormalWord, coeff=1) -> "ConfElement":
-        return cls({u: coeff})
 
     def d_shift(self, k: int = 1) -> "ConfElement":
         return self._new(
@@ -165,7 +160,7 @@ class FreeConformal:
         for name in u.gens:
             self.alg.n_of(name)
         for i, n in enumerate(u.indices):
-            if n < 0 or n >= self.alg.N_of(u.gens[i], u.gens[i + 1]):
+            if n < 0 or n >= self.alg.n_of(u.gens[i + 1]):
                 raise ValueError(
                     f"index {n} out of range for the pair "
                     f"({u.gens[i]}, {u.gens[i + 1]})"
@@ -175,9 +170,9 @@ class FreeConformal:
     def normal(self, s: int, gens: Iterable[str], indices: Iterable[int]) -> NormalWord:
         return self.validate(NormalWord(s, tuple(gens), tuple(indices)))
 
-    def generator(self, name: str, *, s: int = 0) -> ConfElement:
+    def generator(self, name: str) -> ConfElement:
         self.alg.n_of(name)
-        return ConfElement.single(NormalWord(s, (name,), ()))
+        return ConfElement({NormalWord(0, (name,), ()): 1})
 
     # ---- realization engine -------------------------------------------
 
@@ -526,7 +521,7 @@ class FreeConformal:
                 for n, value in pair(u, w).items()
             }
         else:
-            single = {w: ConfElement.single(w) for w in words}
+            single = {w: ConfElement({w: 1}) for w in words}
             cells = lambda u, w: {n: self.cprod_rw(single[u], n, single[w]) for n in want}
         for u in words:
             block = [cells(u, w) for w in words]  # every n of a pair at once
@@ -679,7 +674,7 @@ class FreeConformal:
                 for s in range(m1 + 1)
             ]
         a = gu[0]
-        bound = self.alg.N_of(a, gw[0])
+        bound = self.alg.n_of(gw[0])
         if n < bound:
             return {self._rw_word((a,) + gw, (n,) + iw): 1}, None
         if len(gw) == 1:
@@ -705,7 +700,7 @@ class FreeConformal:
         """Number of D-free normal words with exactly k product indices."""
         if k < 0:
             raise ValueError("negative length")
-        return len(self.alg.names) * self.alg.sum_n() ** k
+        return len(self.alg.names) * sum(self.alg.n.values()) ** k
 
     def enumerate_basis(self, max_k: int, max_s: int = 0) -> list[NormalWord]:
         """All normal words with at most max_k products and D-power <= max_s."""
@@ -790,18 +785,10 @@ class FreeConformal:
         indices = ",".join(map(str, u.indices))
         return f'{{"gens":["{gens}"],"indices":[{indices}],"s":{u.s}}}'
 
-    def element_to_json_text(self, x: ConfElement) -> str:
-        """The CLI's dump_json of element_to_json(x), assembled from strings.
-
-        Sort, then join.  sorted_terms validates every word, so each name is
-        a config name: an ASCII identifier, with nothing to escape.  The
-        table joins table_rows values unsorted, without that validation;
-        the engines build those words from config names, so the same holds.
-        """
-        return self._terms_to_json_text(self.sorted_terms(x))
-
     def _terms_to_json_text(self, terms: Iterable[tuple[NormalWord, Fraction]]) -> str:
-        """element_to_json_text's join, over terms already in sort_key order."""
+        """The CLI's dump_json of element_to_json, joined from terms already in
+        sort_key order (table cells; see table_rows).  The engines build
+        words from config names, ASCII identifiers with nothing to escape."""
         text = self.word_to_json_text
         return "[" + ",".join(f'{{"coeff":"{c}","word":{text(u)}}}' for u, c in terms) + "]"
 
@@ -852,7 +839,7 @@ def random_normal_word(seed, fc: FreeConformal, *, max_k: int = 2, max_s: int = 
     alg = fc.alg
     k = rng.randint(0, max_k)
     gens = tuple(rng.choice(alg.names) for _ in range(k + 1))
-    indices = tuple(rng.randrange(alg.N_of(gens[i], gens[i + 1])) for i in range(k))
+    indices = tuple(rng.randrange(alg.n_of(gens[i + 1])) for i in range(k))
     return NormalWord(rng.randint(0, max_s), gens, indices)
 
 

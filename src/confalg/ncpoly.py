@@ -73,16 +73,6 @@ class AlgebraConfig:
         except KeyError:
             raise ConfigError(f"unknown generator: {name!r}") from None
 
-    def N_of(self, left: str, right: str) -> int:
-        """Locality bound N(left, right) = n(right) of left_(n) right."""
-        return self.n_of(right)
-
-    def sum_n(self) -> int:
-        return sum(self.n.values())
-
-    def max_n(self) -> int:
-        return max(self.n.values())
-
     def letter(self, name: str) -> int:
         if name == V_NAME:
             return self.V

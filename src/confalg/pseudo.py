@@ -98,10 +98,6 @@ class PElement(AlgLinear):
     def _value(self, f) -> NCPoly:
         return f if isinstance(f, NCPoly) else NCPoly(self.alg, f)
 
-    @classmethod
-    def from_poly(cls, alg: AlgebraConfig, f: NCPoly) -> "PElement":
-        return cls(alg, {0: f})
-
     def d_shift(self, k: int = 1) -> "PElement":
         """Multiply by D^k on the H slot."""
         if k < 0:
@@ -230,10 +226,6 @@ class PseudoTensor(_SlotTensor):
     _slots = 2
     flatten = _SlotTensor.flatten  # own attribute, so tracing can wrap it
     canonical = _SlotTensor.split  # {(n,): c_n} over ((-D)^(n) (x) 1)
-
-    def swap(self) -> "PseudoTensor":
-        """Exchange the two free H slots (sigma_12)."""
-        return self.permute((2, 1))
 
 
 def canonicalize(t: PseudoTensor, ns: Iterable[int] | None = None) -> dict[int, PElement]:
@@ -367,13 +359,11 @@ class PseudoAlgebra:
         right = self.star_expanded(kind, x, self.pprod(kind, y, z))
         return left == right
 
-    def pcommutator(self, x: PElement, y: PElement, kind: ProductKind = ProductKind.P8) -> PseudoTensor:
-        """x * y - sigma_12(y * x)."""
-        return self.pprod(kind, x, y) - self.pprod(kind, y, x).swap()
-
-    def comm_nth(self, x: PElement, n: int, y: PElement, kind: ProductKind = ProductKind.P8) -> PElement:
+    def comm_nth(self, x: PElement, n: int, y: PElement) -> PElement:
+        """The n-th product of the P8 pseudocommutator x * y - sigma_12(y * x)."""
         n = _index(n)
-        return canonicalize(self.pcommutator(x, y, kind), (n,)).get(n) or PElement(self.alg)
+        comm = self.pprod(ProductKind.P8, x, y) - self.pprod(ProductKind.P8, y, x).permute((2, 1))
+        return canonicalize(comm, (n,)).get(n) or PElement(self.alg)
 
     def _eval_tree(self, kind: ProductKind, tree, sigma: tuple[int, ...], args):
         if isinstance(tree, int):

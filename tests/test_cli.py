@@ -31,6 +31,31 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def _dshifted(x: ConfElement) -> bool:
+    return all(u.s for u in x.terms)
+
+
+def _cprod_off_when_shifted(left: bool):
+    """FreeConformal.cprod plus the generator a when the left factor is
+    D-shifted (every term carries a D) and the right one is not, or, with
+    left=False, the other way round.  Of sesqui's two checks only the
+    left-slot one, or only the right-slot one, then reads a wrong product."""
+    real = FreeConformal.cprod
+
+    def cprod(fc, x, n, y):
+        value = real(fc, x, n, y)
+        if (_dshifted(x), _dshifted(y)) == (left, not left):
+            value = value + fc.generator("a")
+        return value
+
+    return cprod
+
+
+def _locality_one_too_high():
+    real = FreeConformal.locality_of
+    return lambda fc, x, y: real(fc, x, y) + 1
+
+
 class TestReduce:
     def test_expression(self, capsys):
         rc, out, err = run(
@@ -449,6 +474,29 @@ class TestCheck:
         assert argv[:2] == ["confalg", "check"]
         rc2, out2, _ = run(capsys, *argv[1:])
         assert rc2 == 3 and out2 == out
+
+    @pytest.mark.parametrize(
+        ("axiom", "method", "fake", "case"),
+        [
+            ("sesqui", "cprod", _cprod_off_when_shifted(left=True), "left slot"),
+            ("sesqui", "cprod", _cprod_off_when_shifted(left=False), "right slot"),
+            ("locality", "locality_of", _locality_one_too_high(), "not minimal"),
+        ],
+        ids=["sesqui-left", "sesqui-right", "locality-minimal"],
+    )
+    def test_each_conformal_fail_branch_replays(self, capsys, monkeypatch, axiom, method, fake, case):
+        monkeypatch.setattr(FreeConformal, method, fake)
+        rc, out, _ = run(capsys, "check", "--config", CONFIG, "--axiom", axiom)
+        assert rc == 3
+        fail, replay = out.splitlines()
+        argv = shlex.split(replay[len("replay: "):])
+        trial = int(argv[argv.index("--trials") + 1]) - 1
+        assert fail.startswith(f"axiom {axiom}: FAIL (trial {trial}): ") and case in fail
+        rc2, out2, _ = run(capsys, *argv[1:])
+        assert rc2 == 3 and out2 == out
+        fields = dict(tok.split("=", 1) for tok in shlex.split(fail) if "=" in tok)
+        for name in "xy":
+            parse(fields[name])
 
     # stdout sha256 of failing checks under the corrupt coaction: the one
     # CLI path where the three-slot splitting gets nonzero coordinates. The

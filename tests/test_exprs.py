@@ -172,8 +172,8 @@ def test_pseudo_evaluation_uses_the_symmetric_product():
     from confalg.freeconf import generator_image
 
     x = evaluate_pseudo(pa, parse("(a .0 b)"))
-    ia = PElement.from_poly(alg, generator_image(alg, "a"))
-    ib = PElement.from_poly(alg, generator_image(alg, "b"))
+    ia = PElement(alg, {0: generator_image(alg, "a")})
+    ib = PElement(alg, {0: generator_image(alg, "b")})
     assert x == pa.nth(ProductKind.P20, ia, 0, ib)
     y = evaluate_pseudo(pa, parse("2 * a + D^1(b)"))
     assert y == ia.scale(2) + ib.d_shift(1)

@@ -35,10 +35,6 @@ class TestConfigValidation:
     def test_localities(self):
         assert AB.n_of("a") == 2
         assert AB.n_of("b") == 3
-        assert AB.N_of("a", "b") == 3
-        assert AB.N_of("b", "a") == 2
-        assert AB.sum_n() == 5
-        assert AB.max_n() == 3
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
