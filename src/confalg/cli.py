@@ -2,13 +2,15 @@
 
 Subcommands: reduce, prod, basis, table, check, demo.  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 parse or config
-error, 2 reduction outside the normal-word span, 3 axiom violation.
+error or stdout closed early, 2 reduction outside the normal-word span, 3
+axiom violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 from fractions import Fraction
@@ -317,6 +319,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Send what is left for stdout, whose reader closed it early, to the
+    null device, so that the interpreter's flush at exit does not fail."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a StringIO has no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     # Exact values print and parse in full, however many digits they have:
@@ -327,7 +341,12 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a reader who left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        _drop_stdout()
+        return EXIT_USAGE
     except (UsageError, ParseError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -323,7 +323,8 @@ class FreeConformal:
         int-scaled image and multiplies the quotient by that image's weight
         W.  An int slice divides exactly; a remainder raises RuntimeError,
         because only the realize pipeline makes int slices and its quotients
-        are integers.  Fraction slices use true division.  Every returned
+        are integers.  A Fraction slice, from an element given in Fractions,
+        uses true division.  Every returned
         value is a Fraction.  Raises NotInSpan when some slice's lowest
         monomial is not a hat word.
         """
@@ -337,8 +338,9 @@ class FreeConformal:
         images of two words u and w.  Every word it reaches has the letters
         of u and w, so W = W_u * W_w, and the bare quotients are the
         coordinates of p / (W_u * W_w): integers, structure constants of the
-        algebra.  A Fraction slice (a split at n >= 2 makes one) then
-        divides exactly too, and a remainder raises RuntimeError.
+        algebra.  The slice is int-valued at every n, because pprod divides
+        each coaction component s by s! exactly, and a remainder raises
+        RuntimeError.
 
         The result lists its words in sort_key order: the slices go by
         ascending D-power d, and within a slice each eliminated monomial,

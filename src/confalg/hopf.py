@@ -1,9 +1,11 @@
 """Exact arithmetic in the polynomial Hopf algebra of a single derivation D.
 
 The coproduct sends D to D(x)1 + 1(x)D, the counit kills D, and the
-antipode substitutes -D.  Everything is stored sparsely with Fraction
-coefficients, so all computations are exact; divided powers D^(k) enter
-only as the rational coefficient 1/k! on the monomial D^k.
+antipode substitutes -D.  Everything is stored sparsely with exact
+coefficients: Fractions at the public API, ints where the pseudo layer
+and the realize engine split int tensors (decompose keeps an int an int).
+Divided powers D^(k) enter only as the rational coefficient 1/k! on the
+monomial D^k.
 
 The one home of the Hopf formulas that tensors of every arity use: the
 iterated coproduct of D^d (_spread) and the splitting (decompose).

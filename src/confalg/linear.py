@@ -2,9 +2,10 @@
 
 A combination is a dict {key: value} that holds no zero value, so equality
 is dict equality and truth is nonemptiness.  Scalar classes (HPoly,
-TensorHH, NCPoly, ConfElement) hold Fraction values; only trusted
-containers inside the realize pipeline and the splitting's cached parts
-hold ints.  Nested classes (PElement, PseudoTensor, PseudoTensor3) hold
+TensorHH, NCPoly, ConfElement) hold Fraction values at the public API; only
+trusted containers hold ints: the realize pipeline's images and slices, the
+splitting's cached parts, and the pseudo layer's int numerators inside
+assoc_check and eval_identity.  Nested classes (PElement, PseudoTensor, PseudoTensor3) hold
 combinations of the layer below, which answer to the same +, -, scale and
 truth tests, so one implementation serves both.
 

@@ -106,7 +106,9 @@ def deglex_key(word: Word) -> tuple[int, Word]:
 
 
 class NCPoly(AlgLinear):
-    """Linear combination of words with Fraction coefficients."""
+    """Linear combination of words with Fraction coefficients, or int ones
+    when built by a trusted caller (the realize images, the pseudo checks'
+    numerators); arithmetic keeps an int an int."""
 
     __slots__ = ()
     # own attributes, so tracing can wrap NCPoly's arithmetic and no other class's

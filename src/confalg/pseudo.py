@@ -9,6 +9,12 @@ Both arities use confalg.hopf's formulas: split() applies decompose slot by
 slot to every entry, at the requested n alone or at every n, and gives the
 canonical form as a plain dict; flatten and star_expanded share D-powers by
 its coproduct _spread.
+
+The products run on int numerators where they can.  pprod divides each
+coaction component s by s! once, exactly for an int polynomial under the
+standard coaction, so int arguments give an int tensor.  assoc_check and
+eval_identity clear each argument's denominators once (_cleared), compute
+on ints, and eval_identity divides its result once per coefficient.
 """
 
 from __future__ import annotations
@@ -291,30 +297,32 @@ class PseudoAlgebra:
         self.alg = alg
         self.coaction = coaction
 
+    def _rules(self, kind: ProductKind) -> tuple[bool, bool, int]:
+        kind = ProductKind(kind)
+        if kind is ProductKind.P20 and not self.alg.commutative:
+            raise ConfigError("the coupled product needs a commutative word algebra")
+        return _KIND_RULES[kind]
+
+    def _coacted(self, p: PElement, coact: bool) -> list[tuple[int, dict[int, NCPoly]]]:
+        """p's parts as (d, {s: g_s / s!}), each coaction component divided
+        once; an argument that is not coacted keeps its whole polynomial at
+        s = 0."""
+        if not coact:
+            return [(d, {0: f}) for d, f in p.parts.items()]
+        coaction = self.coaction
+        return [(d, {s: _divided(g, s) for s, g in coaction(f).items()}) for d, f in p.parts.items()]
+
     def pprod(self, kind: ProductKind, x: PElement, y: PElement) -> PseudoTensor:
         """The pseudoproduct x * y as a two-slot tensor.
 
         x's coaction part D^(t) goes to slot 2 and y's D^(s) to slot 1, with
         coefficient sign^(s+t) / (s! t!); an argument that is not coacted
-        keeps its whole polynomial at t = 0 (or s = 0).
+        keeps its whole polynomial at t = 0 (or s = 0).  Each component is
+        divided by its factorial once, before the products (_divided), so
+        int arguments under the standard coaction give an int tensor.
         """
-        kind = ProductKind(kind)
-        if kind is ProductKind.P20 and not self.alg.commutative:
-            raise ConfigError("the coupled product needs a commutative word algebra")
-        coact_x, coact_y, sign = _KIND_RULES[kind]
-        ys = [(e, self.coaction(g) if coact_y else {0: g}) for e, g in y.parts.items()]
-        acc: dict[tuple[int, int], NCPoly] = {}
-        for d, f in x.parts.items():
-            cf = self.coaction(f) if coact_x else {0: f}
-            for e, cg in ys:
-                for t, ft in cf.items():
-                    for s, gs in cg.items():
-                        c, den = sign ** (s + t), math.factorial(s) * math.factorial(t)
-                        if den > 1:  # an int c keeps a trusted int tensor int
-                            c = Fraction(c, den)
-                        term = ft * gs
-                        # scale(1) would copy the fresh product
-                        accumulate(acc, (d + s, e + t), term if c == 1 else term.scale(c))
+        coact_x, coact_y, sign = self._rules(kind)
+        acc = _product(self._coacted(x, coact_x), self._coacted(y, coact_y), sign)
         return PseudoTensor._of(
             self.alg, {k: PElement._of(self.alg, {0: v}) for k, v in acc.items()}
         )
@@ -333,7 +341,8 @@ class PseudoAlgebra:
 
         PElement * PElement gives a two-slot tensor; a two-slot tensor
         against a PElement (either side) gives a three-slot tensor by
-        spreading the inner product's H-parts across the outer slots.
+        spreading the inner product's H-parts across the outer slots.  The
+        PElement side is coacted once, for every entry of the tensor side.
         """
         if isinstance(left, PElement) and isinstance(right, PElement):
             return self.pprod(kind, left, right)
@@ -343,18 +352,33 @@ class PseudoAlgebra:
             tensor_left = False
         else:
             raise TypeError("more than three total slots is not supported")
-        out: dict[tuple[int, int, int], PElement] = {}
-        for (i, j), p in (left if tensor_left else right).entries.items():
-            inner = self.pprod(kind, p, right) if tensor_left else self.pprod(kind, left, p)
-            for (u, w), r in inner.entries.items():
+        coact_x, coact_y, sign = self._rules(kind)
+        if tensor_left:
+            tensor, fixed = left, self._coacted(right, coact_y)
+        else:
+            tensor, fixed = right, self._coacted(left, coact_x)
+        out: dict[tuple[int, int, int], NCPoly] = {}
+        for (i, j), p in tensor.entries.items():
+            if tensor_left:
+                inner = _product(self._coacted(p, coact_x), fixed, sign)
+            else:
+                inner = _product(fixed, self._coacted(p, coact_y), sign)
+            for (u, w), r in inner.items():
                 # the inner slot that met the tensor is spread over its two slots
                 for (a, b), c in _spread(u if tensor_left else w, 2):
                     key = (i + a, j + b, w) if tensor_left else (u, i + a, j + b)
-                    accumulate(out, key, r.scale(c))
-        return PseudoTensor3._of(self.alg, out)
+                    accumulate(out, key, r if c == 1 else r.scale(c))
+        return PseudoTensor3._of(
+            self.alg, {k: PElement._of(self.alg, {0: v}) for k, v in out.items()}
+        )
 
     def assoc_check(self, kind: ProductKind, x: PElement, y: PElement, z: PElement) -> bool:
-        """(x * y) * z == x * (y * z) as three-slot tensors."""
+        """(x * y) * z == x * (y * z) as three-slot tensors.
+
+        Both sides are compared on the int numerators Lx x, Ly y and Lz z
+        (_cleared): each side is trilinear, so both scale by Lx Ly Lz.
+        """
+        x, y, z = (_cleared(a)[0] for a in (x, y, z))
         left = self.star_expanded(kind, self.pprod(kind, x, y), z)
         right = self.star_expanded(kind, x, self.pprod(kind, y, z))
         return left == right
@@ -390,7 +414,7 @@ class PseudoAlgebra:
         for a in args:
             if not isinstance(a, PElement):
                 raise TypeError("arguments must be PElement values")
-        acc = None
+        terms = tuple(terms)
         for term in terms:
             sigma = tuple(term.sigma)
             if sorted(sigma) != list(range(1, n + 1)):
@@ -399,17 +423,73 @@ class PseudoAlgebra:
             _tree_leaves(term.tree, leaves)
             if sorted(leaves) != list(range(1, n + 1)):
                 raise ValueError(f"tree must use each argument exactly once: {term.tree!r}")
-            coeff = exact(term.coeff)
-            value = self._eval_tree(kind, term.tree, sigma, args)
+        # Each term uses every argument once: evaluated on the int numerators
+        # L_i args[i] and scaled by M coeff, M the lcm of the coefficients'
+        # denominators, it and the sum are M prod L_i = den times the value.
+        coeffs = [exact(term.coeff) for term in terms]
+        den = common = math.lcm(*(c.denominator for c in coeffs))
+        points = []
+        for a in args:
+            point, cleared = _cleared(a)
+            points.append(point)
+            den *= cleared
+        acc = None
+        for term, coeff in zip(terms, coeffs):
+            sigma = tuple(term.sigma)
+            value = self._eval_tree(kind, term.tree, sigma, points)
             if isinstance(value, _SlotTensor):
                 value = value.permute(sigma)
-            value = value.scale(coeff)
+            value = value.scale(coeff.numerator * (common // coeff.denominator))
             acc = value if acc is None else acc + value
         if acc is None:
             return {}
         if n == 1:
-            return {(): acc} if acc else {}
-        return dict(sorted(acc.canonical().items()))
+            return {(): _over(acc, den)} if acc else {}
+        return {k: _over(p, den) for k, p in sorted(acc.canonical().items())}
+
+
+def _product(xs, ys, sign: int) -> dict[tuple[int, int], NCPoly]:
+    """{(d + s, e + t): sum of sign^(s+t) f_t g_s} over the _coacted parts
+    (d, {t: f_t}) of x and (e, {s: g_s}) of y."""
+    acc: dict[tuple[int, int], NCPoly] = {}
+    for d, cf in xs:
+        for e, cg in ys:
+            for t, ft in cf.items():
+                for s, gs in cg.items():
+                    term = ft * gs
+                    accumulate(acc, (d + s, e + t), -term if sign < 0 and (s + t) % 2 else term)
+    return acc
+
+
+def _cleared(p: PElement) -> tuple[PElement, int]:
+    """(L p, L) with L the lcm of p's denominators: L p has int values."""
+    den = math.lcm(*(c.denominator for f in p.parts.values() for c in f.terms.values()))
+    return p._new({
+        d: f._new({w: c.numerator * (den // c.denominator) for w, c in f.terms.items()})
+        for d, f in p.parts.items()
+    }), den
+
+
+def _over(p: PElement, den: int) -> PElement:
+    """p / den, one Fraction per coefficient."""
+    return p._new({
+        d: f._new({w: Fraction(c, den) for w, c in f.terms.items()}) for d, f in p.parts.items()
+    })
+
+
+def _divided(g: NCPoly, s: int) -> NCPoly:
+    """g / s!, exactly.  An int that s! divides stays an int, anything else
+    becomes a Fraction.  The standard coaction's component s of an int
+    polynomial is its s-th iterated v-deletion sum, s! times a sum of
+    binomial counts, so it always divides; a user-supplied coaction need
+    not, and exactness does not rest on it."""
+    if s < 2:
+        return g
+    k = math.factorial(s)
+    return g._new({
+        w: c // k if c.__class__ is int and not c % k else Fraction(c, k)
+        for w, c in g.terms.items()
+    })
 
 
 def as_rng(seed) -> random.Random:

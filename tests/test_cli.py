@@ -8,6 +8,7 @@ a failed axiom check.
 import hashlib
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -717,3 +718,45 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "weyl: x .1 x = 1(x)(-1*v)" in proc.stdout
+
+
+def stdout_env(buffering: str) -> dict:
+    """The environment with stdout block-buffered, as for a user, or not."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+class TestReaderStopsEarly:
+    """`confalg ... | head` ends in exit 1 without a traceback; buffered, the
+    interpreter's own flush at exit must not fail either."""
+
+    def test_table_read_in_part(self, buffering):
+        # the table is 2.9 MB, far past a pipe's buffer, so the writer is
+        # still going when the reader closes its end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "confalg", "table", "--config", CONFIG,
+             "--max-k", "2", "--max-n", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=stdout_env(buffering),
+        )
+        assert proc.stdout.read(50).startswith(b'[{"left":')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1 and err == b""
+
+    def test_demo_into_a_closed_pipe(self, buffering):
+        # the demo's output would fit a pipe's buffer: close the read end
+        # before the process starts, so its first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "confalg", "demo", "virasoro"],
+                stdout=write_end, stderr=subprocess.PIPE, env=stdout_env(buffering), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1 and proc.stderr == b""

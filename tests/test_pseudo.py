@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from confalg import checks
 from confalg.hopf import HPoly, TensorHH, decompose
 from confalg.ncpoly import AlgebraConfig, ConfigError, NCPoly
 from confalg.pseudo import (
@@ -17,6 +18,7 @@ from confalg.pseudo import (
     PseudoAlgebra,
     PseudoTensor,
     PseudoTensor3,
+    _cleared,
     _unit_row,
     as_rng,
     associator_identity,
@@ -514,6 +516,87 @@ class TestIdentityEvaluation:
             pa.eval_identity(
                 (IdentityTerm((1, 2), (1, 2)),), ProductKind.P8, [x]
             )
+
+
+class TestIntNumerators:
+    """The pseudo layer computes on int numerators and divides once."""
+
+    @pytest.mark.parametrize("coaction", sorted(COACTIONS))
+    @pytest.mark.parametrize(
+        ("kind", "alg"),
+        [(ProductKind.P8, AB), (ProductKind.P9, AB), (ProductKind.P10, AB),
+         (ProductKind.P11, AB), (ProductKind.P20, AB_COMM)],
+        ids=lambda v: v.value if isinstance(v, ProductKind) else None,
+    )
+    def test_numerators_give_the_scaled_product(self, kind, alg, coaction):
+        pa = PseudoAlgebra(alg, COACTIONS[coaction])
+        rng = as_rng(61)
+        dens = set()
+        for _ in range(8):
+            x, y = (random_pelement(rng, alg, max_d=2, max_len=3) for _ in range(2))
+            (ix, lx), (iy, ly) = _cleared(x), _cleared(y)
+            assert {c.__class__ for p in (ix, iy) for f in p.parts.values() for c in f.terms.values()} == {int}
+            assert pa.pprod(kind, ix, iy) == pa.pprod(kind, x, y).scale(lx * ly)
+            dens.update((lx, ly))
+        assert max(dens) > 1
+
+    def test_int_arguments_give_int_products_under_the_standard_coaction(self):
+        # every word over a and v with up to 4 v's: components s = 2..4 are
+        # divided by s! = 2, 6, 24
+        pa = PseudoAlgebra(AB)
+        words = [w for k in range(1, 5) for w in itertools.product((0, AB.V), repeat=k)]
+        points = [PElement._of(AB, {0: NCPoly._of(AB, {w: 1})}) for w in words]
+        seen = set()
+        for kind in (ProductKind.P8, ProductKind.P9, ProductKind.P10, ProductKind.P11):
+            for x in points:
+                for y in points:
+                    for p in pa.pprod(kind, x, y).entries.values():
+                        seen.update(c.__class__ for f in p.parts.values() for c in f.terms.values())
+        assert seen == {int}
+
+    def test_a_component_that_does_not_divide_gives_exact_fractions(self):
+        # component 2 is f itself, so an int coefficient 1 is divided by 2!
+        pa = PseudoAlgebra(AB, lambda f: {0: f, 2: f})
+        x = PElement._of(AB, {0: NCPoly._of(AB, {(0,): 1})})
+        y = PElement._of(AB, {0: NCPoly._of(AB, {(1,): 3})})
+        t = pa.pprod(ProductKind.P8, x, y)
+        assert t == PseudoTensor(AB, {(0, 0): pel(AB, ("a", "b"), 3), (2, 0): pel(AB, ("a", "b"), Fraction(3, 2))})
+        assert t.entries[2, 0].parts[0].terms == {(0, 1): Fraction(3, 2)}
+
+    def test_term_coefficients_scale_the_identity(self):
+        # under the corrupt coaction the associator does not vanish
+        pa = PseudoAlgebra(AB, corrupt_coaction)
+        rng = as_rng(5)
+        first, second = (IdentityTerm(t.sigma, t.tree, 1) for t in associator_identity())
+        terms = (IdentityTerm(first.sigma, first.tree, Fraction(1, 2)),
+                 IdentityTerm(second.sigma, second.tree, "-3/2"))
+        nonzero = 0
+        for _ in range(4):
+            args = [random_pelement(rng, AB, max_d=2, max_len=3) for _ in range(3)]
+            a = pa.eval_identity((first,), ProductKind.P8, args)
+            b = pa.eval_identity((second,), ProductKind.P8, args)
+            x, y, z = args
+            left = pa.star_expanded(ProductKind.P8, pa.pprod(ProductKind.P8, x, y), z)
+            assert a == dict(sorted(left.canonical().items()))
+            want = {}
+            for key in sorted(set(a) | set(b)):
+                value = a.get(key, PElement(AB)).scale(Fraction(1, 2)) - b.get(key, PElement(AB)).scale(Fraction(3, 2))
+                if value:
+                    want[key] = value
+            got = pa.eval_identity(terms, ProductKind.P8, args)
+            assert got == want
+            assert {c.__class__ for p in got.values() for f in p.parts.values() for c in f.terms.values()} <= {Fraction}
+            nonzero += bool(got)
+        assert nonzero
+
+    def test_a_failure_prints_the_drawn_arguments(self):
+        # seed 0 draws y with the coefficient 1/2; its numerators would print 4*a + 6*v + vb
+        _, (_, case, detail) = checks.run(AlgebraConfig({"a": 2, "b": 3}), "pseudo-assoc", 25, 0, "corrupt")
+        assert case == "kind P11"
+        assert detail == (
+            "x=D^2(x)(aa + ba + 3*ava) y=1(x)(2*a + 3*v + 1/2*vb) "
+            "z=1(x)(-2*a + 3*vvb) + D(x)(-2*1 + 3*av)"
+        )
 
 
 def test_random_generators_are_deterministic():
