@@ -139,7 +139,9 @@ def cmd_reduce(args) -> int:
     if (args.expr is None) == (args.raw_element is None):
         raise UsageError("reduce needs exactly one of --expr or --raw-element")
     if args.expr is not None:
-        x = evaluate(fc, parse(args.expr), engine=args.engine)
+        x = evaluate(fc, parse(args.expr), engine=args.engine or "realize")
+    elif args.engine == "rewrite":
+        raise UsageError("--raw-element reduces through realize: the rewrite engine has no embedding")
     else:
         try:
             with open(args.raw_element, "r", encoding="utf-8") as fh:
@@ -278,7 +280,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--expr")
     p.add_argument("--raw-element", help="JSON file with an H (x) F(B) element to reduce")
-    p.add_argument("--engine", choices=ENGINES, default="realize")
+    p.add_argument("--engine", choices=ENGINES)  # no default: see cmd_reduce
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("prod", help="n-th product of two expressions")
@@ -340,7 +342,11 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # --help printed: flush inside the guard, not at exit
+            sys.stdout.flush()
+            raise
         code = args.func(args)
         sys.stdout.flush()  # so that a reader who left shows here, not at exit
         return code

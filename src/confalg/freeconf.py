@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_key
+from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word
 from .linear import Linear, _new_object, accumulate, exact, integral
 from . import pseudo
 from .pseudo import _COEFF_POOL, _index, PElement, ProductKind, PseudoAlgebra, as_rng
@@ -28,7 +28,8 @@ class NotInSpan(Exception):
     def __init__(self, witness: Word, names: tuple[str, ...]):
         self.witness = tuple(witness)
         self.names = names
-        super().__init__(f"monomial outside the normal-word span: {' '.join(names)}")
+        # the empty word prints as NCPoly's repr spells it
+        super().__init__(f"monomial outside the normal-word span: {' '.join(names) or '1'}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,17 +128,18 @@ class FreeConformal:
             )
         self.alg = config
         # per letter: its word v^(n-1) a, whose suffixes are the letter's hat
-        # pieces (see _hat), and (n(a) - 1)!, a factor of W
+        # pieces (see _hat), and (n(a) - 1)!, a factor of W (see _weight)
         self._letters = {
             name: (_generator_word(config, name), math.factorial(n - 1))
             for name, n in config.n.items()
         }
-        # (u, W, W * iota(u)) for each D-free word u met so far, generators
-        # too, keyed by u's hat word: the monomial reduce eliminates, and a
+        # (u, W * iota(u)) for each D-free word u met so far, generators too,
+        # keyed by u's hat word: the monomial _eliminate removes, and a
         # bijection onto D-free normal words.  W = prod (n(a) - 1)! over u's
-        # letters (see _iota_nc): a generator is the bare word v^(n-1) a, and
-        # every coefficient is an int.  The rewriting engine makes none.
-        self._iota_cache: dict[Word, tuple[NormalWord, int, NCPoly]] = {}
+        # letters is computed (_weight), not stored: a generator is the bare
+        # word v^(n-1) a, and every coefficient is an int.  The rewriting
+        # engine makes none.
+        self._iota_cache: dict[Word, tuple[NormalWord, NCPoly]] = {}
         # the words the rewriting engine's _pair has validated; a word that
         # fails validate is never added
         self._valid: set[NormalWord] = set()
@@ -176,14 +178,14 @@ class FreeConformal:
 
     # ---- realization engine -------------------------------------------
 
-    def _iota_nc(self, u: NormalWord, hat: Word) -> tuple[NormalWord, int, NCPoly]:
-        """(u0, W, W * iota(u0)) for u's D-free part u0 with hat word hat.
+    def _iota_nc(self, u: NormalWord, hat: Word) -> tuple[NormalWord, NCPoly]:
+        """(u0, W * iota(u0)) for u's D-free part u0 with hat word hat.
 
-        W = prod (n(a) - 1)! over the letters.  u .n w has exactly the letters
-        of u and w, so W is multiplicative over products and the scaling
-        cancels in cprods.  A miss finds u's longest cached suffix, then
-        folds right to left over the shorter ones, caching each under its own
-        hat word: that of the suffix from letter g_k on is v^(n(g_k) - 1)
+        W = prod (n(a) - 1)! over the letters (_weight).  u .n w has exactly
+        the letters of u and w, so W is multiplicative over products and the
+        scaling cancels in cprods.  A miss finds u's longest cached suffix,
+        then folds right to left over the shorter ones, caching each under its
+        own hat word: that of the suffix from letter g_k on is v^(n(g_k) - 1)
         followed by u's hat word from g_k's letter on.  The scaled image of
         g .m tail is (-1)^m v^(n(g)-1) g times the m-th v-derivative of the
         tail's (at m = 0 the tail's image itself), built by prefixing each
@@ -213,7 +215,7 @@ class FreeConformal:
             keys.append(key)
         first = len(keys) - 1
         for k in range(first, -1, -1):
-            prefix, weight = self._letters[gens[k]]
+            prefix = self._letters[gens[k]][0]
             if entry is None:  # the last letter
                 image = {prefix: 1}
             else:
@@ -224,25 +226,27 @@ class FreeConformal:
                         hit = cache.get(piece + rest) if other != gens[k] else None
                         if hit is not None:
                             cut = len(piece)
-                            image = {prefix + w[cut:]: c for w, c in hit[2].terms.items()}
+                            image = {prefix + w[cut:]: c for w, c in hit[1].terms.items()}
                             break
                 if image is None:
                     m = indices[k]
                     sign = (-1) ** m
-                    tail = entry[2].vderiv(m) if m else entry[2]
+                    tail = entry[1].vderiv(m) if m else entry[1]
                     image = {prefix + w: sign * c for w, c in tail.terms.items()}
-                weight *= entry[1]
             word = NormalWord._of(0, gens[k:], indices[k:]) if k else u.dfree()
-            entry = cache[keys[k]] = (word, weight, NCPoly._of(self.alg, image))
+            entry = cache[keys[k]] = (word, NCPoly._of(self.alg, image))
         return entry
 
-    def _scaled(self, u: NormalWord) -> tuple[PElement, int]:
-        """(W * iota(u), W) with int coefficients; _hat validates u."""
-        _, weight, image = self._iota_nc(u, self._hat(u))
-        return PElement._of(self.alg, {u.s: image}), weight
+    def _scaled(self, u: NormalWord) -> PElement:
+        """W * iota(u), with int coefficients; _hat validates u."""
+        return PElement._of(self.alg, {u.s: self._iota_nc(u, self._hat(u))[1]})
+
+    def _weight(self, u: NormalWord) -> int:
+        """W = prod (n(a) - 1)! over u's letters, for a valid word u."""
+        return math.prod(self._letters[name][1] for name in u.gens)
 
     def iota_word(self, u: NormalWord) -> PElement:
-        p, weight = self._scaled(u)
+        p, weight = self._scaled(u), self._weight(u)
         f = p.parts[u.s]
         # divide value by value: scale(Fraction(1, 1)) would copy the ints out
         return p._new({u.s: f._new({k: Fraction(c, weight) for k, c in f.terms.items()})})
@@ -317,63 +321,53 @@ class FreeConformal:
     def reduce(self, p: PElement) -> ConfElement:
         """Express p in normal words, greedily eliminating lowest monomials.
 
-        The lowest monomial of each step is looked up in the hat-keyed image
-        cache; _parse_hat and the image build run only the first time a
-        hat word is seen.  Each step divides by the leading coefficient of an
-        int-scaled image and multiplies the quotient by that image's weight
-        W.  An int slice divides exactly; a remainder raises RuntimeError,
-        because only the realize pipeline makes int slices and its quotients
-        are integers.  A Fraction slice, from an element given in Fractions,
-        uses true division.  Every returned
-        value is a Fraction.  Raises NotInSpan when some slice's lowest
-        monomial is not a hat word.
+        Each quotient of _eliminate times its word's W (_weight) is a
+        coefficient, a Fraction; an int slice must divide exactly.  Raises
+        NotInSpan naming a part's lex-least monomial left that is no hat
+        word: in a part of several lengths, not always the shortest one.
         """
-        return ConfElement._of(self._eliminate(p, True))
+        out = self._eliminate(p)
+        return ConfElement._of({u: Fraction(q * self._weight(u)) for u, q in out.items()})
 
-    def _eliminate(self, p: PElement, weigh: bool) -> dict:
-        """reduce's elimination: {word: quotient times W} with weigh, as
-        Fractions, else {word: quotient} as ints.
+    def _eliminate(self, p: PElement) -> dict:
+        """{word: quotient} against the int-scaled images: each step takes a
+        part's lex-least monomial w, a hat word, and subtracts its word's
+        image times the quotient of their coefficients at w.
 
-        Without weigh, p must be a slice of the pseudoproduct of the scaled
-        images of two words u and w.  Every word it reaches has the letters
-        of u and w, so W = W_u * W_w, and the bare quotients are the
-        coordinates of p / (W_u * W_w): integers, structure constants of the
-        algebra.  The slice is int-valued at every n, because pprod divides
-        each coaction component s by s! exactly, and a remainder raises
-        RuntimeError.
+        Proof that this works for any input.  An image's monomials have one
+        length: g .m tail's prefixes a fixed word to the m-th v-derivative of
+        the tail's, and each v-derivative deletes one v.  Its hat word is its
+        deg-lex-least monomial (see hat_word), so its lex-least.  So a step
+        touches only monomials of w's length, each lex-above w: parts of
+        different lengths never interact, and the removed monomials strictly
+        rise in lex order, as the done check enforces.  Its start, None,
+        admits the empty word, which is no hat word: NotInSpan.
 
-        The result lists its words in sort_key order: the slices go by
-        ascending D-power d, and within a slice each eliminated monomial,
-        the hat word of the word it yields, is strictly above the last in
-        deg-lex, as the done check enforces.
+        An int slice divides with divmod, a remainder raising RuntimeError; a
+        Fraction slice uses true division.  A slice of the pseudoproduct of
+        the scaled images of u and w (_pair) is int-valued, as pprod divides
+        each coaction component s by s! exactly.  Its words have the letters
+        of u and w, so W = W_u * W_w, and the quotients are the coordinates
+        of p / (W_u * W_w): integers, structure constants of the algebra.
 
-        Without weigh, every monomial of a slice part has one length, so its
-        deg-lex minimum is its plain lexicographic minimum.  Proof: every
-        monomial of an image has one length, because g .m tail's prefixes a
-        fixed word to the m-th v-derivative of the tail's, and each
-        v-derivative deletes one v.  Let L_u and L_w be the image lengths
-        of u and w.  P8 coacts w alone, so the pseudoproduct's entry
+        The result lists its words by ascending D-power d, then ascending
+        hat word in lex, which is sort_key order when each part has one
+        length, as a pair slice's has.  Proof: let L_u and L_w be the image
+        lengths of u and w.  P8 coacts w alone, so the pseudoproduct's entry
         D^(u.s + s) (x) D^(w.s) holds products of length L_u + L_w - s, the
         coaction's component s deleting s v's.  Splitting at n sends that
         entry to D-power d = u.s + s + w.s - n only (decompose), so the
         slice's part d has the one length L_u + L_w + u.s + w.s - n - d.
-        Each step subtracts an image whose hat word is a monomial of the
-        part, so every term it adds has that length too.
         """
         cache = self._iota_cache
         out: dict[NormalWord, Fraction | int] = {}
         for d in sorted(p.parts):
             g = dict(p.parts[d].terms)  # eliminated in place
             get = g.get
-            done = (-1, ())  # deg-lex key of the last eliminated monomial
+            done = None  # the last eliminated monomial
             while g:
-                if weigh:
-                    key = min(map(deglex_key, g))
-                    w = key[1]
-                else:
-                    w = min(g)
-                    key = (len(w), w)
-                if key <= done:
+                w = min(g)
+                if done is not None and w <= done:
                     raise RuntimeError("reduction failed to make progress")
                 hit = cache.get(w)
                 if hit is None:
@@ -381,17 +375,16 @@ class FreeConformal:
                     if found is None:
                         raise NotInSpan(w, self.alg.word_names(w))
                     hit = self._iota_nc(found, w)
-                base, weight, image = hit
+                base, image = hit
                 core = image.terms
                 num, den = g[w], core[w]
-                if num.__class__ is int or not weigh:
-                    coeff, rest = divmod(num, den)  # an int quotient either way
+                if num.__class__ is int:
+                    coeff, rest = divmod(num, den)
                     if rest:
                         raise RuntimeError(f"inexact elimination: {num} / {den} at {w!r}")
                 else:
                     coeff = num / den
-                u = base if d == 0 else NormalWord._of(d, base.gens, base.indices)
-                out[u] = exact(coeff * weight) if weigh else coeff
+                out[base if d == 0 else NormalWord._of(d, base.gens, base.indices)] = coeff
                 # coeff and every c are nonzero, so a zero lands on a key of g
                 for k, c in core.items():
                     value = get(k, 0) - c * coeff
@@ -399,7 +392,7 @@ class FreeConformal:
                         g[k] = value
                     else:
                         del g[k]
-                done = key
+                done = w
         return out
 
     def _pair(
@@ -423,7 +416,7 @@ class FreeConformal:
                     valid.add(self.validate(u))
             return lambda u, w: {n: self._rw_words(u, n, w) for n in want}
         top = max(want)
-        images = {u: self._scaled(u)[0] for u in words}
+        images = {u: self._scaled(u) for u in words}
         built: dict[int, tuple[NCPoly, dict[int, NCPoly]]] = {}
 
         def coaction(f: NCPoly) -> dict[int, NCPoly]:
@@ -441,7 +434,7 @@ class FreeConformal:
             # looked up in pseudo at call time, where bench/spans.py wraps it
             canon = pseudo.canonicalize(cut.pprod(ProductKind.P8, images[u], images[w]), want)
             try:
-                return {n: self._eliminate(canon.get(n, zero), False) for n in want}
+                return {n: self._eliminate(canon.get(n, zero)) for n in want}
             except NotInSpan as exc:  # would falsify the image-subalgebra claim
                 raise RuntimeError(f"internal reduction failure: {exc}") from exc
 

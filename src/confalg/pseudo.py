@@ -509,9 +509,9 @@ _COEFF_POOL = (
 )
 
 
-def random_word(seed, alg: AlgebraConfig, max_len: int = DEFAULT_MAX_WORD_LEN, min_len: int = 0) -> Word:
+def random_word(seed, alg: AlgebraConfig, max_len: int = DEFAULT_MAX_WORD_LEN) -> Word:
     rng = as_rng(seed)
-    k = rng.randint(min_len, max_len)
+    k = rng.randint(0, max_len)
     w = tuple(rng.randrange(alg.V + 1) for _ in range(k))
     return tuple(sorted(w)) if alg.commutative else w
 

@@ -151,6 +151,26 @@ class TestReduce:
         assert rc == 1 and out == ""
         assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("engine", [[], ["--engine", "realize"]], ids=["default", "realize"])
+    def test_raw_element_reduces_through_realize(self, capsys, engine):
+        rc, out, err = run(
+            capsys,
+            "reduce", "--config", CONFIG,
+            "--raw-element", str(DATA / "raw_vavb.json"), *engine,
+        )
+        assert rc == 0 and err == ""
+        assert out.splitlines()[0] == "-1 * (a .1 b)"
+
+    def test_raw_element_under_rewrite_exits_1(self, capsys):
+        # the rewriting engine has no embedding to reduce a raw element through
+        rc, out, err = run(
+            capsys,
+            "reduce", "--config", CONFIG,
+            "--raw-element", str(DATA / "raw_vavb.json"), "--engine", "rewrite",
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "rewrite" in err
+
     def test_raw_element_outside_span_exits_2(self, capsys):
         rc, out, err = run(
             capsys,
@@ -760,3 +780,20 @@ class TestReaderStopsEarly:
         finally:
             os.close(write_end)
         assert proc.returncode == 1 and proc.stderr == b""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["reduce", "--help"]], ids=shlex.join)
+    def test_help_into_a_closed_pipe(self, buffering, argv):
+        # argparse prints the help and exits; buffered, the help is still in
+        # the buffer then, and its flush meets the closed pipe (exit 1);
+        # unbuffered, argparse's own write fails quietly and it exits 0
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "confalg", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=stdout_env(buffering), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == (1 if buffering == "buffered" else 0)

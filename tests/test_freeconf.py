@@ -5,6 +5,7 @@ point: each one is the oracle for the other.
 """
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -343,7 +344,7 @@ class TestReduce:
         fc = FreeConformal(AlgebraConfig({"a": 1}))
         alg = fc.alg
         a = alg.word(("a",))  # the hat word of the generator a
-        fc._iota_cache[a] = (fc.normal(0, ("a",), ()), 1, NCPoly(alg, {a: 1, (): 1}))
+        fc._iota_cache[a] = (fc.normal(0, ("a",), ()), NCPoly(alg, {a: 1, (): 1}))
         with pytest.raises(RuntimeError, match="progress"):
             fc.reduce(PElement(alg, {0: alg.monomial(("a",))}))
 
@@ -367,6 +368,54 @@ class TestReduce:
         with pytest.raises(RuntimeError, match="^internal reduction failure: ") as err:
             fc.cprod(fc.generator("a"), 1, fc.generator("b"))
         assert isinstance(err.value.__cause__, NotInSpan)
+
+
+class TestOneElimination:
+    """reduce and the products share one plain-lex elimination (_eliminate)."""
+
+    @pytest.mark.parametrize(
+        "config", ["config_ab", "config_ba", "config_xyz", "config_five", "config_onegen"]
+    )
+    def test_round_trip_through_parts_of_several_lengths(self, config):
+        fc = FreeConformal(load_config(str(DATA / f"{config}.json"))[0])
+        rng = as_rng(2)
+        mixed = interleaved = 0
+        for _ in range(40):
+            x = random_element(rng, fc, max_k=2, max_s=2, max_terms=3)
+            p = fc.iota(x)
+            mixed += any(len({len(w) for w in f.terms}) > 1 for f in p.parts.values())
+            hats: dict[int, list] = {}
+            for u in x.terms:
+                hats.setdefault(u.s, []).append(fc.hat_word(u.dfree())[1])
+            for found in map(sorted, hats.values()):  # the order of elimination
+                interleaved += any(len(a) > len(b) for a, b in zip(found, found[1:]))
+            assert fc.reduce(p) == x, x
+        # some part holds monomials of two lengths; and, unless one letter
+        # makes every hat word a prefix of the longer ones, some part is
+        # eliminated out of deg-lex order: a longer hat word before a shorter
+        assert mixed
+        assert interleaved or len(fc.alg.names) == 1
+
+    @staticmethod
+    def reduce_raw(capsys, tmp_path, words) -> tuple[int, str, str]:
+        raw = {"parts": [{"d": 0, "terms": [{"coeff": "1", "word": w} for w in words]}]}
+        path = tmp_path / "raw.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        rc = main(["reduce", "--config", str(DATA / "config_ab.json"), "--raw-element", str(path)])
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    def test_the_witness_is_the_lex_least_of_two_lengths(self, capsys, tmp_path):
+        # neither is a hat word on {a: 2, b: 3}; a a is longer but lex-below b
+        rc, out, err = self.reduce_raw(capsys, tmp_path, [["b"], ["a", "a"]])
+        assert (rc, out) == (2, "")
+        assert err == "error: monomial outside the normal-word span: a a\n"
+
+    def test_the_empty_word_is_outside_the_span(self, capsys, tmp_path):
+        # below every word, so no start of the progress check may refuse it
+        rc, out, err = self.reduce_raw(capsys, tmp_path, [[]])
+        assert (rc, out) == (2, "")
+        assert err == "error: monomial outside the normal-word span: 1\n"
 
 
 class TestProducts:
@@ -672,8 +721,8 @@ class TestIntegerPipeline:
 
     def test_scaled_images_are_int_multiples_of_iota(self, fc):
         for u in fc.enumerate_basis(2, max_s=1):
-            image, weight = fc._scaled(u)
-            assert weight == math.prod(math.factorial(fc.alg.n_of(g) - 1) for g in u.gens)
+            image = fc._scaled(u)
+            weight = math.prod(math.factorial(fc.alg.n_of(g) - 1) for g in u.gens)
             assert image == fc.iota_word(u).scale(weight)
             assert coefficient_types([image]) == {int}
 
@@ -713,7 +762,7 @@ class TestIntegerPipeline:
         fc = FreeConformal(AlgebraConfig({"a": 1}))
         alg = fc.alg
         a = alg.word(("a",))
-        fc._iota_cache[a] = (fc.normal(0, ("a",), ()), 1, NCPoly._of(alg, {a: 2}))
+        fc._iota_cache[a] = (fc.normal(0, ("a",), ()), NCPoly._of(alg, {a: 2}))
         with pytest.raises(RuntimeError, match="inexact"):
             fc.reduce(PElement._of(alg, {0: NCPoly._of(alg, {a: 3})}))
         half = ConfElement({fc.normal(0, ("a",), ()): Fraction(3, 2)})
@@ -828,9 +877,9 @@ class TestHatKeyedImages:
             fc.iota_word(u)
         cache = fc._iota_cache
         assert len(cache) == len(basis)  # suffixes of basis words are basis words
-        for key, (u, weight, image) in cache.items():
+        for key, (u, image) in cache.items():
             assert key == fc.hat_word(u)[1]
-            assert weight == math.prod(math.factorial(fc.alg.n_of(g) - 1) for g in u.gens)
+            weight = math.prod(math.factorial(fc.alg.n_of(g) - 1) for g in u.gens)
             assert image == fc.iota_word(u).parts[0].scale(weight)
 
     def test_prefix_built_image_is_the_product_formula(self, fc):
@@ -892,10 +941,10 @@ class TestSiblingImages:
         for u in basis:
             alone = FreeConformal(alg)
             hat = alone._hat(u)
-            word, weight, image = alone._iota_nc(u, hat)
+            word, image = alone._iota_nc(u, hat)
             got = warm._iota_cache[hat]
-            assert got[:2] == (word, weight), u
-            assert list(got[2].terms.items()) == list(image.terms.items()), u
+            assert got[0] == word, u
+            assert list(got[1].terms.items()) == list(image.terms.items()), u
 
     def test_a_sibling_takes_no_derivative(self, monkeypatch):
         fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
@@ -923,14 +972,13 @@ class TestPlainLexSlices:
 
     @pytest.fixture
     def lengths(self, monkeypatch) -> list:
-        """The set of monomial lengths of each part of each unweighed slice."""
+        """The set of monomial lengths of each part of each eliminated slice."""
         seen = []
         real = FreeConformal._eliminate
 
-        def spy(fc, p, weigh):
-            if not weigh:
-                seen.extend({len(w) for w in f.terms} for f in p.parts.values())
-            return real(fc, p, weigh)
+        def spy(fc, p):
+            seen.extend({len(w) for w in f.terms} for f in p.parts.values())
+            return real(fc, p)
 
         monkeypatch.setattr(FreeConformal, "_eliminate", spy)
         return seen
