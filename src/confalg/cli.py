@@ -29,6 +29,13 @@ EXIT_AXIOM = 3
 
 MODES = ("conformal", "pseudo-commutative")
 
+# Largest listings, in letters: basis prints each word's letters, and table
+# multiplies two words per cell.  Both know their sizes from basis_count
+# before they enumerate anything, and refuse above these caps (exit 1),
+# where they would build and sort every word before their first line.
+MAX_BASIS_LETTERS = 1_000_000
+MAX_TABLE_LETTERS = 10_000_000
+
 
 class UsageError(Exception):
     """Bad flags, config files, or input shapes; maps to exit code 1."""
@@ -179,10 +186,30 @@ def cmd_prod(args) -> int:
     return EXIT_OK
 
 
+def _basis_size(fc: FreeConformal, max_k: int, cap: int) -> tuple[int, int]:
+    """(words, letters) of the D-free normal words with at most max_k
+    products, summed from basis_count.  The sum stops once letters passes
+    cap, which takes fewer than cap steps however large max_k is."""
+    words = letters = 0
+    for k in range(max_k + 1):
+        count = fc.basis_count(k)
+        words += count
+        letters += count * (k + 1)
+        if letters > cap:
+            break
+    return words, letters
+
+
 def cmd_basis(args) -> int:
     fc = FreeConformal(load_config(args.config)[0])
     if args.max_k < 0 or args.max_s < 0:
         raise UsageError("--max-k and --max-s must be nonnegative")
+    _, letters = _basis_size(fc, args.max_k, MAX_BASIS_LETTERS)
+    if letters * (args.max_s + 1) > MAX_BASIS_LETTERS:
+        raise UsageError(
+            f"basis would list more than {MAX_BASIS_LETTERS} letters; "
+            "lower --max-k or --max-s"
+        )
     words = fc.enumerate_basis(args.max_k, args.max_s)
     counts = []
     for k in range(args.max_k + 1):
@@ -201,6 +228,13 @@ def cmd_table(args) -> int:
     fc = FreeConformal(load_config(args.config)[0])
     if args.max_n < 0 or args.max_k < 0:
         raise UsageError("--max-n and --max-k must be nonnegative")
+    words, letters = _basis_size(fc, args.max_k, MAX_TABLE_LETTERS)
+    # each word meets every word once per n, on either side
+    if 2 * words * letters * (args.max_n + 1) > MAX_TABLE_LETTERS:
+        raise UsageError(
+            f"table would multiply more than {MAX_TABLE_LETTERS} letters; "
+            "lower --max-k or --max-n"
+        )
     words = sorted(fc.enumerate_basis(args.max_k, 0), key=fc.sort_key)
     text = {w: fc.word_to_json_text(w) for w in words}  # each built once, not per cell
     write = sys.stdout.write

@@ -127,19 +127,27 @@ class FreeConformal:
                 "has no normal-word basis"
             )
         self.alg = config
-        # per letter: its word v^(n-1) a, whose suffixes are the letter's hat
-        # pieces (see _hat), and (n(a) - 1)!, a factor of W (see _weight)
+        # per letter: its word P_a = v^(n-1) a, whose suffixes are the
+        # letter's hat pieces (see _hat), and (n(a) - 1)!, a factor of W (see
+        # _weight)
         self._letters = {
             name: (_generator_word(config, name), math.factorial(n - 1))
             for name, n in config.n.items()
         }
-        # (u, W * iota(u)) for each D-free word u met so far, generators too,
-        # keyed by u's hat word: the monomial _eliminate removes, and a
-        # bijection onto D-free normal words.  W = prod (n(a) - 1)! over u's
-        # letters is computed (_weight), not stored: a generator is the bare
-        # word v^(n-1) a, and every coefficient is an int.  The rewriting
-        # engine makes none.
-        self._iota_cache: dict[Word, tuple[NormalWord, NCPoly]] = {}
+        # The scaled image of a .m r is P_a times T(m, r) = (-1)^m times the
+        # m-th v-derivative of W_r * iota(r), which does not depend on a.
+        # One entry per (m, r) met so far, (m, the D-free word r, T(m, r),
+        # the words a .m r by letter code, each built when first needed, see
+        # _word), keyed by T's lex-least monomial: r's hat word without its
+        # first m v's, which is u's hat word without P_a.  The key () holds
+        # the empty tail, r = None and T = 1, so a generator's image is P_a.
+        # W = prod (n(a) - 1)! over the letters is computed (_weight), not
+        # stored, and every coefficient is an int.  The rewriting engine
+        # makes none.
+        self._iota_cache: dict[Word, tuple] = {
+            (): (0, None, NCPoly._of(config, {(): 1}),
+                 [NormalWord._of(0, (name,), ()) for name in config.names])
+        }
         # the words the rewriting engine's _pair has validated; a word that
         # fails validate is never added
         self._valid: set[NormalWord] = set()
@@ -178,68 +186,81 @@ class FreeConformal:
 
     # ---- realization engine -------------------------------------------
 
-    def _iota_nc(self, u: NormalWord, hat: Word) -> tuple[NormalWord, NCPoly]:
-        """(u0, W * iota(u0)) for u's D-free part u0 with hat word hat.
+    def _iota_nc(self, gens: tuple[str, ...], indices: tuple[int, ...], key: Word) -> tuple:
+        """The cache entry of T(m, r), for the tail r with letters gens,
+        m = indices[0] and r's indices indices[1:]; key is T's lex-least
+        monomial, the concatenation of the letters' pieces (see _hat), the
+        first letter's facing m.  gens = () with key = () is the empty tail.
 
         W = prod (n(a) - 1)! over the letters (_weight).  u .n w has exactly
         the letters of u and w, so W is multiplicative over products and the
-        scaling cancels in cprods.  A miss finds u's longest cached suffix,
-        then folds right to left over the shorter ones, caching each under its
-        own hat word: that of the suffix from letter g_k on is v^(n(g_k) - 1)
-        followed by u's hat word from g_k's letter on.  The scaled image of
-        g .m tail is (-1)^m v^(n(g)-1) g times the m-th v-derivative of the
-        tail's (at m = 0 the tail's image itself), built by prefixing each
-        monomial with g's word; no two products collide, so nothing is
-        collected.
-
-        Those coefficients do not depend on g, so a sibling h .m tail already
-        cached gives g .m tail's image without a derivative: the key of
-        h .m tail is h's word followed by the rest of g .m tail's key, and
-        swapping the leading word of each of its monomials yields g's.  Only
-        the first fold step can hit: building any word caches every suffix,
-        so a later step's tail, first built here, has no cached sibling.  The
-        cache holds the same keys and images either way.
+        scaling cancels in cprods.  T(0, b .m' r') is P_b times T(m', r'),
+        built by prefixing each monomial with P_b: no two products collide,
+        so nothing is collected.  T(m, r) for m > 0 is (-1)^m times the m-th
+        v-derivative of T(0, r).  A miss walks right over these entries until
+        one is cached: at the latest the empty tail's, T(0, b) being P_b.  It
+        then folds back left and caches each entry it builds, T(0, r_j)
+        under r_j's hat word and T(m, r_j) under that word without its first
+        m v's.  Neither depends on the letter in front of r_j, so every first
+        letter shares them, and no entry holds a prefixed copy.
         """
         cache = self._iota_cache
-        entry = cache.get(hat)
+        entry = cache.get(key)
         if entry is not None:
             return entry
-        gens, indices, V = u.gens, u.indices, self.alg.V
-        starts = [pos for pos, code in enumerate(hat) if code != V]
-        keys = [hat]  # of the suffixes not cached, longest first
-        for k in range(1, len(gens)):
-            key = (V,) * (self.alg.n[gens[k]] - 1) + hat[starts[k]:]
-            entry = cache.get(key)
+        letters, alg = self._letters, self.alg
+        # level j is T(indices[j], gens[j:]), keyed own = key[start:]; the
+        # walk stops at a cached T(0, gens[j:]) (derive) or a cached level j + 1
+        levels: list[tuple[str, int, Word, Word]] = []  # not cached, outermost first
+        start = 0
+        derive = False
+        for name, m in zip(gens, indices):
+            end = start + alg.n[name] - m  # where the next letter's piece starts
+            own = key[start:]
+            hat = letters[name][0] + key[end:] if m else own  # T(0, gens[j:])'s key
+            levels.append((name, m, own, hat))
+            if m:
+                entry = cache.get(hat)
+                if entry is not None:
+                    derive = True
+                    break
+            entry = cache.get(key[end:])
             if entry is not None:
                 break
-            keys.append(key)
-        first = len(keys) - 1
-        for k in range(first, -1, -1):
-            prefix = self._letters[gens[k]][0]
-            if entry is None:  # the last letter
-                image = {prefix: 1}
-            else:
-                image = None
-                if k == first:
-                    rest = hat[starts[k] + 1:]
-                    for other, (piece, _) in self._letters.items():
-                        hit = cache.get(piece + rest) if other != gens[k] else None
-                        if hit is not None:
-                            cut = len(piece)
-                            image = {prefix + w[cut:]: c for w, c in hit[1].terms.items()}
-                            break
-                if image is None:
-                    m = indices[k]
-                    sign = (-1) ** m
-                    tail = entry[1].vderiv(m) if m else entry[1]
-                    image = {prefix + w: sign * c for w, c in tail.terms.items()}
-            word = NormalWord._of(0, gens[k:], indices[k:]) if k else u.dfree()
-            entry = cache[keys[k]] = (word, NCPoly._of(self.alg, image))
+            start = end
+        slots = len(alg.names)
+        for name, m, own, hat in reversed(levels):
+            if not derive:
+                piece = letters[name][0]
+                image = NCPoly._of(alg, {piece + w: c for w, c in entry[2].terms.items()})
+                r = self._word(entry, alg.index[name])
+                entry = cache[hat] = (0, r, image, [None] * slots)
+            derive = False
+            if m:
+                image = entry[2].vderiv(m)
+                if m & 1:
+                    image = image._new({w: -c for w, c in image.terms.items()})
+                entry = cache[own] = (m, entry[1], image, [None] * slots)
         return entry
 
+    def _word(self, entry: tuple, code: int) -> NormalWord:
+        """The word a .m r of the cache entry of T(m, r), for the letter a
+        with code code; built once, and shared as the r of T(0, a .m r)."""
+        word = entry[3][code]
+        if word is None:
+            m, r = entry[0], entry[1]
+            word = NormalWord._of(0, (self.alg.names[code],) + r.gens, (m,) + r.indices)
+            entry[3][code] = word
+        return word
+
     def _scaled(self, u: NormalWord) -> PElement:
-        """W * iota(u), with int coefficients; _hat validates u."""
-        return PElement._of(self.alg, {u.s: self._iota_nc(u, self._hat(u))[1]})
+        """W * iota(u), with int coefficients: P_a times T(m, r) for
+        u = a .m r, and P_a for u = a (see _iota_nc); _hat validates u."""
+        piece = self._letters[u.gens[0]][0]
+        key = self._hat(u)[len(piece):]
+        tail = self._iota_nc(u.gens[1:], u.indices, key)[2]
+        image = NCPoly._of(self.alg, {piece + w: c for w, c in tail.terms.items()})
+        return PElement._of(self.alg, {u.s: image})
 
     def _weight(self, u: NormalWord) -> int:
         """W = prod (n(a) - 1)! over u's letters, for a valid word u."""
@@ -289,16 +310,20 @@ class FreeConformal:
 
     def word_to_normal(self, w: Word) -> tuple[int, NormalWord] | None:
         """Invert hat_word; None when w is not a hat word (see _parse_hat)."""
-        u = self._parse_hat(w)
-        return None if u is None else ((-1) ** sum(u.indices), u)
+        found = self._parse_hat(w)
+        if found is None or found[1][0]:
+            return None
+        names, indices = found
+        return (-1) ** sum(indices), NormalWord._of(0, names, indices[1:])
 
-    def _parse_hat(self, w: Word) -> NormalWord | None:
-        """The D-free word whose hat word is w; None when w is not a hat word.
+    def _parse_hat(self, w: Word) -> tuple[tuple[str, ...], tuple[int, ...]] | None:
+        """(letters, indices) of the pieces that make up w, or None.
 
         w is cut after each generator code: a slice of length L that ends in
-        letter a is a's piece facing index n(a) - L.  None when an index is
-        negative, the first letter faces an index other than 0, a v-run
-        trails, or w is empty.
+        letter a is a's piece facing index n(a) - L.  indices has one entry
+        per letter, the first letter's included: 0 when w is a hat word, and
+        m when w is the key of T(m, r) (see _iota_nc).  None when an index
+        is negative, a v-run trails, or w is empty.
         """
         V, names_of, n = self.alg.V, self.alg.names, self.alg.n
         names: list[str] = []
@@ -313,10 +338,9 @@ class FreeConformal:
                 names.append(name)
                 indices.append(m)
                 start = end
-        if start != len(w) or not names or indices[0] != 0:
+        if start != len(w) or not names:
             return None
-        del indices[0]
-        return NormalWord._of(0, tuple(names), tuple(indices))
+        return tuple(names), tuple(indices)
 
     def reduce(self, p: PElement) -> ConfElement:
         """Express p in normal words, greedily eliminating lowest monomials.
@@ -335,13 +359,25 @@ class FreeConformal:
         image times the quotient of their coefficients at w.
 
         Proof that this works for any input.  An image's monomials have one
-        length: g .m tail's prefixes a fixed word to the m-th v-derivative of
-        the tail's, and each v-derivative deletes one v.  Its hat word is its
-        deg-lex-least monomial (see hat_word), so its lex-least.  So a step
-        touches only monomials of w's length, each lex-above w: parts of
-        different lengths never interact, and the removed monomials strictly
-        rise in lex order, as the done check enforces.  Its start, None,
-        admits the empty word, which is no hat word: NotInSpan.
+        length: a .m r's is P_a times T(m, r) (see _iota_nc), each
+        v-derivative deleting one v.  Its hat word is its deg-lex-least
+        monomial (see hat_word), so its lex-least.  So a step touches only
+        monomials of w's length, each lex-above w: parts of different
+        lengths never interact, and the removed monomials strictly rise in
+        lex order.
+
+        Each image monomial starts with its word's leading piece P_a = v^(n(a)
+        - 1) a, and P_a is a prefix of no other letter's: a part's monomials
+        are grouped by their leading piece and each group is eliminated on
+        the monomials without it, which keep their lex order, against the
+        cached T(m, r).  So no image is ever prefixed, and the stripped
+        monomial is T(m, r)'s key.  A monomial with no leading piece is no
+        hat word and no image reaches it, and it lies lex-below or lex-above
+        a whole group; groups run in lex order of their pieces.  So the
+        monomial NotInSpan names, the lex-least of those and the first no
+        hat word met in a group, is the one a step over the whole part would
+        meet first.  The done check enforces the rise within a group; its
+        start, None, admits the empty stripped word, the tail of a generator.
 
         An int slice divides with divmod, a remainder raising RuntimeError; a
         Fraction slice uses true division.  A slice of the pseudoproduct of
@@ -357,43 +393,80 @@ class FreeConformal:
         D^(u.s + s) (x) D^(w.s) holds products of length L_u + L_w - s, the
         coaction's component s deleting s v's.  Splitting at n sends that
         entry to D-power d = u.s + s + w.s - n only (decompose), so the
-        slice's part d has the one length L_u + L_w + u.s + w.s - n - d.
+        slice's part d has the one length L_u + L_w + u.s + w.s - n - d.  It
+        has one group too: every monomial starts with u's first letter's
+        piece.
         """
         cache = self._iota_cache
         out: dict[NormalWord, Fraction | int] = {}
         for d in sorted(p.parts):
-            g = dict(p.parts[d].terms)  # eliminated in place
-            get = g.get
-            done = None  # the last eliminated monomial
-            while g:
-                w = min(g)
-                if done is not None and w <= done:
-                    raise RuntimeError("reduction failed to make progress")
-                hit = cache.get(w)
-                if hit is None:
-                    found = self._parse_hat(w)
-                    if found is None:
-                        raise NotInSpan(w, self.alg.word_names(w))
-                    hit = self._iota_nc(found, w)
-                base, image = hit
-                core = image.terms
-                num, den = g[w], core[w]
-                if num.__class__ is int:
-                    coeff, rest = divmod(num, den)
-                    if rest:
-                        raise RuntimeError(f"inexact elimination: {num} / {den} at {w!r}")
-                else:
-                    coeff = num / den
-                out[base if d == 0 else NormalWord._of(d, base.gens, base.indices)] = coeff
-                # coeff and every c are nonzero, so a zero lands on a key of g
-                for k, c in core.items():
-                    value = get(k, 0) - c * coeff
-                    if value:
-                        g[k] = value
+            groups, stray = self._by_piece(p.parts[d].terms)
+            for piece, g in groups:  # each g is eliminated in place
+                if stray is not None and stray < piece:
+                    break
+                code = piece[-1]
+                get = g.get
+                done = None  # the last eliminated monomial
+                while g:
+                    w = min(g)
+                    if done is not None and w <= done:
+                        raise RuntimeError("reduction failed to make progress")
+                    hit = cache.get(w)
+                    if hit is None:
+                        found = self._parse_hat(w)
+                        if found is None:
+                            w = piece + w
+                            raise NotInSpan(w, self.alg.word_names(w))
+                        hit = self._iota_nc(*found, w)
+                    core = hit[2].terms
+                    num, den = g[w], core[w]
+                    if num.__class__ is int:
+                        coeff, rest = divmod(num, den)
+                        if rest:
+                            raise RuntimeError(
+                                f"inexact elimination: {num} / {den} at {piece + w!r}"
+                            )
                     else:
-                        del g[k]
-                done = w
+                        coeff = num / den
+                    word = self._word(hit, code)
+                    out[word if d == 0 else NormalWord._of(d, word.gens, word.indices)] = coeff
+                    # coeff and every c are nonzero, so a zero lands on a key of g
+                    for k, c in core.items():
+                        value = get(k, 0) - c * coeff
+                        if value:
+                            g[k] = value
+                        else:
+                            del g[k]
+                    done = w
+            if stray is not None:
+                raise NotInSpan(stray, self.alg.word_names(stray))
         return out
+
+    def _by_piece(self, terms: dict[Word, Fraction | int]) -> tuple[list, Word | None]:
+        """For _eliminate: [(leading piece P_a, {monomial without P_a:
+        value})] in lex order of the pieces, and the lex-least monomial that
+        starts with no piece, or None."""
+        pieces = [piece for piece, _ in self._letters.values()]
+        if terms:
+            # the words that start with a piece are an interval in lex order,
+            # so they are all when the least and the greatest are: a pair
+            # slice's one group
+            least, greatest = min(terms), max(terms)
+            for piece in pieces:
+                cut = len(piece)
+                if least[:cut] == piece == greatest[:cut]:
+                    return [(piece, {w[cut:]: c for w, c in terms.items()})], None
+        groups: dict[Word, dict] = {}
+        stray = None
+        for w, c in terms.items():
+            for piece in pieces:
+                if w[:len(piece)] == piece:
+                    groups.setdefault(piece, {})[w[len(piece):]] = c
+                    break
+            else:
+                if stray is None or w < stray:
+                    stray = w
+        return sorted(groups.items()), stray
 
     def _pair(
         self, engine: str, words: Iterable[NormalWord], want: tuple[int, ...]

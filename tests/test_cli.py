@@ -15,7 +15,8 @@ import sys
 
 import pytest
 
-from confalg.cli import dump_json, load_config, main
+from confalg import cli
+from confalg.cli import MAX_BASIS_LETTERS, MAX_TABLE_LETTERS, dump_json, load_config, main
 from confalg.exprs import evaluate, parse
 from confalg.freeconf import ConfElement, FreeConformal
 from confalg.ncpoly import MAX_LOCALITY
@@ -24,6 +25,7 @@ from conftest import DATA
 
 CONFIG = str(DATA / "config_ab.json")
 CONFIG_COMM = str(DATA / "config_comm.json")
+CONFIG_ONEGEN = str(DATA / "config_onegen.json")
 
 
 def run(capsys, *argv):
@@ -354,11 +356,79 @@ class TestBasis:
         b = run(capsys, "basis", "--config", CONFIG, "--max-k", "2")
         assert a == b
 
+    TOO_LARGE = (
+        f"error: basis would list more than {MAX_BASIS_LETTERS} letters; "
+        "lower --max-k or --max-s\n"
+    )
+
+    @pytest.mark.parametrize(
+        ("config", "flags"),
+        [
+            (CONFIG, ("--max-k", "999999")),
+            (CONFIG, ("--max-k", "0", "--max-s", str(10**15))),
+            # one word per k, of k + 1 letters: 1,501 words, 1,127,251 letters
+            (CONFIG_ONEGEN, ("--max-k", "1500")),
+        ],
+    )
+    def test_above_the_cap_exits_1_before_enumerating(self, capsys, monkeypatch, config, flags):
+        def enumerate_basis(fc, max_k, max_s=0):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(FreeConformal, "enumerate_basis", enumerate_basis)
+        rc, out, err = run(capsys, "basis", "--config", config, *flags)
+        assert (rc, out, err) == (1, "", self.TOO_LARGE)
+
+    def test_the_cap_counts_letters(self, capsys, monkeypatch):
+        # k <= 2 on {a: 2, b: 3}: 2 words of 1 letter, 10 of 2 and 50 of 3
+        monkeypatch.setattr(cli, "MAX_BASIS_LETTERS", 2 + 10 * 2 + 50 * 3)
+        assert run(capsys, "basis", "--config", CONFIG, "--max-k", "2")[0] == 0
+        rc, out, err = run(capsys, "basis", "--config", CONFIG, "--max-k", "2", "--max-s", "1")
+        assert (rc, out) == (1, "") and "more than 172 letters" in err
+        monkeypatch.setattr(cli, "MAX_BASIS_LETTERS", 171)
+        assert run(capsys, "basis", "--config", CONFIG, "--max-k", "2")[0] == 1
+
 
 class TestTable:
     def test_negative_max_n_exits_1(self, capsys):
         rc, out, err = run(capsys, "table", "--config", CONFIG, "--max-n", "-1", "--max-k", "1")
         assert (rc, out, err) == (1, "", "error: --max-n and --max-k must be nonnegative\n")
+
+    @pytest.mark.parametrize(
+        ("config", "max_k", "max_n"),
+        [(CONFIG, "99", "1"), (CONFIG, "0", str(10**8)), (CONFIG_ONEGEN, "999", "0")],
+    )
+    def test_above_the_cap_exits_1_before_enumerating(
+        self, capsys, monkeypatch, config, max_k, max_n
+    ):
+        def enumerate_basis(fc, max_k, max_s=0):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(FreeConformal, "enumerate_basis", enumerate_basis)
+        rc, out, err = run(capsys, "table", "--config", config, "--max-k", max_k, "--max-n", max_n)
+        assert (rc, out) == (1, "")
+        assert err == (
+            f"error: table would multiply more than {MAX_TABLE_LETTERS} letters; "
+            "lower --max-k or --max-n\n"
+        )
+
+    def test_the_cap_counts_both_words_of_each_cell(self, capsys, monkeypatch):
+        # k <= 1 on {a: 2, b: 3}: 12 words, 2 + 10 * 2 = 22 letters; each
+        # word meets all 12 on either side for each of 3 n
+        monkeypatch.setattr(cli, "MAX_TABLE_LETTERS", 2 * 12 * 22 * 3)
+        argv = ("table", "--config", CONFIG, "--max-k", "1", "--max-n", "2")
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "MAX_TABLE_LETTERS", 2 * 12 * 22 * 3 - 1)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "") and "more than 1583 letters" in err
+
+    @pytest.mark.parametrize(
+        ("config", "max_k", "max_n"),
+        [("config_ab", 2, 3), ("config_xyz", 2, 3), ("config_five", 1, 3), ("config_onegen", 4, 3)],
+    )
+    def test_the_ci_tables_are_under_the_cap(self, config, max_k, max_n):
+        fc = FreeConformal(load_config(str(DATA / f"{config}.json"))[0])
+        words, letters = cli._basis_size(fc, max_k, MAX_TABLE_LETTERS)
+        assert 2 * words * letters * (max_n + 1) <= MAX_TABLE_LETTERS
 
     def test_structure_and_byte_stability(self, capsys):
         rc, out, _ = run(

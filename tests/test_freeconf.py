@@ -343,10 +343,11 @@ class TestReduce:
         # eliminated greedily: reduce refuses instead of looping
         fc = FreeConformal(AlgebraConfig({"a": 1}))
         alg = fc.alg
-        a = alg.word(("a",))  # the hat word of the generator a
-        fc._iota_cache[a] = (fc.normal(0, ("a",), ()), NCPoly(alg, {a: 1, (): 1}))
+        a = alg.word(("a",))  # T(0, a)'s key: a .0 a's hat word without P_a = a
+        generator = fc.normal(0, ("a",), ())
+        fc._iota_cache[a] = (0, generator, NCPoly(alg, {a: 1, (): 1}), [None])
         with pytest.raises(RuntimeError, match="progress"):
-            fc.reduce(PElement(alg, {0: alg.monomial(("a",))}))
+            fc.reduce(PElement(alg, {0: alg.monomial(("a", "a"))}))
 
     def test_out_of_span_raises_with_witness(self, fc):
         bad = PElement(fc.alg, {0: fc.alg.monomial(("v", "a"))})
@@ -410,6 +411,27 @@ class TestOneElimination:
         rc, out, err = self.reduce_raw(capsys, tmp_path, [["b"], ["a", "a"]])
         assert (rc, out) == (2, "")
         assert err == "error: monomial outside the normal-word span: a a\n"
+
+    @pytest.mark.parametrize(
+        ("words", "witness"),
+        [
+            # v a v v b is a .0 b's image, and v b starts with no piece
+            (["vavvb", "vb"], "v b"),
+            # v b lies below the piece v v b of b .0 a's image
+            (["vb", "vvbva"], "v b"),
+            # v a v, past the piece v a, is no tail: it lies below v b
+            (["vav", "vb"], "v a v"),
+            (["vb", "vvbv"], "v b"),
+            # a lies below every piece
+            (["vvbva", "vav", "a"], "a"),
+        ],
+    )
+    def test_the_witness_is_the_lex_least_across_pieces(
+        self, capsys, tmp_path, words, witness
+    ):
+        rc, out, err = self.reduce_raw(capsys, tmp_path, [list(w) for w in words])
+        assert (rc, out) == (2, "")
+        assert err == f"error: monomial outside the normal-word span: {witness}\n"
 
     def test_the_empty_word_is_outside_the_span(self, capsys, tmp_path):
         # below every word, so no start of the progress check may refuse it
@@ -762,7 +784,9 @@ class TestIntegerPipeline:
         fc = FreeConformal(AlgebraConfig({"a": 1}))
         alg = fc.alg
         a = alg.word(("a",))
-        fc._iota_cache[a] = (fc.normal(0, ("a",), ()), NCPoly._of(alg, {a: 2}))
+        # the generator's image is P_a times the empty tail's entry, T = 1
+        empty = fc._iota_cache[()]
+        fc._iota_cache[()] = (0, None, NCPoly._of(alg, {(): 2}), empty[3])
         with pytest.raises(RuntimeError, match="inexact"):
             fc.reduce(PElement._of(alg, {0: NCPoly._of(alg, {a: 3})}))
         half = ConfElement({fc.normal(0, ("a",), ()): Fraction(3, 2)})
@@ -862,7 +886,7 @@ def test_a_long_v_run_under_both_engines():
 
 
 class TestHatKeyedImages:
-    """One image cache keyed by hat word, filled by prefixing tail images."""
+    """One image cache: T(m, r) per tail (m, r), keyed by its lex-least monomial."""
 
     @pytest.fixture(
         scope="class", params=["config_ab.json", "config_xyz.json", "config_onegen.json"]
@@ -871,16 +895,31 @@ class TestHatKeyedImages:
         alg, _ = load_config(str(DATA / request.param))
         return FreeConformal(alg)
 
-    def test_every_key_is_the_hat_word_of_its_word(self, fc):
+    def test_every_entry_is_its_tail_image(self, fc):
         basis = fc.enumerate_basis(3)
         for u in basis:
             fc.iota_word(u)
         cache = fc._iota_cache
-        assert len(cache) == len(basis)  # suffixes of basis words are basis words
-        for key, (u, image) in cache.items():
-            assert key == fc.hat_word(u)[1]
-            weight = math.prod(math.factorial(fc.alg.n_of(g) - 1) for g in u.gens)
-            assert image == fc.iota_word(u).parts[0].scale(weight)
+        # u = a .m r caches T(m, r), and T(0, r) to derive it from
+        tails = {
+            (m, NormalWord(0, u.gens[1:], u.indices[1:]))
+            for u in basis
+            if u.indices
+            for m in {0, u.indices[0]}
+        }
+        assert {(m, r) for m, r, _, _ in cache.values() if r is not None} == tails
+        assert len(cache) == len(tails) + 1  # and the empty tail
+        assert cache[()][:3] == (0, None, NCPoly(fc.alg, {(): 1}))
+        for key, (m, r, image, _) in cache.items():
+            if r is None:
+                continue
+            # r's hat word without its first m v's, read back with its m
+            assert key == fc.hat_word(r)[1][m:]
+            assert fc._parse_hat(key) == (r.gens, (m,) + r.indices)
+            weight = math.prod(math.factorial(fc.alg.n_of(g) - 1) for g in r.gens)
+            scaled = fc.iota_word(r).parts[0].scale(weight)
+            assert image == scaled.vderiv(m).scale((-1) ** m), (m, r)
+            assert min(image.terms) == key
 
     def test_prefix_built_image_is_the_product_formula(self, fc):
         for u in fc.enumerate_basis(3):
@@ -923,7 +962,77 @@ def spy_vderiv(monkeypatch) -> list:
 
 
 class TestSiblingImages:
-    """g .m tail's image is read off a cached h .m tail's, with no derivative."""
+    """Siblings a .m r and b .m r share one cached T(m, r): a's image is P_a
+    times it, b's is P_b times it."""
+
+    def test_the_table_keeps_one_entry_per_tail(self):
+        # the benchmark's table: config_ab, k <= 2, n = 0 and 1
+        fc = FreeConformal(load_config(str(DATA / "config_ab.json"))[0])
+        words = fc.enumerate_basis(2)
+        reached = set(words)  # each word an image is built for: inputs and outputs
+        for _, _, _, value in fc.table_rows(words, range(2), "realize"):
+            reached.update(v.dfree() for v in value.terms)
+        suffixes, tails = set(), set()
+        for u in reached:
+            for j in range(len(u.gens)):
+                suffixes.add((u.gens[j:], u.indices[j:]))
+                if j:
+                    r = NormalWord(0, u.gens[j:], u.indices[j:])
+                    tails |= {(u.indices[j - 1], r), (0, r)}
+        cache = fc._iota_cache
+        assert {(m, r) for m, r, _, _ in cache.values() if r is not None} == tails
+        # one entry per tail and the empty tail's, where an entry per word
+        # and suffix, its first letter included, makes twice as many
+        assert (len(cache), len(tails), len(suffixes)) == (3806, 3805, 7612)
+
+    def test_a_sibling_takes_no_derivative(self, monkeypatch):
+        fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
+        fc.iota_word(fc.normal(0, ("a", "a", "b"), (1, 2)))
+        size = len(fc._iota_cache)
+        calls = spy_vderiv(monkeypatch)
+        got = fc.iota_word(fc.normal(0, ("b", "a", "b"), (1, 2)))
+        assert calls == [] and len(fc._iota_cache) == size
+        monkeypatch.undo()
+        fresh = FreeConformal(fc.alg)
+        assert got == fresh.iota_word(fresh.normal(0, ("b", "a", "b"), (1, 2)))
+
+    def test_each_word_is_built_once_per_entry_and_letter(self):
+        fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
+        p = fc.iota(ConfElement({u: 1 for u in fc.enumerate_basis(2)}))
+        first, again = fc._eliminate(p), fc._eliminate(p)
+        assert list(first.items()) == list(again.items())
+        assert all(u is w for u, w in zip(first, again))
+        # r of T(0, r) and T(m, r) is the word its next entry in made for r's
+        # first letter: one word for both, not a copy per entry
+        cache = fc._iota_cache
+        for m, r, _, _ in cache.values():
+            if r is not None:
+                key = fc._hat(r)[fc.alg.n[r.gens[0]]:]
+                assert cache[key][3][fc.alg.index[r.gens[0]]] is r, r
+
+    def test_a_derivative_reads_the_cached_tail(self):
+        fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
+        fc.iota_word(fc.normal(0, ("a", "b", "a"), (0, 1)))  # caches T(0, b .1 a)
+        entries = dict(fc._iota_cache)
+        fc.iota_word(fc.normal(0, ("a", "b", "a"), (1, 1)))  # T(1, b .1 a) from it
+        assert len(fc._iota_cache) == len(entries) + 1
+        assert all(fc._iota_cache[key] is entry for key, entry in entries.items())
+
+    def test_five_letters_share_one_tail(self, monkeypatch):
+        fc = FreeConformal(load_config(str(DATA / "config_five.json"))[0])
+        names = fc.alg.names
+        # T(1, c .0 b) is the derivative of v v c v b: two monomials
+        gens, indices = ("c", "b"), (1, 0)
+        first = fc.iota_word(fc.normal(0, (names[0],) + gens, indices))
+        size = len(fc._iota_cache)
+        calls = spy_vderiv(monkeypatch)
+        got = {a: fc.iota_word(fc.normal(0, (a,) + gens, indices)) for a in names[1:]}
+        assert calls == [] and len(fc._iota_cache) == size
+        monkeypatch.undo()
+        for a, image in got.items():
+            fresh = FreeConformal(fc.alg)
+            assert image == fresh.iota_word(fresh.normal(0, (a,) + gens, indices)), a
+            assert len(image.parts[0].terms) == len(first.parts[0].terms) > 1
 
     @pytest.mark.parametrize(
         "config", ["config_ab.json", "config_ba.json", "config_xyz.json", "config_five.json"]
@@ -935,30 +1044,22 @@ class TestSiblingImages:
         calls = spy_vderiv(monkeypatch)
         for u in basis:
             warm.iota_word(u)
-        # each word with a product took one derivative unless a sibling was cached
-        assert len(calls) < sum(1 for u in basis if u.indices)
+        # each tail (m, r) with m > 0 takes one derivative, however many
+        # first letters stand in front of it
+        derived = {(u.indices[0], u.gens[1:], u.indices[1:]) for u in basis if u.indices}
+        assert len(calls) == sum(1 for m, _, _ in derived if m) < len(basis)
         monkeypatch.undo()
         for u in basis:
             alone = FreeConformal(alg)
-            hat = alone._hat(u)
-            word, image = alone._iota_nc(u, hat)
-            got = warm._iota_cache[hat]
-            assert got[0] == word, u
-            assert list(got[1].terms.items()) == list(image.terms.items()), u
-
-    def test_a_sibling_takes_no_derivative(self, monkeypatch):
-        fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
-        fc.iota_word(fc.normal(0, ("a", "a", "b"), (1, 2)))
-        calls = spy_vderiv(monkeypatch)
-        got = fc.iota_word(fc.normal(0, ("b", "a", "b"), (1, 2)))
-        assert calls == []
-        monkeypatch.undo()
-        fresh = FreeConformal(fc.alg)
-        assert got == fresh.iota_word(fresh.normal(0, ("b", "a", "b"), (1, 2)))
+            key = alone._hat(u)[alone.alg.n[u.gens[0]]:]
+            m, r, image, _ = alone._iota_nc(u.gens[1:], u.indices, key)
+            got = warm._iota_cache[key]
+            assert got[:2] == (m, r), u
+            assert list(got[2].terms.items()) == list(image.terms.items()), u
 
     @pytest.mark.parametrize("config", ["config_ab.json", "config_xyz.json"])
     def test_index_zero_takes_no_derivative(self, config, monkeypatch):
-        # the tail's image is prefixed as it is: vderiv(0) would return it unchanged
+        # T(0, r) is prefixed as it is: vderiv(0) would return it unchanged
         fc = FreeConformal(load_config(str(DATA / config))[0])
         basis = fc.enumerate_basis(3)
         calls = spy_vderiv(monkeypatch)
