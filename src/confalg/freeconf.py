@@ -103,6 +103,10 @@ def _generator_word(alg: AlgebraConfig, name: str) -> Word:
     return alg.word(("v",) * (alg.n_of(name) - 1) + (name,))
 
 
+def _prefixed(piece: Word, f: NCPoly) -> NCPoly:  # no two monomials collide
+    return f._new({piece + w: c for w, c in f.terms.items()})
+
+
 def generator_image(alg: AlgebraConfig, name: str) -> NCPoly:
     """Image of a generator in F(B): the word v^(n-1) a scaled by 1/(n-1)!.
 
@@ -231,8 +235,7 @@ class FreeConformal:
         slots = len(alg.names)
         for name, m, own, hat in reversed(levels):
             if not derive:
-                piece = letters[name][0]
-                image = NCPoly._of(alg, {piece + w: c for w, c in entry[2].terms.items()})
+                image = _prefixed(letters[name][0], entry[2])
                 r = self._word(entry, alg.index[name])
                 entry = cache[hat] = (0, r, image, [None] * slots)
             derive = False
@@ -253,14 +256,16 @@ class FreeConformal:
             entry[3][code] = word
         return word
 
-    def _scaled(self, u: NormalWord) -> PElement:
-        """W * iota(u), with int coefficients: P_a times T(m, r) for
-        u = a .m r, and P_a for u = a (see _iota_nc); _hat validates u."""
+    def _tail(self, u: NormalWord) -> tuple[Word, NCPoly]:
+        """(P_a, T(m, r)) for u = a .m r, and (P_a, 1) for u = a, T the
+        cache entry's own polynomial (see _iota_nc); _hat validates u."""
         piece = self._letters[u.gens[0]][0]
         key = self._hat(u)[len(piece):]
-        tail = self._iota_nc(u.gens[1:], u.indices, key)[2]
-        image = NCPoly._of(self.alg, {piece + w: c for w, c in tail.terms.items()})
-        return PElement._of(self.alg, {u.s: image})
+        return piece, self._iota_nc(u.gens[1:], u.indices, key)[2]
+
+    def _scaled(self, u: NormalWord) -> PElement:
+        """W * iota(u), with int coefficients: P_a times T (see _tail)."""
+        return PElement._of(self.alg, {u.s: _prefixed(*self._tail(u))})
 
     def _weight(self, u: NormalWord) -> int:
         """W = prod (n(a) - 1)! over u's letters, for a valid word u."""
@@ -350,10 +355,10 @@ class FreeConformal:
         NotInSpan naming a part's lex-least monomial left that is no hat
         word: in a part of several lengths, not always the shortest one.
         """
-        out = self._eliminate(p)
+        out = self._eliminate(p, None)
         return ConfElement._of({u: Fraction(q * self._weight(u)) for u, q in out.items()})
 
-    def _eliminate(self, p: PElement) -> dict:
+    def _eliminate(self, p: PElement, piece: Word | None) -> dict:
         """{word: quotient} against the int-scaled images: each step takes a
         part's lex-least monomial w, a hat word, and subtracts its word's
         image times the quotient of their coefficients at w.
@@ -367,44 +372,45 @@ class FreeConformal:
         lex order.
 
         Each image monomial starts with its word's leading piece P_a = v^(n(a)
-        - 1) a, and P_a is a prefix of no other letter's: a part's monomials
-        are grouped by their leading piece and each group is eliminated on
-        the monomials without it, which keep their lex order, against the
-        cached T(m, r).  So no image is ever prefixed, and the stripped
-        monomial is T(m, r)'s key.  A monomial with no leading piece is no
-        hat word and no image reaches it, and it lies lex-below or lex-above
-        a whole group; groups run in lex order of their pieces.  So the
-        monomial NotInSpan names, the lex-least of those and the first no
-        hat word met in a group, is the one a step over the whole part would
-        meet first.  The done check enforces the rise within a group; its
-        start, None, admits the empty stripped word, the tail of a generator.
+        - 1) a, and P_a is a prefix of no other letter's: the monomials
+        behind one piece are eliminated without it, which keeps their lex
+        order, against the cached T(m, r), whose key is such a monomial.
+        _pair passes u's piece with a slice that lacks it; reduce passes
+        None, and each part is grouped by leading piece (_by_piece).  A
+        monomial with no leading piece is no hat word and no image reaches
+        it, and it lies lex-below or lex-above a whole group; groups run in
+        lex order of their pieces.  So the monomial NotInSpan names (piece
+        included), the lex-least of those and the first no hat word met in
+        a group, is the one a step over the whole part would meet first.
+        The done check enforces the rise within a group; its start, None,
+        admits the empty stripped word, the tail of a generator.
 
         An int slice divides with divmod, a remainder raising RuntimeError; a
-        Fraction slice uses true division.  A slice of the pseudoproduct of
-        the scaled images of u and w (_pair) is int-valued, as pprod divides
-        each coaction component s by s! exactly.  Its words have the letters
-        of u and w, so W = W_u * W_w, and the quotients are the coordinates
-        of p / (W_u * W_w): integers, structure constants of the algebra.
+        Fraction slice uses true division.  _pair's slice, of u's tail T
+        times w's scaled image, is int-valued, as pprod divides each
+        coaction component s by s! exactly; P8 coacts w alone, so P_a times
+        it is the scaled images' slice.  Its words have the letters of u and
+        w, so W = W_u * W_w, and the quotients are the coordinates of p /
+        (W_u * W_w): integers, structure constants of the algebra.
 
         The result lists its words by ascending D-power d, then ascending
         hat word in lex, which is sort_key order when each part has one
-        length, as a pair slice's has.  Proof: let L_u and L_w be the image
-        lengths of u and w.  P8 coacts w alone, so the pseudoproduct's entry
+        length, as a pair slice's has.  Proof: let L_u and L_w be the
+        monomial lengths of T and of w's image.  The pseudoproduct's entry
         D^(u.s + s) (x) D^(w.s) holds products of length L_u + L_w - s, the
         coaction's component s deleting s v's.  Splitting at n sends that
         entry to D-power d = u.s + s + w.s - n only (decompose), so the
-        slice's part d has the one length L_u + L_w + u.s + w.s - n - d.  It
-        has one group too: every monomial starts with u's first letter's
-        piece.
+        slice's part d has the one length L_u + L_w + u.s + w.s - n - d.
         """
         cache = self._iota_cache
         out: dict[NormalWord, Fraction | int] = {}
         for d in sorted(p.parts):
-            groups, stray = self._by_piece(p.parts[d].terms)
-            for piece, g in groups:  # each g is eliminated in place
-                if stray is not None and stray < piece:
+            terms = p.parts[d].terms
+            groups, stray = ([(piece, dict(terms))], None) if piece else self._by_piece(terms)
+            for lead, g in groups:  # each g is eliminated in place
+                if stray is not None and stray < lead:
                     break
-                code = piece[-1]
+                code = lead[-1]
                 get = g.get
                 done = None  # the last eliminated monomial
                 while g:
@@ -415,7 +421,7 @@ class FreeConformal:
                     if hit is None:
                         found = self._parse_hat(w)
                         if found is None:
-                            w = piece + w
+                            w = lead + w
                             raise NotInSpan(w, self.alg.word_names(w))
                         hit = self._iota_nc(*found, w)
                     core = hit[2].terms
@@ -424,7 +430,7 @@ class FreeConformal:
                         coeff, rest = divmod(num, den)
                         if rest:
                             raise RuntimeError(
-                                f"inexact elimination: {num} / {den} at {piece + w!r}"
+                                f"inexact elimination: {num} / {den} at {lead + w!r}"
                             )
                     else:
                         coeff = num / den
@@ -443,19 +449,10 @@ class FreeConformal:
         return out
 
     def _by_piece(self, terms: dict[Word, Fraction | int]) -> tuple[list, Word | None]:
-        """For _eliminate: [(leading piece P_a, {monomial without P_a:
-        value})] in lex order of the pieces, and the lex-least monomial that
-        starts with no piece, or None."""
+        """For _eliminate under reduce: [(leading piece P_a, {monomial
+        without P_a: value})] in lex order of the pieces, and the lex-least
+        monomial that starts with no piece, or None."""
         pieces = [piece for piece, _ in self._letters.values()]
-        if terms:
-            # the words that start with a piece are an interval in lex order,
-            # so they are all when the least and the greatest are: a pair
-            # slice's one group
-            least, greatest = min(terms), max(terms)
-            for piece in pieces:
-                cut = len(piece)
-                if least[:cut] == piece == greatest[:cut]:
-                    return [(piece, {w[cut:]: c for w, c in terms.items()})], None
         groups: dict[Word, dict] = {}
         stray = None
         for w, c in terms.items():
@@ -476,11 +473,12 @@ class FreeConformal:
         The result maps (u, w), both among words, to {n: u_(n) w as
         {word: int}} for each n in want.  Rewrite validates each word once
         per FreeConformal (_valid), and each pair is _rw_words.  Realize
-        scales each word once and coacts it at most once, as far as
-        component max(want), for all the pairs it is in.  Each pair is then
-        one P8 pseudoproduct, split at the requested n alone, and each slice
-        eliminated: the quotients are the coefficients, because the weights
-        W_u * W_w cancel (see _eliminate).
+        takes each word's P_a and T once (_tail), and scales and coacts its
+        image at most once, as far as component max(want), for all the
+        pairs it is in.  Each pair is then one P8 pseudoproduct of u's T and
+        w's image, split at the requested n alone, and each slice eliminated
+        behind u's P_a: the quotients are the coefficients, because the
+        weights W_u * W_w cancel (see _eliminate).
         """
         if engine == "rewrite":
             valid = self._valid
@@ -489,7 +487,10 @@ class FreeConformal:
                     valid.add(self.validate(u))
             return lambda u, w: {n: self._rw_words(u, n, w) for n in want}
         top = max(want)
-        images = {u: self._scaled(u) for u in words}
+        alg = self.alg
+        tails = {u: self._tail(u) for u in words}
+        lefts = {u: (piece, PElement._of(alg, {u.s: t})) for u, (piece, t) in tails.items()}
+        images = {u: PElement._of(alg, {u.s: _prefixed(*t)}) for u, t in tails.items()}
         built: dict[int, tuple[NCPoly, dict[int, NCPoly]]] = {}
 
         def coaction(f: NCPoly) -> dict[int, NCPoly]:
@@ -500,14 +501,15 @@ class FreeConformal:
                 hit = built[id(f)] = (f, f.coact(top))
             return hit[1]
 
-        cut = PseudoAlgebra(self.alg, coaction)
-        zero = PElement(self.alg)
+        cut = PseudoAlgebra(alg, coaction)
+        zero = PElement(alg)
 
         def pair(u: NormalWord, w: NormalWord) -> dict[int, dict[NormalWord, int]]:
+            piece, tail = lefts[u]  # P8 coacts w alone: P_a can wait
             # looked up in pseudo at call time, where bench/spans.py wraps it
-            canon = pseudo.canonicalize(cut.pprod(ProductKind.P8, images[u], images[w]), want)
+            canon = pseudo.canonicalize(cut.pprod(ProductKind.P8, tail, images[w]), want)
             try:
-                return {n: self._eliminate(canon.get(n, zero)) for n in want}
+                return {n: self._eliminate(canon.get(n, zero), piece) for n in want}
             except NotInSpan as exc:  # would falsify the image-subalgebra claim
                 raise RuntimeError(f"internal reduction failure: {exc}") from exc
 

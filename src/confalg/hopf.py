@@ -80,9 +80,6 @@ class TensorHH(Linear):
             for (i2, j2), c2 in other.coeffs.items()
         ))
 
-    def swap(self) -> "TensorHH":
-        return self._new({(j, i): c for (i, j), c in self.coeffs.items()})
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"

@@ -999,7 +999,7 @@ class TestSiblingImages:
     def test_each_word_is_built_once_per_entry_and_letter(self):
         fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
         p = fc.iota(ConfElement({u: 1 for u in fc.enumerate_basis(2)}))
-        first, again = fc._eliminate(p), fc._eliminate(p)
+        first, again = fc._eliminate(p, None), fc._eliminate(p, None)
         assert list(first.items()) == list(again.items())
         assert all(u is w for u, w in zip(first, again))
         # r of T(0, r) and T(m, r) is the word its next entry in made for r's
@@ -1077,9 +1077,9 @@ class TestPlainLexSlices:
         seen = []
         real = FreeConformal._eliminate
 
-        def spy(fc, p):
+        def spy(fc, p, piece):
             seen.extend({len(w) for w in f.terms} for f in p.parts.values())
-            return real(fc, p)
+            return real(fc, p, piece)
 
         monkeypatch.setattr(FreeConformal, "_eliminate", spy)
         return seen
@@ -1108,6 +1108,46 @@ class TestPlainLexSlices:
             y = random_element(rng, fc, max_k=3, max_s=3, max_terms=3)
             assert fc.cprods(x, y, range(5)) == fc.cprods_rw(x, y, range(5))
         assert lengths and all(len(seen) == 1 for seen in lengths)
+
+
+class TestPairPassesThePiece:
+    """A product's slices arrive without u's leading piece, which _pair
+    passes to _eliminate; only reduce groups monomials by piece."""
+
+    @pytest.fixture
+    def grouped(self, monkeypatch) -> list:
+        """The terms of every _by_piece call."""
+        calls = []
+        real = FreeConformal._by_piece
+        monkeypatch.setattr(
+            FreeConformal, "_by_piece", lambda fc, terms: calls.append(terms) or real(fc, terms)
+        )
+        return calls
+
+    def test_products_never_group(self, grouped):
+        fc = FreeConformal(load_config(str(DATA / "config_ab.json"))[0])
+        assert sum(1 for _ in fc.table_rows(fc.enumerate_basis(2), range(4), "realize"))
+        rng = as_rng(223)
+        lefts = []
+        for _ in range(20):
+            x = random_element(rng, fc, max_k=2, max_s=3, max_terms=3)
+            y = random_element(rng, fc, max_k=2, max_s=3, max_terms=3)
+            assert fc.cprods(x, y, range(4)) == fc.cprods_rw(x, y, range(4))
+            lefts.append(x)
+        # some left factor has D-powers and several first letters in one _pair
+        assert any(
+            len({u.gens[0] for u in x.terms}) > 1 and any(u.s for u in x.terms) for x in lefts
+        )
+        assert grouped == []
+
+    def test_reduce_groups_by_first_letter(self, grouped):
+        fc = FreeConformal(load_config(str(DATA / "config_ab.json"))[0])
+        x = ConfElement({
+            fc.normal(0, ("a",), ()): 1,
+            fc.normal(2, ("b", "a"), (1,)): Fraction(-1, 2),
+        })
+        assert fc.reduce(fc.iota(x)) == x
+        assert grouped
 
 
 class TestLocality:
