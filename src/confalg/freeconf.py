@@ -14,10 +14,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word
-from .linear import Linear, _new_object, accumulate, exact, integral
+from .linear import Linear, _new_object, integral
 from . import pseudo
 from .pseudo import _COEFF_POOL, _index, PElement, ProductKind, PseudoAlgebra, as_rng
 
@@ -256,16 +256,18 @@ class FreeConformal:
             entry[3][code] = word
         return word
 
-    def _tail(self, u: NormalWord) -> tuple[Word, NCPoly]:
-        """(P_a, T(m, r)) for u = a .m r, and (P_a, 1) for u = a, T the
-        cache entry's own polynomial (see _iota_nc); _hat validates u."""
+    def _tail(self, u: NormalWord) -> tuple[Word, Word, NCPoly]:
+        """(P_a, key, T(m, r)) for u = a .m r, and (P_a, (), 1) for u = a: T
+        the cache entry's own polynomial and key its key, u's hat word
+        without P_a (see _iota_nc); _hat validates u."""
         piece = self._letters[u.gens[0]][0]
         key = self._hat(u)[len(piece):]
-        return piece, self._iota_nc(u.gens[1:], u.indices, key)[2]
+        return piece, key, self._iota_nc(u.gens[1:], u.indices, key)[2]
 
     def _scaled(self, u: NormalWord) -> PElement:
         """W * iota(u), with int coefficients: P_a times T (see _tail)."""
-        return PElement._of(self.alg, {u.s: _prefixed(*self._tail(u))})
+        piece, _, tail = self._tail(u)
+        return PElement._of(self.alg, {u.s: _prefixed(piece, tail)})
 
     def _weight(self, u: NormalWord) -> int:
         """W = prod (n(a) - 1)! over u's letters, for a valid word u."""
@@ -358,10 +360,16 @@ class FreeConformal:
         out = self._eliminate(p, None)
         return ConfElement._of({u: Fraction(q * self._weight(u)) for u, q in out.items()})
 
-    def _eliminate(self, p: PElement, piece: Word | None) -> dict:
-        """{word: quotient} against the int-scaled images: each step takes a
-        part's lex-least monomial w, a hat word, and subtracts its word's
+    def _eliminate(self, p: PElement, piece: Word | None) -> list | dict:
+        """The quotients of p against the int-scaled images: each step takes
+        a part's lex-least monomial w, a hat word, and subtracts its word's
         image times the quotient of their coefficients at w.
+
+        Under reduce (piece None) the result is {word: quotient}.  A pair
+        slice's is [(d, entry, quotient)], entry the cache entry of the T(m,
+        r) eliminated at D-power d: it names no first letter, so every u
+        with the same D-power and tail shares it, and the caller turns it
+        into words for u's letter (_words).
 
         Proof that this works for any input.  An image's monomials have one
         length: a .m r's is P_a times T(m, r) (see _iota_nc), each
@@ -393,7 +401,7 @@ class FreeConformal:
         w, so W = W_u * W_w, and the quotients are the coordinates of p /
         (W_u * W_w): integers, structure constants of the algebra.
 
-        The result lists its words by ascending D-power d, then ascending
+        The result lists its quotients by ascending D-power d, then ascending
         hat word in lex, which is sort_key order when each part has one
         length, as a pair slice's has.  Proof: let L_u and L_w be the
         monomial lengths of T and of w's image.  The pseudoproduct's entry
@@ -403,14 +411,14 @@ class FreeConformal:
         slice's part d has the one length L_u + L_w + u.s + w.s - n - d.
         """
         cache = self._iota_cache
-        out: dict[NormalWord, Fraction | int] = {}
+        quotients: list[tuple[int, tuple, Fraction | int]] = []
+        words: dict[NormalWord, Fraction | int] = {}
         for d in sorted(p.parts):
             terms = p.parts[d].terms
             groups, stray = ([(piece, dict(terms))], None) if piece else self._by_piece(terms)
             for lead, g in groups:  # each g is eliminated in place
                 if stray is not None and stray < lead:
                     break
-                code = lead[-1]
                 get = g.get
                 done = None  # the last eliminated monomial
                 while g:
@@ -434,8 +442,7 @@ class FreeConformal:
                             )
                     else:
                         coeff = num / den
-                    word = self._word(hit, code)
-                    out[word if d == 0 else NormalWord._of(d, word.gens, word.indices)] = coeff
+                    quotients.append((d, hit, coeff))
                     # coeff and every c are nonzero, so a zero lands on a key of g
                     for k, c in core.items():
                         value = get(k, 0) - c * coeff
@@ -444,9 +451,20 @@ class FreeConformal:
                         else:
                             del g[k]
                     done = w
+                if piece is None:  # each group's words start with its own letter
+                    words.update(self._words(quotients, lead[-1]))
+                    quotients.clear()
             if stray is not None:
                 raise NotInSpan(stray, self.alg.word_names(stray))
-        return out
+        return quotients if piece else words
+
+    def _words(self, quotients: list, code: int) -> Iterator[tuple[NormalWord, Fraction | int]]:
+        """(word, quotient) for each (d, entry, quotient) of _eliminate: the
+        word of the entry for the letter with code code (_word), D^d."""
+        word = self._word
+        for d, entry, q in quotients:
+            u = word(entry, code)
+            yield (NormalWord._of(d, u.gens, u.indices) if d else u), q
 
     def _by_piece(self, terms: dict[Word, Fraction | int]) -> tuple[list, Word | None]:
         """For _eliminate under reduce: [(leading piece P_a, {monomial
@@ -467,18 +485,21 @@ class FreeConformal:
 
     def _pair(
         self, engine: str, words: Iterable[NormalWord], want: tuple[int, ...]
-    ) -> Callable[[NormalWord, NormalWord], dict[int, dict[NormalWord, int]]]:
+    ) -> Callable[[NormalWord, NormalWord], dict[int, dict | list]]:
         """The named engine's per-pair core for words, its per-word work done.
 
-        The result maps (u, w), both among words, to {n: u_(n) w as
-        {word: int}} for each n in want.  Rewrite validates each word once
-        per FreeConformal (_valid), and each pair is _rw_words.  Realize
-        takes each word's P_a and T once (_tail), and scales and coacts its
-        image at most once, as far as component max(want), for all the
-        pairs it is in.  Each pair is then one P8 pseudoproduct of u's T and
-        w's image, split at the requested n alone, and each slice eliminated
+        The result maps (u, w), both among words, to {n: u_(n) w} for each
+        n in want.  Rewrite validates each word once per FreeConformal
+        (_valid), and each pair is _rw_words, {word: int}.  Realize takes
+        each word's P_a and T once (_tail), and scales and coacts its image
+        at most once, as far as component max(want), for all the pairs it
+        is in.  Each pair is then one P8 pseudoproduct of u's T and w's
+        image, split at the requested n alone, and each slice eliminated
         behind u's P_a: the quotients are the coefficients, because the
-        weights W_u * W_w cancel (see _eliminate).
+        weights W_u * W_w cancel (see _eliminate).  A realize value is
+        _eliminate's letter-free [(d, entry, int)], the same for every u
+        with u's D-power and tail; the caller makes its words for u's first
+        letter (_words).
         """
         if engine == "rewrite":
             valid = self._valid
@@ -489,8 +510,10 @@ class FreeConformal:
         top = max(want)
         alg = self.alg
         tails = {u: self._tail(u) for u in words}
-        lefts = {u: (piece, PElement._of(alg, {u.s: t})) for u, (piece, t) in tails.items()}
-        images = {u: PElement._of(alg, {u.s: _prefixed(*t)}) for u, t in tails.items()}
+        lefts = {u: (piece, PElement._of(alg, {u.s: t})) for u, (piece, _, t) in tails.items()}
+        images = {
+            u: PElement._of(alg, {u.s: _prefixed(piece, t)}) for u, (piece, _, t) in tails.items()
+        }
         built: dict[int, tuple[NCPoly, dict[int, NCPoly]]] = {}
 
         def coaction(f: NCPoly) -> dict[int, NCPoly]:
@@ -504,7 +527,7 @@ class FreeConformal:
         cut = PseudoAlgebra(alg, coaction)
         zero = PElement(alg)
 
-        def pair(u: NormalWord, w: NormalWord) -> dict[int, dict[NormalWord, int]]:
+        def pair(u: NormalWord, w: NormalWord) -> dict[int, list]:
             piece, tail = lefts[u]  # P8 coacts w alone: P_a can wait
             # looked up in pseudo at call time, where bench/spans.py wraps it
             canon = pseudo.canonicalize(cut.pprod(ProductKind.P8, tail, images[w]), want)
@@ -520,26 +543,29 @@ class FreeConformal:
     ) -> dict[int, ConfElement]:
         """{n: x_(n) y} for each n in ns, through the named engine.
 
-        Each word pair's {word: int} from _pair is scaled by cu * cw, written
-        over one common denominator, so the sums stay ints and each output
-        term gets one Fraction.  For a single word pair each value keeps the
-        order of the pair's dict.
+        Each word pair's ints from _pair, under realize made words for u's
+        first letter (_words), are scaled by cu * cw, written over one
+        common denominator, so the sums stay ints and each output term gets
+        one Fraction.  For a single word pair each value keeps the order of
+        the pair's terms.
         """
         want = _requested(ns)
         if not want:
             return {}
         pair = self._pair(engine, (*y.terms, *x.terms), want)
+        realize, index = engine == "realize", self.alg.index
         den_x = math.lcm(*(c.denominator for c in x.terms.values()))
         den_y = math.lcm(*(c.denominator for c in y.terms.values()))
         acc: dict[int, dict[NormalWord, int]] = {n: {} for n in want}
         for u, cu in x.terms.items():
             su = cu.numerator * (den_x // cu.denominator)
+            code = index[u.gens[0]]
             for w, cw in y.terms.items():
                 scale = su * cw.numerator * (den_y // cw.denominator)
                 for n, value in pair(u, w).items():
                     out = acc[n]
                     get = out.get
-                    for v, k in value.items():
+                    for v, k in self._words(value, code) if realize else value.items():
                         out[v] = get(v, 0) + k * scale
         den = den_x * den_y
         return {
@@ -574,10 +600,15 @@ class FreeConformal:
         Cells come one at a time, u slowest and w fastest.  Every value
         lists its terms in sort_key order, by construction, not by a sort:
         see _eliminate, _rw_words and _rw_rule.  Under realize, each word is
-        scaled once and coacted once per table, not once per cell (_pair),
-        and each value term is an int until its one Fraction.  Under
-        rewrite, each cell is one cprod_rw of two single words, the product
-        that bench/spans.py counts as the rewrite engine's work.
+        scaled once and coacted once per table, not once per cell (_pair).
+        u = a .m r has the image P_a T(m, r), and the quotients of u_(n) w
+        do not depend on a: the row's block of every n and w is computed
+        once per (u.s, tail key), shared by every first letter and dropped
+        after the last row that reads it.  Each row makes its words for its
+        own letter (_words), and each value term is an int until its one
+        Fraction.  Under rewrite, each cell is one cprod_rw of two single
+        words, the product that bench/spans.py counts as the rewrite
+        engine's work.
         """
         self.engine(engine)  # an unknown name raises ValueError
         words = list(words)
@@ -586,15 +617,26 @@ class FreeConformal:
             return
         if engine == "realize":
             pair = self._pair(engine, words, want)
-            cells = lambda u, w: {
-                n: ConfElement._of({v: Fraction(k) for v, k in value.items()})
-                for n, value in pair(u, w).items()
-            }
-        else:
-            single = {w: ConfElement({w: 1}) for w in words}
-            cells = lambda u, w: {n: self.cprod_rw(single[u], n, single[w]) for n in want}
+            keys = [(u.s, self._tail(u)[1]) for u in words]
+            last = {key: row for row, key in enumerate(keys)}
+            blocks: dict[tuple, list] = {}  # by key, until its last row
+            index, to_words = self.alg.index, self._words
+            for row, (u, key) in enumerate(zip(words, keys)):
+                block = blocks.pop(key, None) or [pair(u, w) for w in words]
+                if last[key] > row:
+                    blocks[key] = block
+                code = index[u.gens[0]]
+                for n in want:
+                    for w, value in zip(words, block):
+                        yield u, n, w, ConfElement._of(
+                            {v: Fraction(k) for v, k in to_words(value[n], code)}
+                        )
+            return
+        single = {w: ConfElement({w: 1}) for w in words}
         for u in words:
-            block = [cells(u, w) for w in words]  # every n of a pair at once
+            block = [  # every n of a pair at once
+                {n: self.cprod_rw(single[u], n, single[w]) for n in want} for w in words
+            ]
             for n in want:
                 for w, value in zip(words, block):
                     yield u, n, w, value[n]
@@ -832,17 +874,6 @@ class FreeConformal:
     def word_to_json(self, u: NormalWord) -> dict:
         return {"s": u.s, "gens": list(u.gens), "indices": list(u.indices)}
 
-    def word_from_json(self, obj: Mapping) -> NormalWord:
-        try:
-            gens, indices = obj["gens"], obj["indices"]
-            # tuple() would read a string as its letters and a dict as its keys
-            if not (isinstance(gens, list) and isinstance(indices, list)):
-                raise TypeError("gens and indices must be JSON arrays")
-            u = NormalWord(obj["s"], tuple(gens), tuple(indices))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad normal-word object: {obj!r}") from exc
-        return self.validate(u)
-
     def element_to_json(self, x: ConfElement) -> list[dict]:
         return [
             {"coeff": str(c), "word": self.word_to_json(u)}
@@ -861,12 +892,6 @@ class FreeConformal:
         words from config names, ASCII identifiers with nothing to escape."""
         text = self.word_to_json_text
         return "[" + ",".join(f'{{"coeff":"{c}","word":{text(u)}}}' for u, c in terms) + "]"
-
-    def element_from_json(self, items: Iterable[Mapping]) -> ConfElement:
-        out: dict[NormalWord, Fraction] = {}
-        for item in items:
-            accumulate(out, self.word_from_json(item["word"]), exact(item["coeff"]))
-        return ConfElement._of(out)
 
     def render_word(self, u: NormalWord) -> str:
         opens = "".join(f"({name} .{n} " for name, n in zip(u.gens, u.indices))

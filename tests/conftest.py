@@ -3,9 +3,32 @@ from pathlib import Path
 
 import pytest
 
-from confalg import AlgebraConfig, FreeConformal, PseudoAlgebra
+from confalg import AlgebraConfig, ConfElement, FreeConformal, NormalWord, PseudoAlgebra
+from confalg.linear import accumulate, exact
 
 DATA = Path(__file__).parent / "data"
+
+
+def word_from_json(fc: FreeConformal, obj) -> NormalWord:
+    """The valid word of a FreeConformal.word_to_json object; ValueError
+    names an object that is not one."""
+    try:
+        gens, indices = obj["gens"], obj["indices"]
+        # tuple() would read a string as its letters and a dict as its keys
+        if not (isinstance(gens, list) and isinstance(indices, list)):
+            raise TypeError("gens and indices must be JSON arrays")
+        u = NormalWord(obj["s"], tuple(gens), tuple(indices))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad normal-word object: {obj!r}") from exc
+    return fc.validate(u)
+
+
+def element_from_json(fc: FreeConformal, items) -> ConfElement:
+    """The element of a FreeConformal.element_to_json list."""
+    out: dict = {}
+    for item in items:
+        accumulate(out, word_from_json(fc, item["word"]), exact(item["coeff"]))
+    return ConfElement._of(out)
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,8 @@ out.update(tracer.counts)
 print(json.dumps(out))
 """
 
-# 12 D-free words with k <= 1 on {a: 2, b: 3}, 144 pairs, n = 0..3
+# 12 D-free words with k <= 1 on {a: 2, b: 3}, n = 0..3: the left words
+# have 6 (D-power, tail) keys, and each key meets each of the 12 right words once
 TABLE_SCRIPT = """
 import contextlib, io, json
 import spans
@@ -80,10 +81,10 @@ def test_tracer_installs_and_counts_the_realize_layers():
     assert calls["fractions.new"] > 0
 
 
-def test_realize_table_makes_one_pseudoproduct_per_word_pair():
+def test_realize_table_makes_one_pseudoproduct_per_tail_and_right_word():
     calls = traced(TABLE_SCRIPT)
-    assert calls["pseudo.pprod"] == 144
-    assert calls["pseudo.canonicalize"] == 144
+    assert calls["pseudo.pprod"] == 72
+    assert calls["pseudo.canonicalize"] == 72
 
 
 @pytest.mark.parametrize(

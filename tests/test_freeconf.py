@@ -4,6 +4,7 @@ The two product engines share no code past the word algebra, which is the
 point: each one is the oracle for the other.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -26,12 +27,12 @@ from confalg.freeconf import (
     random_element,
     random_normal_word,
 )
-from confalg import pseudo
+from confalg import cli, pseudo
 from confalg.hopf import HPoly, TensorHH, decompose
 from confalg.ncpoly import AlgebraConfig, ConfigError, NCPoly, deglex_key
 from confalg.pseudo import PElement, ProductKind, PseudoAlgebra, as_rng
 
-from conftest import DATA
+from conftest import DATA, element_from_json, word_from_json
 
 
 def weight(alg, u: NormalWord) -> int:
@@ -696,7 +697,9 @@ class TestTableRows:
         with pytest.raises(ValueError, match="unknown engine"):
             next(fc.table_rows(words, range(2), "magic"))
 
-    def test_realize_table_coacts_each_right_word_once(self, monkeypatch, capsys):
+    def test_realize_table_coacts_each_word_once_and_multiplies_each_tail_once_per_word(
+        self, monkeypatch, capsys
+    ):
         coacts = []
         real = NCPoly.coact
         monkeypatch.setattr(NCPoly, "coact", lambda f, *a: coacts.append(a) or real(f, *a))
@@ -706,9 +709,57 @@ class TestTableRows:
             "--engine", "realize",
         ])
         assert rc == 0 and capsys.readouterr().out.startswith('[{"left":')
-        # 12 words: one cut coaction per right word, one pseudoproduct per pair
+        # 12 words: one cut coaction per right word, and one pseudoproduct
+        # per (D-power, tail) of the left words, 6 of them, and right word
         assert len(coacts) == 12 and set(coacts) == {(3,)}
-        assert len(calls) == 144
+        assert len(calls) == 72
+
+    @pytest.fixture(scope="class")
+    def five(self):
+        return load_config(str(DATA / "config_five.json"))[0]
+
+    def test_five_first_letters_share_each_block(self, five):
+        # D-powers 0 and 1 have one tail each and must not share a block
+        fc, ref = FreeConformal(five), FreeConformal(five)
+        words = fc.enumerate_basis(1, 1)
+        ns = range(4)
+        rows = fc.table_rows(words, ns, "realize")
+        for u in words:
+            x = ConfElement({u: 1})
+            want = {w: ref.cprods_rw(x, ConfElement({w: 1}), ns) for w in words}
+            for n in ns:
+                for w in words:
+                    assert next(rows) == (u, n, w, want[w][n]), (u, n, w)
+        assert next(rows, None) is None
+
+    def test_one_pseudoproduct_per_tail_and_right_word(self, five, monkeypatch):
+        fc = FreeConformal(five)
+        words = fc.enumerate_basis(1, 1)
+        tails = {(u.s, fc._hat(u)[fc.alg.n[u.gens[0]]:]) for u in words}
+        calls = spy_pprod(monkeypatch)
+        assert sum(1 for _ in fc.table_rows(words, range(2), "realize"))
+        # each of the 10 tails per D-power serves every first letter
+        assert (len(tails), len(words)) == (20, 100)
+        assert len(calls) == len(tails) * len(words)
+
+    def test_a_table_closed_early_leaves_the_next_one_whole(self, monkeypatch, capsys):
+        # the first row shares its block with later rows; closing the table
+        # there must leave nothing that changes a byte of the next table
+        fc = FreeConformal(load_config(str(DATA / "config_ab.json"))[0])
+        words = sorted(fc.enumerate_basis(1), key=fc.sort_key)
+        rows = fc.table_rows(words, range(3), "realize")
+        for _ in range(3 * len(words)):
+            next(rows)
+        rows.close()
+        monkeypatch.setattr(cli, "FreeConformal", lambda alg: fc)
+        rc = main([
+            "table", "--config", str(DATA / "config_ab.json"), "--max-k", "1", "--max-n", "2",
+        ])
+        out = capsys.readouterr().out
+        # TestTable.test_golden_bytes's digest of this table
+        assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+            "6e8e0cf1606725639753a2216d056a1e6565409ec265140fc7f8f8f2d53173b8"
+        )
 
 
 def spy_pprod(monkeypatch) -> list:
@@ -1213,13 +1264,13 @@ class TestEnumeration:
 class TestSerialization:
     def test_word_json_round_trip(self, fc):
         for u in fc.enumerate_basis(2, max_s=2):
-            assert fc.word_from_json(fc.word_to_json(u)) == u
+            assert word_from_json(fc, fc.word_to_json(u)) == u
 
     def test_element_json_round_trip(self, fc):
         rng = as_rng(89)
         for _ in range(20):
             x = random_element(rng, fc, max_k=2, max_s=1, max_terms=3, nonzero=False)
-            assert fc.element_from_json(fc.element_to_json(x)) == x
+            assert element_from_json(fc, fc.element_to_json(x)) == x
 
     def test_rendering(self, fc):
         u = fc.normal(0, ("b", "a", "b"), (0, 1))

@@ -27,6 +27,8 @@ from confalg import (
 )
 from confalg.linear import AlgLinear, exact
 
+from conftest import element_from_json, word_from_json
+
 ALG = AlgebraConfig({"a": 2, "b": 3})
 U = NormalWord(0, ("a", "b"), (1,))
 
@@ -130,9 +132,9 @@ def test_exact_accepts_ints_fractions_and_rational_strings():
 def test_json_and_identity_coefficients_are_exact():
     fc = FreeConformal(ALG)
     item = {"word": fc.word_to_json(U)}
-    assert fc.element_from_json([dict(item, coeff="2/3")]) == ConfElement({U: Fraction(2, 3)})
+    assert element_from_json(fc, [dict(item, coeff="2/3")]) == ConfElement({U: Fraction(2, 3)})
     with pytest.raises(TypeError):
-        fc.element_from_json([dict(item, coeff=0.1)])
+        element_from_json(fc, [dict(item, coeff=0.1)])
     pa = PseudoAlgebra(ALG)
     x = PElement(ALG, {0: _poly()})
     with pytest.raises(TypeError):
@@ -156,7 +158,7 @@ def test_degrees_and_indices_must_be_ints(bad):
     fc = FreeConformal(ALG)
     for patch in ({"s": bad}, {"indices": [bad]}):
         with pytest.raises(ValueError):
-            fc.word_from_json(dict(fc.word_to_json(U), **patch))
+            word_from_json(fc, dict(fc.word_to_json(U), **patch))
 
 
 @pytest.mark.parametrize(
@@ -168,9 +170,9 @@ def test_word_json_needs_arrays(patch):
     fc = FreeConformal(ALG)
     obj = dict(fc.word_to_json(U), **patch)
     with pytest.raises(ValueError, match="^bad normal-word object: "):
-        fc.word_from_json(obj)
+        word_from_json(fc, obj)
     with pytest.raises(ValueError, match="^bad normal-word object: "):
-        fc.element_from_json([{"coeff": "1", "word": obj}])
+        element_from_json(fc, [{"coeff": "1", "word": obj}])
 
 
 def test_public_constructors_still_validate():
