@@ -236,15 +236,14 @@ def cmd_table(args) -> int:
             "lower --max-k or --max-n"
         )
     words = sorted(fc.enumerate_basis(args.max_k, 0), key=fc.sort_key)
-    text = {w: fc.word_to_json_text(w) for w in words}  # each built once, not per cell
-    write = sys.stdout.write
+    text, write = fc.word_to_json_text, sys.stdout.write  # each text kept on its word
     write("[")
     sep = ""
     for u, n, w, value in fc.table_rows(words, range(args.max_n + 1), args.engine):
         # dump_json of {"left", "n", "right", "value"}: the keys are already
         # in sorted order, and so are the value's terms (table_rows)
         write(
-            f'{sep}{{"left":{text[u]},"n":{n},"right":{text[w]},'
+            f'{sep}{{"left":{text(u)},"n":{n},"right":{text(w)},'
             f'"value":{fc._terms_to_json_text(value.terms.items())}}}'
         )
         sep = ","

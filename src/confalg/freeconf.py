@@ -10,6 +10,7 @@ agreement on random inputs is one of the package's standing checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -39,13 +40,16 @@ class NormalWord:
     gens has one more entry than indices; index i must satisfy
     0 <= n_i < N(a_i, a_{i+1}) = n(a_{i+1}).  Every dict of the engines is
     keyed by words, so the hash of (s, gens, indices) is computed once, at
-    construction; equality and repr read the three fields alone.
+    construction; equality and repr read the three fields alone.  _text
+    holds the word's JSON text once FreeConformal.word_to_json_text has
+    built it.
     """
 
     s: int
     gens: tuple[str, ...]
     indices: tuple[int, ...]
     _hash: int = field(init=False, repr=False, compare=False)
+    _text: str | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "s", integral(self.s))
@@ -62,7 +66,8 @@ class NormalWord:
 
     def __reduce__(self):
         # a str hashes differently in each process, so a pickle carries the
-        # fields alone and the constructor computes the hash again
+        # fields alone and the constructor computes the hash again (and
+        # leaves the text unbuilt)
         return NormalWord, (self.s, self.gens, self.indices)
 
     @staticmethod
@@ -74,6 +79,7 @@ class NormalWord:
         object.__setattr__(word, "gens", gens)
         object.__setattr__(word, "indices", indices)
         object.__setattr__(word, "_hash", hash((s, gens, indices)))
+        object.__setattr__(word, "_text", None)
         return word
 
     def dfree(self) -> "NormalWord":
@@ -105,6 +111,11 @@ def _generator_word(alg: AlgebraConfig, name: str) -> Word:
 
 def _prefixed(piece: Word, f: NCPoly) -> NCPoly:  # no two monomials collide
     return f._new({piece + w: c for w, c in f.terms.items()})
+
+
+# Fraction(k) for an int k, one shared object per value: a Fraction is
+# immutable, and a table has few distinct values among many terms.
+_fraction = functools.lru_cache(maxsize=1024)(Fraction)
 
 
 def generator_image(alg: AlgebraConfig, name: str) -> NCPoly:
@@ -545,9 +556,10 @@ class FreeConformal:
 
         Each word pair's ints from _pair, under realize made words for u's
         first letter (_words), are scaled by cu * cw, written over one
-        common denominator, so the sums stay ints and each output term gets
-        one Fraction.  For a single word pair each value keeps the order of
-        the pair's terms.
+        common denominator, so the sums stay ints.  Each output term then
+        gets a Fraction, over a denominator of 1 the shared one of its
+        value (_fraction).  For a single word pair each value keeps the
+        order of the pair's terms.
         """
         want = _requested(ns)
         if not want:
@@ -569,7 +581,9 @@ class FreeConformal:
                         out[v] = get(v, 0) + k * scale
         den = den_x * den_y
         return {
-            n: ConfElement._of({v: Fraction(k, den) for v, k in out.items() if k})
+            n: ConfElement._of(
+                {v: _fraction(k) if den == 1 else Fraction(k, den) for v, k in out.items() if k}
+            )
             for n, out in acc.items()
         }
 
@@ -605,10 +619,10 @@ class FreeConformal:
         do not depend on a: the row's block of every n and w is computed
         once per (u.s, tail key), shared by every first letter and dropped
         after the last row that reads it.  Each row makes its words for its
-        own letter (_words), and each value term is an int until its one
-        Fraction.  Under rewrite, each cell is one cprod_rw of two single
-        words, the product that bench/spans.py counts as the rewrite
-        engine's work.
+        own letter (_words), and each value term is an int until it takes
+        the shared Fraction of its value (_fraction).  Under rewrite, each
+        cell is one cprod_rw of two single words, the product that
+        bench/spans.py counts as the rewrite engine's work.
         """
         self.engine(engine)  # an unknown name raises ValueError
         words = list(words)
@@ -629,7 +643,7 @@ class FreeConformal:
                 for n in want:
                     for w, value in zip(words, block):
                         yield u, n, w, ConfElement._of(
-                            {v: Fraction(k) for v, k in to_words(value[n], code)}
+                            {v: _fraction(k) for v, k in to_words(value[n], code)}
                         )
             return
         single = {w: ConfElement({w: 1}) for w in words}
@@ -881,10 +895,18 @@ class FreeConformal:
         ]
 
     def word_to_json_text(self, u: NormalWord) -> str:
-        """The CLI's dump_json of word_to_json(u), for a valid word u."""
-        gens = '","'.join(u.gens)
-        indices = ",".join(map(str, u.indices))
-        return f'{{"gens":["{gens}"],"indices":[{indices}],"s":{u.s}}}'
+        """The CLI's dump_json of word_to_json(u), for a valid word u.
+
+        The text is built once per word object and kept in its _text slot,
+        so a table renders each distinct word once, on whichever side.
+        """
+        text = u._text
+        if text is None:
+            gens = '","'.join(u.gens)
+            indices = ",".join(map(str, u.indices))
+            text = f'{{"gens":["{gens}"],"indices":[{indices}],"s":{u.s}}}'
+            object.__setattr__(u, "_text", text)
+        return text
 
     def _terms_to_json_text(self, terms: Iterable[tuple[NormalWord, Fraction]]) -> str:
         """The CLI's dump_json of element_to_json, joined from terms already in

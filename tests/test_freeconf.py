@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ from confalg.freeconf import (
     FreeConformal,
     NormalWord,
     NotInSpan,
+    _fraction,
     generator_image,
     random_element,
     random_normal_word,
@@ -760,6 +762,89 @@ class TestTableRows:
         assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == (
             "6e8e0cf1606725639753a2216d056a1e6565409ec265140fc7f8f8f2d53173b8"
         )
+
+
+class TestRenderMemos:
+    """A word keeps its JSON text; an int value shares one Fraction."""
+
+    PARTS = TestWordStorage.PARTS
+    # TestTable.test_golden_bytes's digest of the config_ab k <= 1, n <= 2 table
+    DIGEST = "6e8e0cf1606725639753a2216d056a1e6565409ec265140fc7f8f8f2d53173b8"
+
+    @staticmethod
+    def built(fc, how, parts) -> NormalWord:
+        if how == "constructor":
+            return NormalWord(*parts)
+        if how == "trusted":
+            return NormalWord._of(*parts)
+        s, gens, indices = parts
+        u = NormalWord(0 if how == "d_shift" else s, gens, indices)
+        fc.word_to_json_text(u)  # the copy must build its own
+        if how == "d_shift":
+            (word,) = ConfElement({u: 1}).d_shift(s).terms
+            return word
+        word = pickle.loads(pickle.dumps(u))
+        assert word._text is None  # a pickle carries no text
+        return word
+
+    @pytest.mark.parametrize("parts", PARTS)
+    @pytest.mark.parametrize("how", ["constructor", "trusted", "d_shift", "pickle"])
+    def test_the_text_is_what_dump_json_makes(self, fc, parts, how):
+        u = self.built(fc, how, parts)
+        assert u == NormalWord(*parts)
+        text = fc.word_to_json_text(u)
+        assert text == dump_json(fc.word_to_json(u))
+        assert fc.word_to_json_text(u) is text
+
+    @pytest.mark.parametrize("parts", PARTS)
+    def test_a_word_with_its_text_is_like_a_fresh_one(self, fc, parts):
+        u, fresh = NormalWord(*parts), NormalWord(*parts)
+        fc.word_to_json_text(u)
+        assert u._text is not None and fresh._text is None
+        assert u == fresh and hash(u) == hash(fresh) == hash(parts)
+        assert repr(u) == repr(fresh) and {fresh: 1}[u] == 1
+        assert not u != fresh and u.dfree() == fresh.dfree()
+
+    @pytest.mark.parametrize("k", [0, 1, -3, 10**30])
+    def test_one_shared_fraction_per_int(self, k):
+        f = _fraction(k)
+        assert f == Fraction(k) and type(f) is Fraction
+        assert _fraction(k) is f
+        assert _fraction.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("engine", ["realize", "rewrite"])
+    def test_a_table_makes_few_fractions(self, capsys, monkeypatch, engine):
+        # the benchmark's table: 23,594 terms over fewer than 100 values
+        real, made = Fraction.__new__, []
+
+        def counted(cls, *args, **kwargs):
+            made.append(None)
+            return real(cls, *args, **kwargs)
+
+        _fraction.cache_clear()
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        rc = main([
+            "table", "--config", str(DATA / "config_ab.json"), "--max-k", "2", "--max-n", "1",
+            "--engine", engine,
+        ])
+        monkeypatch.undo()
+        out = capsys.readouterr().out
+        assert rc == 0 and out.count('"left"') == 62 * 62 * 2
+        assert len(made) < 200
+
+    @pytest.mark.parametrize("engine", ["realize", "rewrite"])
+    def test_warm_memos_render_the_same_table(self, capsys, monkeypatch, engine):
+        fc = FreeConformal(load_config(str(DATA / "config_ab.json"))[0])
+        monkeypatch.setattr(cli, "FreeConformal", lambda alg: fc)
+        argv = [
+            "table", "--config", str(DATA / "config_ab.json"), "--max-k", "1", "--max-n", "2",
+            "--engine", engine,
+        ]
+        digests = []
+        for _ in range(2):
+            rc = main(argv)
+            digests.append((rc, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()))
+        assert digests == [(0, self.DIGEST)] * 2
 
 
 def spy_pprod(monkeypatch) -> list:
