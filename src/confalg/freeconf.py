@@ -154,8 +154,10 @@ class FreeConformal:
         # One entry per (m, r) met so far, (m, the D-free word r, T(m, r),
         # the words a .m r by letter code, each built when first needed, see
         # _word), keyed by T's lex-least monomial: r's hat word without its
-        # first m v's, which is u's hat word without P_a.  The key () holds
-        # the empty tail, r = None and T = 1, so a generator's image is P_a.
+        # first m v's, which is u's hat word without P_a.  For m = 0 that is
+        # r's hat word, so the entry of T(0, r) is also r's own scaled image,
+        # which reduce reads (see _eliminate).  The key () holds the empty
+        # tail, r = None and T = 1, so a generator's image is P_a.
         # W = prod (n(a) - 1)! over the letters is computed (_weight), not
         # stored, and every coefficient is an int.  The rewriting engine
         # makes none.
@@ -363,46 +365,48 @@ class FreeConformal:
     def reduce(self, p: PElement) -> ConfElement:
         """Express p in normal words, greedily eliminating lowest monomials.
 
-        Each quotient of _eliminate times its word's W (_weight) is a
-        coefficient, a Fraction; an int slice must divide exactly.  Raises
-        NotInSpan naming a part's lex-least monomial left that is no hat
-        word: in a part of several lengths, not always the shortest one.
+        _eliminate runs on whole monomials, behind the empty piece: each
+        entry it names is T(0, u), u's own scaled image, for the D-free word
+        u = entry[1].  The quotient at D-power d times u's W (_weight) is
+        D^d u's coefficient, a Fraction; an int slice must divide exactly.
+        Raises NotInSpan naming a part's lex-least monomial left that is no
+        hat word: in a part of several lengths, not always the shortest one.
         """
-        out = self._eliminate(p, None)
-        return ConfElement._of({u: Fraction(q * self._weight(u)) for u, q in out.items()})
+        out = {}
+        for d, entry, q in self._eliminate(p, ()):
+            u = entry[1]
+            out[NormalWord._of(d, u.gens, u.indices) if d else u] = Fraction(q * self._weight(u))
+        return ConfElement._of(out)
 
-    def _eliminate(self, p: PElement, piece: Word | None) -> list | dict:
-        """The quotients of p against the int-scaled images: each step takes
-        a part's lex-least monomial w, a hat word, and subtracts its word's
-        image times the quotient of their coefficients at w.
+    def _eliminate(self, p: PElement, piece: Word) -> list:
+        """The quotients of p against the int-scaled images behind piece,
+        [(d, entry, quotient)]: each step takes a part's lex-least monomial
+        w, a cache key (see _iota_nc), and subtracts the image of its entry,
+        eliminated at D-power d, times the quotient of their coefficients at
+        w.
 
-        Under reduce (piece None) the result is {word: quotient}.  A pair
-        slice's is [(d, entry, quotient)], entry the cache entry of the T(m,
-        r) eliminated at D-power d: it names no first letter, so every u
-        with the same D-power and tail shares it, and the caller turns it
-        into words for u's letter (_words).
+        _pair passes u's leading piece P_a with a slice that lacks it: an
+        entry is a T(m, r), which names no first letter, so every u with the
+        same D-power and tail shares the result, and the caller turns it
+        into words for u's letter (_words).  reduce passes the empty piece
+        and whole monomials: a hat word is the key of T(0, u), u's own
+        image.  There a cached entry counts only as such an image, m = 0
+        and r not None.  The keys of T(m > 0, r) and of the empty tail, (),
+        are no hat words: _parse_hat reads a first index m > 0 or None from
+        them, as from any other such monomial.  NotInSpan names w, piece
+        included.
 
         Proof that this works for any input.  An image's monomials have one
         length: a .m r's is P_a times T(m, r) (see _iota_nc), each
         v-derivative deleting one v.  Its hat word is its deg-lex-least
-        monomial (see hat_word), so its lex-least.  So a step touches only
+        monomial (see hat_word), so its lex-least, and dropping P_a from
+        every monomial keeps their lex order.  So a step touches only
         monomials of w's length, each lex-above w: parts of different
         lengths never interact, and the removed monomials strictly rise in
-        lex order.
-
-        Each image monomial starts with its word's leading piece P_a = v^(n(a)
-        - 1) a, and P_a is a prefix of no other letter's: the monomials
-        behind one piece are eliminated without it, which keeps their lex
-        order, against the cached T(m, r), whose key is such a monomial.
-        _pair passes u's piece with a slice that lacks it; reduce passes
-        None, and each part is grouped by leading piece (_by_piece).  A
-        monomial with no leading piece is no hat word and no image reaches
-        it, and it lies lex-below or lex-above a whole group; groups run in
-        lex order of their pieces.  So the monomial NotInSpan names (piece
-        included), the lex-least of those and the first no hat word met in
-        a group, is the one a step over the whole part would meet first.
-        The done check enforces the rise within a group; its start, None,
-        admits the empty stripped word, the tail of a generator.
+        lex order.  So the first monomial that no entry eliminates is the
+        lex-least one left, and no later step can remove it.  The done check
+        enforces the rise; its start, None, lets the empty word reach
+        _parse_hat.
 
         An int slice divides with divmod, a remainder raising RuntimeError; a
         Fraction slice uses true division.  _pair's slice, of u's tail T
@@ -423,76 +427,49 @@ class FreeConformal:
         """
         cache = self._iota_cache
         quotients: list[tuple[int, tuple, Fraction | int]] = []
-        words: dict[NormalWord, Fraction | int] = {}
         for d in sorted(p.parts):
-            terms = p.parts[d].terms
-            groups, stray = ([(piece, dict(terms))], None) if piece else self._by_piece(terms)
-            for lead, g in groups:  # each g is eliminated in place
-                if stray is not None and stray < lead:
-                    break
-                get = g.get
-                done = None  # the last eliminated monomial
-                while g:
-                    w = min(g)
-                    if done is not None and w <= done:
-                        raise RuntimeError("reduction failed to make progress")
-                    hit = cache.get(w)
-                    if hit is None:
-                        found = self._parse_hat(w)
-                        if found is None:
-                            w = lead + w
-                            raise NotInSpan(w, self.alg.word_names(w))
-                        hit = self._iota_nc(*found, w)
-                    core = hit[2].terms
-                    num, den = g[w], core[w]
-                    if num.__class__ is int:
-                        coeff, rest = divmod(num, den)
-                        if rest:
-                            raise RuntimeError(
-                                f"inexact elimination: {num} / {den} at {lead + w!r}"
-                            )
+            g = dict(p.parts[d].terms)  # eliminated in place
+            get = g.get
+            done = None  # the last eliminated monomial
+            while g:
+                w = min(g)
+                if done is not None and w <= done:
+                    raise RuntimeError("reduction failed to make progress")
+                hit = cache.get(w)
+                if hit is None or not piece and (hit[0] or hit[1] is None):
+                    found = self._parse_hat(w)
+                    if found is None or not piece and found[1][0]:
+                        raise NotInSpan(piece + w, self.alg.word_names(piece + w))
+                    hit = self._iota_nc(*found, w)
+                core = hit[2].terms
+                num, den = g[w], core[w]
+                if num.__class__ is int:
+                    coeff, rest = divmod(num, den)
+                    if rest:
+                        raise RuntimeError(
+                            f"inexact elimination: {num} / {den} at {piece + w!r}"
+                        )
+                else:
+                    coeff = num / den
+                quotients.append((d, hit, coeff))
+                # coeff and every c are nonzero, so a zero lands on a key of g
+                for k, c in core.items():
+                    value = get(k, 0) - c * coeff
+                    if value:
+                        g[k] = value
                     else:
-                        coeff = num / den
-                    quotients.append((d, hit, coeff))
-                    # coeff and every c are nonzero, so a zero lands on a key of g
-                    for k, c in core.items():
-                        value = get(k, 0) - c * coeff
-                        if value:
-                            g[k] = value
-                        else:
-                            del g[k]
-                    done = w
-                if piece is None:  # each group's words start with its own letter
-                    words.update(self._words(quotients, lead[-1]))
-                    quotients.clear()
-            if stray is not None:
-                raise NotInSpan(stray, self.alg.word_names(stray))
-        return quotients if piece else words
+                        del g[k]
+                done = w
+        return quotients
 
     def _words(self, quotients: list, code: int) -> Iterator[tuple[NormalWord, Fraction | int]]:
-        """(word, quotient) for each (d, entry, quotient) of _eliminate: the
-        word of the entry for the letter with code code (_word), D^d."""
+        """(word, quotient) for each (d, entry, quotient) of a pair slice's
+        _eliminate: the word a .m r of the entry T(m, r) for the letter a
+        with code code (_word), D^d."""
         word = self._word
         for d, entry, q in quotients:
             u = word(entry, code)
             yield (NormalWord._of(d, u.gens, u.indices) if d else u), q
-
-    def _by_piece(self, terms: dict[Word, Fraction | int]) -> tuple[list, Word | None]:
-        """For _eliminate under reduce: [(leading piece P_a, {monomial
-        without P_a: value})] in lex order of the pieces, and the lex-least
-        monomial that starts with no piece, or None."""
-        pieces = [piece for piece, _ in self._letters.values()]
-        groups: dict[Word, dict] = {}
-        stray = None
-        for w, c in terms.items():
-            for piece in pieces:
-                if w[:len(piece)] == piece:
-                    groups.setdefault(piece, {})[w[len(piece):]] = c
-                    break
-            else:
-                if stray is None or w < stray:
-                    stray = w
-        return sorted(groups.items()), stray
 
     def _pair(
         self, engine: str, words: Iterable[NormalWord], want: tuple[int, ...]

@@ -10,17 +10,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def word_from_json(fc: FreeConformal, obj) -> NormalWord:
-    """The valid word of a FreeConformal.word_to_json object; ValueError
-    names an object that is not one."""
-    try:
-        gens, indices = obj["gens"], obj["indices"]
-        # tuple() would read a string as its letters and a dict as its keys
-        if not (isinstance(gens, list) and isinstance(indices, list)):
-            raise TypeError("gens and indices must be JSON arrays")
-        u = NormalWord(obj["s"], tuple(gens), tuple(indices))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad normal-word object: {obj!r}") from exc
-    return fc.validate(u)
+    """The valid word of a FreeConformal.word_to_json object."""
+    return fc.validate(NormalWord(obj["s"], tuple(obj["gens"]), tuple(obj["indices"])))
 
 
 def element_from_json(fc: FreeConformal, items) -> ConfElement:

@@ -346,7 +346,9 @@ class TestReduce:
         # eliminated greedily: reduce refuses instead of looping
         fc = FreeConformal(AlgebraConfig({"a": 1}))
         alg = fc.alg
-        a = alg.word(("a",))  # T(0, a)'s key: a .0 a's hat word without P_a = a
+        # the key a holds T(0, a), a .0 a's tail: reduce builds a .0 a's image
+        # as P_a times it
+        a = alg.word(("a",))
         generator = fc.normal(0, ("a",), ())
         fc._iota_cache[a] = (0, generator, NCPoly(alg, {a: 1, (): 1}), [None])
         with pytest.raises(RuntimeError, match="progress"):
@@ -441,6 +443,28 @@ class TestOneElimination:
         rc, out, err = self.reduce_raw(capsys, tmp_path, [[]])
         assert (rc, out) == (2, "")
         assert err == "error: monomial outside the normal-word span: 1\n"
+
+    def test_a_warm_cache_refuses_what_a_fresh_one_refuses(self):
+        # whole monomials share the cache's keys with the stripped ones: a
+        # table caches T(1, a) under a, T(1, b) under v b and the empty tail
+        # under (), and none of them is a word's whole image
+        alg = AlgebraConfig({"a": 2, "b": 3})
+        warm = FreeConformal(alg)
+        for _ in warm.table_rows(warm.enumerate_basis(2), range(4), "realize"):
+            pass
+        for letters, m in ((("a",), 1), (("v", "b"), 1), ((), 0)):
+            assert warm._iota_cache[alg.word(letters)][0] == m
+            witnesses = []
+            for fc in (warm, FreeConformal(alg)):
+                with pytest.raises(NotInSpan) as err:
+                    fc.reduce(PElement(alg, {0: alg.monomial(letters)}))
+                witnesses.append((err.value.witness, str(err.value)))
+            assert witnesses[0] == witnesses[1] and witnesses[0][0] == alg.word(letters)
+        # v v b b, the hat word of b .2 b, reduces as it does cold
+        vvbb = PElement(alg, {0: alg.monomial(("v", "v", "b", "b"))})
+        got = warm.reduce(vvbb)
+        assert got == FreeConformal(alg).reduce(vvbb)
+        assert list(got.terms) == [warm.normal(0, ("b", "b"), (2,))]
 
 
 class TestProducts:
@@ -1135,9 +1159,9 @@ class TestSiblingImages:
     def test_each_word_is_built_once_per_entry_and_letter(self):
         fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))
         p = fc.iota(ConfElement({u: 1 for u in fc.enumerate_basis(2)}))
-        first, again = fc._eliminate(p, None), fc._eliminate(p, None)
-        assert list(first.items()) == list(again.items())
-        assert all(u is w for u, w in zip(first, again))
+        first, again = fc.reduce(p), fc.reduce(p)
+        assert list(first.terms.items()) == list(again.terms.items())
+        assert all(u is w for u, w in zip(first.terms, again.terms))
         # r of T(0, r) and T(m, r) is the word its next entry in made for r's
         # first letter: one word for both, not a copy per entry
         cache = fc._iota_cache
@@ -1248,19 +1272,22 @@ class TestPlainLexSlices:
 
 class TestPairPassesThePiece:
     """A product's slices arrive without u's leading piece, which _pair
-    passes to _eliminate; only reduce groups monomials by piece."""
+    passes to _eliminate; reduce passes the empty piece and whole monomials."""
 
     @pytest.fixture
-    def grouped(self, monkeypatch) -> list:
-        """The terms of every _by_piece call."""
+    def pieces(self, monkeypatch) -> list:
+        """The piece of every _eliminate call."""
         calls = []
-        real = FreeConformal._by_piece
-        monkeypatch.setattr(
-            FreeConformal, "_by_piece", lambda fc, terms: calls.append(terms) or real(fc, terms)
-        )
+        real = FreeConformal._eliminate
+
+        def spy(fc, p, piece):
+            calls.append(piece)
+            return real(fc, p, piece)
+
+        monkeypatch.setattr(FreeConformal, "_eliminate", spy)
         return calls
 
-    def test_products_never_group(self, grouped):
+    def test_products_pass_a_leading_piece(self, pieces):
         fc = FreeConformal(load_config(str(DATA / "config_ab.json"))[0])
         assert sum(1 for _ in fc.table_rows(fc.enumerate_basis(2), range(4), "realize"))
         rng = as_rng(223)
@@ -1274,16 +1301,16 @@ class TestPairPassesThePiece:
         assert any(
             len({u.gens[0] for u in x.terms}) > 1 and any(u.s for u in x.terms) for x in lefts
         )
-        assert grouped == []
+        assert set(pieces) == {piece for piece, _ in fc._letters.values()}
 
-    def test_reduce_groups_by_first_letter(self, grouped):
+    def test_reduce_passes_the_empty_piece(self, pieces):
         fc = FreeConformal(load_config(str(DATA / "config_ab.json"))[0])
         x = ConfElement({
             fc.normal(0, ("a",), ()): 1,
             fc.normal(2, ("b", "a"), (1,)): Fraction(-1, 2),
         })
         assert fc.reduce(fc.iota(x)) == x
-        assert grouped
+        assert pieces == [()]
 
 
 class TestLocality:

@@ -27,7 +27,7 @@ from confalg import (
 )
 from confalg.linear import AlgLinear, exact
 
-from conftest import element_from_json, word_from_json
+from conftest import element_from_json
 
 ALG = AlgebraConfig({"a": 2, "b": 3})
 U = NormalWord(0, ("a", "b"), (1,))
@@ -155,24 +155,6 @@ def test_degrees_and_indices_must_be_ints(bad):
     ):
         with pytest.raises(TypeError):
             build()
-    fc = FreeConformal(ALG)
-    for patch in ({"s": bad}, {"indices": [bad]}):
-        with pytest.raises(ValueError):
-            word_from_json(fc, dict(fc.word_to_json(U), **patch))
-
-
-@pytest.mark.parametrize(
-    "patch",
-    [{"gens": "ab"}, {"gens": {"a": 1, "b": 2}}, {"gens": ["a"], "indices": ""}],
-    ids=repr,
-)
-def test_word_json_needs_arrays(patch):
-    fc = FreeConformal(ALG)
-    obj = dict(fc.word_to_json(U), **patch)
-    with pytest.raises(ValueError, match="^bad normal-word object: "):
-        word_from_json(fc, obj)
-    with pytest.raises(ValueError, match="^bad normal-word object: "):
-        element_from_json(fc, [{"coeff": "1", "word": obj}])
 
 
 def test_public_constructors_still_validate():
