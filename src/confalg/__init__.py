@@ -4,7 +4,8 @@ The kernel is built from four layers: polynomial Hopf arithmetic in the
 derivation D (hopf), free words over the alphabet plus the marker letter v
 (ncpoly), comodule pseudoproducts with their canonical forms (pseudo), and
 the free conformal algebra itself with two independent product engines
-(freeconf).  A small expression language (exprs) and a CLI (cli) sit on top.
+(freeconf).  A small expression language (exprs), seeded axiom checks with
+their random draws (checks) and a CLI (cli) sit on top.
 """
 
 from .hopf import HPoly, TensorHH, antipode, comult, counit, decompose, recompose
@@ -17,15 +18,11 @@ from .pseudo import (
     PseudoAlgebra,
     PseudoTensor,
     PseudoTensor3,
-    as_rng,
     associator_identity,
     canonicalize,
     commutativity_identity,
     corrupt_coaction,
     current_coaction,
-    random_ncpoly,
-    random_pelement,
-    random_word,
     standard_coaction,
 )
 from .freeconf import (
@@ -34,8 +31,14 @@ from .freeconf import (
     NormalWord,
     NotInSpan,
     generator_image,
+)
+from .checks import (
+    as_rng,
     random_element,
+    random_ncpoly,
     random_normal_word,
+    random_pelement,
+    random_word,
 )
 from .exprs import ParseError, evaluate, evaluate_pseudo, parse
 

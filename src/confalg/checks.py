@@ -1,19 +1,114 @@
-"""Randomized axiom checks, the library behind `confalg check`.
+"""Randomized axiom checks, the library behind `confalg check`, and the
+package's seeded draws.
 
 An axiom is a list of named cases; a case draws its arguments and tests
 them.  The loop is trial-major, so the same seed with t + 1 trials replays
 a failure at trial t.  Conformal elements print in the expression grammar.
+
+Every draw takes a seed or a random.Random (as_rng).  The draws of sums
+share one sampler, _draw: it adds up a drawn number of (key, value) terms
+and, unless told not to, draws again while the sum is zero.  Drawn keys
+are canonical and the values come from _COEFF_POOL, so each sum is built
+by its class's trusted constructor.
 """
 
 from __future__ import annotations
 
+import random
 import shlex
+from fractions import Fraction
 from functools import partial
 
-from .freeconf import ConfElement, FreeConformal, random_element
-from .ncpoly import AlgebraConfig, ConfigError
-from .pseudo import COACTIONS, ProductKind, PseudoAlgebra, as_rng, random_pelement
+from .freeconf import ConfElement, FreeConformal, NormalWord
+from .linear import collect
+from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word
+from .pseudo import COACTIONS, PElement, ProductKind, PseudoAlgebra
 from .pseudo import associator_identity, commutativity_identity
+
+DEFAULT_MAX_D = 3
+DEFAULT_MAX_WORD_LEN = 4
+
+_COEFF_POOL = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(3))
+
+
+def as_rng(seed) -> random.Random:
+    """Accept either a seed or an already-built Random instance."""
+    if isinstance(seed, random.Random):
+        return seed
+    return random.Random(seed)
+
+
+def _draw(rng: random.Random, count: int, term, make, nonzero: bool):
+    """make(the sum of rng.randint(1, count) terms term(rng)), each a
+    (key, value) pair; drawn again while the sum is zero, unless nonzero
+    is false."""
+    for _ in range(100):
+        x = make(collect(term(rng) for _ in range(rng.randint(1, count))))
+        if x or not nonzero:
+            return x
+    raise RuntimeError("could not draw a nonzero element")
+
+
+def random_word(seed, alg: AlgebraConfig, max_len: int = DEFAULT_MAX_WORD_LEN) -> Word:
+    rng = as_rng(seed)
+    k = rng.randint(0, max_len)
+    w = tuple(rng.randrange(alg.V + 1) for _ in range(k))
+    return tuple(sorted(w)) if alg.commutative else w
+
+
+def random_ncpoly(
+    seed,
+    alg: AlgebraConfig,
+    *,
+    max_len: int = DEFAULT_MAX_WORD_LEN,
+    max_terms: int = 2,
+    nonzero: bool = True,
+) -> NCPoly:
+    def term(rng):
+        return random_word(rng, alg, max_len), rng.choice(_COEFF_POOL)
+
+    return _draw(as_rng(seed), max_terms, term, partial(NCPoly._of, alg), nonzero)
+
+
+def random_pelement(
+    seed,
+    alg: AlgebraConfig,
+    *,
+    max_d: int = DEFAULT_MAX_D,
+    max_len: int = DEFAULT_MAX_WORD_LEN,
+    max_terms: int = 2,
+    nonzero: bool = True,
+) -> PElement:
+    def term(rng):
+        d = rng.randint(0, max_d)
+        return d, random_ncpoly(rng, alg, max_len=max_len, max_terms=max_terms, nonzero=False)
+
+    return _draw(as_rng(seed), 2, term, partial(PElement._of, alg), nonzero)
+
+
+def random_normal_word(seed, fc: FreeConformal, *, max_k: int = 2, max_s: int = 1) -> NormalWord:
+    rng = as_rng(seed)
+    alg = fc.alg
+    k = rng.randint(0, max_k)
+    gens = tuple(rng.choice(alg.names) for _ in range(k + 1))
+    indices = tuple(rng.randrange(alg.n_of(gens[i + 1])) for i in range(k))
+    return NormalWord(rng.randint(0, max_s), gens, indices)
+
+
+def random_element(
+    seed,
+    fc: FreeConformal,
+    *,
+    max_k: int = 2,
+    max_s: int = 1,
+    max_terms: int = 2,
+    nonzero: bool = True,
+) -> ConfElement:
+    def term(rng):
+        return random_normal_word(rng, fc, max_k=max_k, max_s=max_s), rng.choice(_COEFF_POOL)
+
+    return _draw(as_rng(seed), max_terms, term, ConfElement._of, nonzero)
+
 
 CONFORMAL_AXIOMS = ("assoc", "sesqui", "locality")
 AXIOMS = CONFORMAL_AXIOMS + ("pseudo-assoc", "identity")

@@ -5,7 +5,8 @@ embeds normal words into H (x) F(B) through iota and reduces results back
 against the triangular system of hat words.  The rewriting engine works
 directly from the axioms: it moves D across products, splits off leading
 letters, and resolves out-of-range indices by the composition rule.  Their
-agreement on random inputs is one of the package's standing checks.
+agreement on random inputs (drawn by confalg.checks) is one of the
+package's standing checks.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word
 from .linear import Linear, _new_object, integral
 from . import pseudo
-from .pseudo import _COEFF_POOL, _index, PElement, ProductKind, PseudoAlgebra, as_rng
+from .pseudo import _index, PElement, ProductKind, PseudoAlgebra
 
 
 class NotInSpan(Exception):
@@ -926,34 +927,3 @@ def _requested(ns: Iterable[int]) -> tuple[int, ...]:
     for 1.
     """
     return tuple({_index(n): None for n in ns})
-
-
-def random_normal_word(seed, fc: FreeConformal, *, max_k: int = 2, max_s: int = 1) -> NormalWord:
-    rng = as_rng(seed)
-    alg = fc.alg
-    k = rng.randint(0, max_k)
-    gens = tuple(rng.choice(alg.names) for _ in range(k + 1))
-    indices = tuple(rng.randrange(alg.n_of(gens[i + 1])) for i in range(k))
-    return NormalWord(rng.randint(0, max_s), gens, indices)
-
-
-def random_element(
-    seed,
-    fc: FreeConformal,
-    *,
-    max_k: int = 2,
-    max_s: int = 1,
-    max_terms: int = 2,
-    nonzero: bool = True,
-) -> ConfElement:
-    rng = as_rng(seed)
-    for _ in range(100):
-        terms: dict[NormalWord, Fraction] = {}
-        for _ in range(rng.randint(1, max_terms)):
-            u = random_normal_word(rng, fc, max_k=max_k, max_s=max_s)
-            c = rng.choice(_COEFF_POOL)
-            terms[u] = terms.get(u, Fraction(0)) + c
-        x = ConfElement(terms)
-        if x or not nonzero:
-            return x
-    raise RuntimeError("could not draw a nonzero element")

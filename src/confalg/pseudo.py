@@ -3,7 +3,8 @@
 Implements the comodule pseudoproducts on H (x) A, canonical forms of the
 resulting two- and three-slot tensors, extraction of the n-th products, the
 expanded composition of * on three arguments, associativity and poly-linear
-identity checking, and the pseudocommutator.
+identity checking, and the pseudocommutator.  The random elements these
+checks run on are drawn in confalg.checks.
 
 Both arities use confalg.hopf's formulas: split() applies decompose slot by
 slot to every entry, at the requested n alone or at every n, and gives the
@@ -22,7 +23,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -30,10 +30,7 @@ from typing import Callable, Iterable
 
 from .hopf import HPoly, TensorHH, _index, _spread, decompose
 from .linear import AlgLinear, Linear, accumulate, exact, integral
-from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word
-
-DEFAULT_MAX_D = 3
-DEFAULT_MAX_WORD_LEN = 4
+from .ncpoly import AlgebraConfig, ConfigError, NCPoly
 
 Coaction = Callable[[NCPoly], "dict[int, NCPoly]"]
 
@@ -490,73 +487,3 @@ def _divided(g: NCPoly, s: int) -> NCPoly:
         w: c // k if c.__class__ is int and not c % k else Fraction(c, k)
         for w, c in g.terms.items()
     })
-
-
-def as_rng(seed) -> random.Random:
-    """Accept either a seed or an already-built Random instance."""
-    if isinstance(seed, random.Random):
-        return seed
-    return random.Random(seed)
-
-
-_COEFF_POOL = (
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(-2),
-    Fraction(1, 2),
-    Fraction(3),
-)
-
-
-def random_word(seed, alg: AlgebraConfig, max_len: int = DEFAULT_MAX_WORD_LEN) -> Word:
-    rng = as_rng(seed)
-    k = rng.randint(0, max_len)
-    w = tuple(rng.randrange(alg.V + 1) for _ in range(k))
-    return tuple(sorted(w)) if alg.commutative else w
-
-
-def random_ncpoly(
-    seed,
-    alg: AlgebraConfig,
-    *,
-    max_len: int = DEFAULT_MAX_WORD_LEN,
-    max_terms: int = 2,
-    nonzero: bool = True,
-) -> NCPoly:
-    rng = as_rng(seed)
-    for _ in range(100):
-        terms: dict[Word, Fraction] = {}
-        for _ in range(rng.randint(1, max_terms)):
-            w = random_word(rng, alg, max_len)
-            c = rng.choice(_COEFF_POOL)
-            terms[w] = terms.get(w, Fraction(0)) + c
-        poly = NCPoly(alg, terms)
-        if poly or not nonzero:
-            return poly
-    raise RuntimeError("could not draw a nonzero polynomial")
-
-
-def random_pelement(
-    seed,
-    alg: AlgebraConfig,
-    *,
-    max_d: int = DEFAULT_MAX_D,
-    max_len: int = DEFAULT_MAX_WORD_LEN,
-    max_terms: int = 2,
-    nonzero: bool = True,
-) -> PElement:
-    rng = as_rng(seed)
-    for _ in range(100):
-        parts: dict[int, NCPoly] = {}
-        for _ in range(rng.randint(1, 2)):
-            d = rng.randint(0, max_d)
-            f = random_ncpoly(rng, alg, max_len=max_len, max_terms=max_terms, nonzero=False)
-            if d in parts:
-                parts[d] = parts[d] + f
-            else:
-                parts[d] = f
-        p = PElement(alg, parts)
-        if p or not nonzero:
-            return p
-    raise RuntimeError("could not draw a nonzero element")

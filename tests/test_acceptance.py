@@ -13,11 +13,8 @@ from collections import Counter
 from fractions import Fraction
 
 from confalg.cli import main
-from confalg.freeconf import (
-    ConfElement,
-    FreeConformal,
-    random_element,
-)
+from confalg.checks import as_rng, random_element, random_pelement
+from confalg.freeconf import ConfElement, FreeConformal
 from confalg.hopf import TensorHH, decompose, recompose
 from confalg.ncpoly import AlgebraConfig, deglex_key
 from confalg.pseudo import (
@@ -25,11 +22,9 @@ from confalg.pseudo import (
     ProductKind,
     PseudoAlgebra,
     PseudoTensor,
-    as_rng,
     associator_identity,
     commutativity_identity,
     current_coaction,
-    random_pelement,
 )
 
 from conftest import DATA

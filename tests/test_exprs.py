@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from confalg import AlgebraConfig, FreeConformal, PElement, PseudoAlgebra
 from confalg.exprs import ParseError, evaluate, evaluate_pseudo, parse
-from confalg.freeconf import ConfElement, NormalWord, random_element, random_normal_word
-from confalg.pseudo import ProductKind, as_rng
+from confalg.checks import as_rng, random_element, random_normal_word
+from confalg.freeconf import ConfElement, NormalWord
+from confalg.pseudo import ProductKind
 
 
 @pytest.fixture(scope="module")

@@ -26,13 +26,12 @@ from confalg.freeconf import (
     NotInSpan,
     _fraction,
     generator_image,
-    random_element,
-    random_normal_word,
 )
 from confalg import cli, pseudo
 from confalg.hopf import HPoly, TensorHH, decompose
 from confalg.ncpoly import AlgebraConfig, ConfigError, NCPoly, deglex_key
-from confalg.pseudo import PElement, ProductKind, PseudoAlgebra, as_rng
+from confalg.pseudo import PElement, ProductKind, PseudoAlgebra
+from confalg.checks import as_rng, random_element, random_normal_word
 
 from conftest import DATA, element_from_json, word_from_json
 

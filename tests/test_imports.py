@@ -32,3 +32,13 @@ def test_imports_are_confalg_or_stdlib(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     outside = imported_modules(tree) - {"confalg"} - set(sys.stdlib_module_names)
     assert outside == set(), f"{path.name} imports {sorted(outside)}"
+
+
+def test_only_checks_draws():
+    """The seeded draws live in checks.py: no algebra module imports random."""
+    importers = {
+        path.name
+        for path in SOURCES
+        if "random" in imported_modules(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    }
+    assert importers == {"checks.py"}

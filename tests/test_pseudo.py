@@ -20,15 +20,14 @@ from confalg.pseudo import (
     PseudoTensor3,
     _cleared,
     _unit_row,
-    as_rng,
     associator_identity,
     canonicalize,
     commutativity_identity,
     corrupt_coaction,
     current_coaction,
-    random_pelement,
     standard_coaction,
 )
+from confalg.checks import as_rng, random_pelement
 
 ONEGEN = AlgebraConfig({"a": 1})
 ONEGEN_COMM = AlgebraConfig({"a": 1}, commutative=True)
@@ -195,7 +194,7 @@ def test_closed_form_for_embedded_factors():
     # d = 0 slice: n-th coefficient is (-1)^n f * (n-fold deletion of g)
     pa = PseudoAlgebra(AB)
     rng = as_rng(11)
-    from confalg.pseudo import random_ncpoly
+    from confalg.checks import random_ncpoly
 
     for _ in range(60):
         f = random_ncpoly(rng, AB, max_len=3)
