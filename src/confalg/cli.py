@@ -51,14 +51,20 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def load_config(path: str) -> tuple[AlgebraConfig, str]:
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path.  A file that is not UTF-8 or
+    nests too deeply for the parser is not valid JSON either."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config is not valid JSON: {exc}") from exc
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_config(path: str) -> tuple[AlgebraConfig, str]:
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
     mode = raw.get("mode", "conformal")
@@ -150,14 +156,7 @@ def cmd_reduce(args) -> int:
     elif args.engine == "rewrite":
         raise UsageError("--raw-element reduces through realize: the rewrite engine has no embedding")
     else:
-        try:
-            with open(args.raw_element, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read raw element: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"raw element is not valid JSON: {exc}") from exc
-        x = fc.reduce(pelement_from_json(alg, raw))
+        x = fc.reduce(pelement_from_json(alg, _read_json(args.raw_element, "raw element")))
     _print_element(fc, x)
     return EXIT_OK
 

@@ -26,6 +26,8 @@ from conftest import DATA
 CONFIG = str(DATA / "config_ab.json")
 CONFIG_COMM = str(DATA / "config_comm.json")
 CONFIG_ONEGEN = str(DATA / "config_onegen.json")
+# deeper than the JSON parser's recursion limit
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
 
 
 def run(capsys, *argv):
@@ -140,15 +142,17 @@ class TestReduce:
         ("text", "prefix"),
         [
             (None, "error: cannot read raw element: "),
-            ("{", "error: raw element is not valid JSON: "),
-            ("{}", 'error: raw element must be {"parts": [{"d": ..., "terms": [...]}]}'),
+            (b"{", "error: raw element is not valid JSON: "),
+            (b"\xff\xfe{}", "error: raw element is not valid JSON: "),
+            (DEEP_JSON, "error: raw element is not valid JSON: "),
+            (b"{}", 'error: raw element must be {"parts": [{"d": ..., "terms": [...]}]}'),
         ],
-        ids=["missing-file", "invalid-json", "no-parts"],
+        ids=["missing-file", "invalid-json", "not-utf8", "deep-nesting", "no-parts"],
     )
     def test_unreadable_raw_element_exits_1(self, capsys, tmp_path, text, prefix):
         path = tmp_path / "raw.json"
         if text is not None:
-            path.write_text(text, encoding="utf-8")
+            path.write_bytes(text)
         rc, out, err = run(capsys, "reduce", "--config", CONFIG, "--raw-element", str(path))
         assert rc == 1 and out == ""
         assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
@@ -260,6 +264,24 @@ class TestConfigHandling:
             capsys, "reduce", "--config", str(DATA / "no_such.json"), "--expr", "a"
         )
         assert rc == 1 and "error:" in err
+
+    @pytest.mark.parametrize(
+        ("text", "prefix"),
+        [
+            (None, "error: cannot read config: "),
+            (b"{", "error: config is not valid JSON: "),
+            (b"\xff\xfe{}", "error: config is not valid JSON: "),
+            (DEEP_JSON, "error: config is not valid JSON: "),
+        ],
+        ids=["missing-file", "invalid-json", "not-utf8", "deep-nesting"],
+    )
+    def test_unreadable_config_exits_1(self, capsys, tmp_path, text, prefix):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_bytes(text)
+        rc, out, err = run(capsys, "reduce", "--config", str(path), "--expr", "a")
+        assert rc == 1 and out == ""
+        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
 
     def test_commutative_mode_refuses_basis_commands(self, capsys):
         for argv in (
