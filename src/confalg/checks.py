@@ -41,12 +41,12 @@ def as_rng(seed) -> random.Random:
 def _draw(rng: random.Random, count: int, term, make, nonzero: bool):
     """make(the sum of rng.randint(1, count) terms term(rng)), each a
     (key, value) pair; drawn again while the sum is zero, unless nonzero
-    is false."""
-    for _ in range(100):
+    is false.  Any draw may be one term of a nonzero pool value, so the
+    loop ends."""
+    while True:
         x = make(collect(term(rng) for _ in range(rng.randint(1, count))))
         if x or not nonzero:
             return x
-    raise RuntimeError("could not draw a nonzero element")
 
 
 def random_word(seed, alg: AlgebraConfig, max_len: int = DEFAULT_MAX_WORD_LEN) -> Word:
