@@ -59,7 +59,7 @@ def _read_json(path: str, what: str):
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {what}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise UsageError(f"{what} is not valid JSON: {exc}") from exc
 
 
