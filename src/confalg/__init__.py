@@ -8,7 +8,7 @@ the free conformal algebra itself with two independent product engines
 their random draws (checks) and a CLI (cli) sit on top.
 """
 
-from .hopf import HPoly, TensorHH, antipode, comult, counit, decompose, recompose
+from .hopf import HPoly, TensorHH, decompose
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_key
 from .pseudo import (
     COACTIONS,
@@ -61,14 +61,11 @@ __all__ = [
     "PseudoTensor3",
     "TensorHH",
     "Word",
-    "antipode",
     "as_rng",
     "associator_identity",
     "canonicalize",
     "commutativity_identity",
-    "comult",
     "corrupt_coaction",
-    "counit",
     "current_coaction",
     "decompose",
     "deglex_key",
@@ -81,6 +78,5 @@ __all__ = [
     "random_normal_word",
     "random_pelement",
     "random_word",
-    "recompose",
     "standard_coaction",
 ]

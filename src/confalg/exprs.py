@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 
 from .freeconf import ConfElement, FreeConformal, generator_image
-from .ncpoly import AlgebraConfig, ConfigError
+from .ncpoly import ConfigError
 from .pseudo import PElement, ProductKind, PseudoAlgebra
 
 

@@ -195,9 +195,6 @@ class FreeConformal:
                 )
         return u
 
-    def normal(self, s: int, gens: Iterable[str], indices: Iterable[int]) -> NormalWord:
-        return self.validate(NormalWord(s, tuple(gens), tuple(indices)))
-
     def generator(self, name: str) -> ConfElement:
         self.alg.n_of(name)
         return ConfElement({NormalWord(0, (name,), ()): 1})
@@ -299,20 +296,11 @@ class FreeConformal:
             out = out + self.iota_word(u).scale(c)
         return out
 
-    def hat_word(self, u: NormalWord) -> tuple[int, Word]:
-        """Leading monomial of iota with its sign; D-free words only.
-
-        The leading coefficient of iota(u) is the sign (-1)^(sum of indices)
-        times 1/(e_0! e_1! ...), e_i the lengths of the hat word's v-runs; in
-        the int-scaled image it is the sign times the integer
-        W / (e_0! e_1! ...).  Only the sign is reported.
-        """
-        if u.s:
-            raise ValueError("hat words are defined for D-free normal words")
-        return (-1) ** sum(u.indices), self._hat(u)
-
     def _hat(self, u: NormalWord) -> Word:
         """The hat word of u's D-free part: one piece per letter, concatenated.
+
+        For D-free u it is the deg-lex-least monomial of iota(u), and its
+        coefficient has the sign (-1)^(sum of indices).
 
         A letter a facing index m (the first letter faces 0) adds the piece
         v^(n(a) - 1 - m) a: its generator word without the first m v's.  A
@@ -330,7 +318,7 @@ class FreeConformal:
         return tuple(hat)
 
     def word_to_normal(self, w: Word) -> tuple[int, NormalWord] | None:
-        """Invert hat_word; None when w is not a hat word (see _parse_hat)."""
+        """Invert _hat, sign included; None when w is no hat word (see _parse_hat)."""
         found = self._parse_hat(w)
         if found is None or found[1][0]:
             return None
@@ -400,7 +388,7 @@ class FreeConformal:
         Proof that this works for any input.  An image's monomials have one
         length: a .m r's is P_a times T(m, r) (see _iota_nc), each
         v-derivative deleting one v.  Its hat word is its deg-lex-least
-        monomial (see hat_word), so its lex-least, and dropping P_a from
+        monomial (see _hat), so its lex-least, and dropping P_a from
         every monomial keeps their lex order.  So a step touches only
         monomials of w's length, each lex-above w: parts of different
         lengths never interact, and the removed monomials strictly rise in

@@ -1,11 +1,10 @@
 """Exact arithmetic in the polynomial Hopf algebra of a single derivation D.
 
-The coproduct sends D to D(x)1 + 1(x)D, the counit kills D, and the
-antipode substitutes -D.  Everything is stored sparsely with exact
-coefficients: Fractions at the public API, ints where the pseudo layer
-and the realize engine split int tensors (decompose keeps an int an int).
-Divided powers D^(k) enter only as the rational coefficient 1/k! on the
-monomial D^k.
+The coproduct Delta sends D to D(x)1 + 1(x)D.  Everything is stored
+sparsely with exact coefficients: Fractions at the public API, ints where
+the pseudo layer and the realize engine split int tensors (decompose keeps
+an int an int).  Divided powers D^(k) enter only as the rational
+coefficient 1/k! on the monomial D^k.
 
 The one home of the Hopf formulas that tensors of every arity use: the
 iterated coproduct of D^d (_spread) and the splitting (decompose).
@@ -16,9 +15,9 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .linear import Linear, accumulate, collect, integral
+from .linear import Linear, accumulate, integral
 
 
 def _index(n) -> int:
@@ -40,13 +39,6 @@ class HPoly(Linear):
         if d < 0:
             raise ValueError("negative D-degree")
         return d
-
-    def __mul__(self, other: "HPoly") -> "HPoly":
-        return self._new(collect(
-            (d1 + d2, c1 * c2)
-            for d1, c1 in self.coeffs.items()
-            for d2, c2 in other.coeffs.items()
-        ))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -73,13 +65,6 @@ class TensorHH(Linear):
         i, j = key
         return (integral(i), integral(j))
 
-    def __mul__(self, other: "TensorHH") -> "TensorHH":
-        return self._new(collect(
-            ((i1 + i2, j1 + j2), c1 * c2)
-            for (i1, j1), c1 in self.coeffs.items()
-            for (i2, j2), c2 in other.coeffs.items()
-        ))
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -105,24 +90,8 @@ def _spread(d: int, slots: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     )
 
 
-def comult(h: HPoly) -> TensorHH:
-    """Coproduct: Delta(D^m) = sum_a C(m, a) D^a (x) D^(m-a), extended linearly."""
-    return TensorHH._of(collect(
-        (powers, c * k) for m, c in h.coeffs.items() for powers, k in _spread(m, 2)
-    ))
-
-
-def antipode(h: HPoly) -> HPoly:
-    """S(h) = h(-D)."""
-    return HPoly._of({d: c if d % 2 == 0 else -c for d, c in h.coeffs.items()})
-
-
-def counit(h: HPoly) -> Fraction:
-    return h.coeffs.get(0, Fraction(0))
-
-
 def decompose(t: TensorHH, ns: Iterable[int] | None = None) -> dict[int, HPoly]:
-    """Write t uniquely as sum_n ((-D)^(n) (x) 1) * comult(h_n).
+    """Write t uniquely as sum_n ((-D)^(n) (x) 1) * Delta(h_n).
 
     Substitute x = D(x)1 and z = Delta(D) = D(x)1 + 1(x)D, so that
     1(x)D = z - x; the coefficient of x^n as a polynomial in z then
@@ -150,12 +119,3 @@ def decompose(t: TensorHH, ns: Iterable[int] | None = None) -> dict[int, HPoly]:
         for n, row in acc.items()
         if row
     }
-
-
-def recompose(parts: Mapping[int, HPoly]) -> TensorHH:
-    """Inverse of decompose: sum_n ((-D)^(n) (x) 1) * comult(h_n)."""
-    total = TensorHH()
-    for n, h in parts.items():
-        lead = TensorHH({(n, 0): Fraction((-1) ** n, math.factorial(n))})
-        total = total + lead * comult(h)
-    return total

@@ -15,7 +15,7 @@ from fractions import Fraction
 from confalg.cli import main
 from confalg.checks import as_rng, random_element, random_pelement
 from confalg.freeconf import ConfElement, FreeConformal
-from confalg.hopf import TensorHH, decompose, recompose
+from confalg.hopf import TensorHH, decompose
 from confalg.ncpoly import AlgebraConfig, deglex_key
 from confalg.pseudo import (
     PElement,
@@ -27,7 +27,7 @@ from confalg.pseudo import (
     current_coaction,
 )
 
-from conftest import DATA
+from conftest import DATA, recompose
 
 
 def _fresh_ab() -> FreeConformal:
@@ -62,7 +62,7 @@ def test_criterion_02_distinct_hats_and_independent_images():
     per_k = Counter(len(u.gens) - 1 for u in words)
     assert per_k == {0: 2, 1: 10, 2: 50, 3: 250}
 
-    hats = [fc.hat_word(u)[1] for u in words]
+    hats = [fc.sort_key(u)[2] for u in words]
     assert len(set(hats)) == 312
 
     # exact sparse elimination: every image must add a new pivot

@@ -1,23 +1,21 @@
-"""Polynomial coefficient Hopf algebra: comultiplication, antipode, splitting.
+"""The Hopf formulas of H = k[D]: the iterated coproduct hopf._spread and
+the splitting hopf.decompose.
 
-Everything here is exact rational arithmetic, so every assertion is
-equality, never approximation.
+conftest's comult, read off _spread, and its recompose, the inverse of
+decompose, are the references.  Everything here is exact rational
+arithmetic, so every assertion is equality, never approximation.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from confalg.hopf import (
-    HPoly,
-    TensorHH,
-    antipode,
-    comult,
-    counit,
-    decompose,
-    recompose,
-)
+from confalg.hopf import HPoly, TensorHH, _spread, decompose
+
+from conftest import comult, hmul, recompose, tmul
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
@@ -30,6 +28,21 @@ tensors = st.dictionaries(
 ).map(TensorHH)
 
 
+@pytest.mark.parametrize("slots", [1, 2, 3])
+def test_spread_is_the_multinomial_expansion_in_lex_order(slots):
+    for d in range(7):
+        # product() yields the compositions of d in increasing lex order
+        want = [
+            (powers, math.factorial(d) // math.prod(map(math.factorial, powers)))
+            for powers in itertools.product(range(d + 1), repeat=slots)
+            if sum(powers) == d
+        ]
+        got = _spread(d, slots)
+        leading = [powers[:-1] for powers, _ in got]
+        assert leading == sorted(set(leading)), (d, slots)
+        assert list(got) == want, (d, slots)
+
+
 def test_comult_on_powers_is_binomial_expansion():
     # independent oracle: the generator is primitive, so the n-th power
     # splits as sum_k C(n,k) D^k (x) D^(n-k)
@@ -40,7 +53,7 @@ def test_comult_on_powers_is_binomial_expansion():
 
 @given(hpolys, hpolys)
 def test_comult_is_an_algebra_map(f, g):
-    assert comult(f * g) == comult(f) * comult(g)
+    assert comult(hmul(f, g)) == tmul(comult(f), comult(g))
 
 
 @given(hpolys)
@@ -55,31 +68,6 @@ def test_comult_counit_laws(f):
             right = right + HPoly({i: c})
     assert left == f
     assert right == f
-
-
-@given(hpolys)
-def test_antipode_flips_the_variable(f):
-    s = antipode(f)
-    assert s.coeffs == {
-        k: (-c if k % 2 else c) for k, c in f.coeffs.items()
-    }
-    assert antipode(s) == f
-
-
-@given(hpolys)
-def test_antipode_convolution_gives_counit(f):
-    # m(S (x) id) comult(f) collapses to eps(f) * 1
-    acc = HPoly()
-    for (i, j), c in comult(f).coeffs.items():
-        sign = -1 if i % 2 else 1
-        acc = acc + HPoly({i + j: sign * c})
-    assert acc == HPoly({0: 1}).scale(counit(f))
-
-
-def test_counit_reads_off_the_constant_term():
-    f = HPoly({0: Fraction(7, 2), 3: Fraction(1)})
-    assert counit(f) == Fraction(7, 2)
-    assert counit(HPoly()) == 0
 
 
 def test_decompose_frozen_cases():
@@ -138,7 +126,7 @@ def test_reprs_list_terms_by_degree():
     assert repr(TensorHH()) == "0"
 
 
-def test_swap_exchanges_the_slots():
+def test_comult_is_cocommutative():
     # Delta is cocommutative: exchanging the slots of Delta(D^2) changes nothing
     coeffs = comult(HPoly({2: 1})).coeffs
     assert {(j, i): c for (i, j), c in coeffs.items()} == coeffs

@@ -42,3 +42,27 @@ def test_only_checks_draws():
         if "random" in imported_modules(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     }
     assert importers == {"checks.py"}
+
+
+def unread_imports(tree: ast.AST) -> list[str]:
+    """Names a parsed file binds by import and never reads; from __future__
+    imports bind nothing to read."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_source_module_imports_an_unread_name():
+    """__init__.py imports to re-export; every other module reads what it imports."""
+    unread = {
+        path.name: names
+        for path in SOURCES
+        if path.name != "__init__.py"
+        and (names := unread_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    }
+    assert unread == {}
