@@ -14,14 +14,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
 
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word
 from .linear import Linear, _new_object, integral
 from . import pseudo
 from .pseudo import _index, PElement, ProductKind, PseudoAlgebra
+
+_set = object.__setattr__  # fills a NormalWord's slots past its __setattr__
 
 
 class NotInSpan(Exception):
@@ -34,7 +35,6 @@ class NotInSpan(Exception):
         super().__init__(f"monomial outside the normal-word span: {' '.join(names) or '1'}")
 
 
-@dataclass(frozen=True, slots=True)
 class NormalWord:
     """D^s (a_1 .n_1 (a_2 .n_2 (... a_k .n_k a_{k+1} ...))).
 
@@ -44,26 +44,40 @@ class NormalWord:
     construction; equality and repr read the three fields alone.  _text
     holds the word's JSON text once FreeConformal.word_to_json_text has
     built it.
+
+    A word is immutable: _of fills its slots, and only word_to_json_text
+    writes one again, to keep the text it built.  It is a plain slotted
+    class, not a frozen dataclass, because importing dataclasses also
+    imports inspect, ast, dis and tokenize: about a tenth of the time a
+    fresh process takes to build a FreeConformal.
     """
 
-    s: int
-    gens: tuple[str, ...]
-    indices: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-    _text: str | None = field(init=False, repr=False, compare=False, default=None)
+    __slots__ = ("s", "gens", "indices", "_hash", "_text")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", integral(self.s))
-        object.__setattr__(self, "gens", tuple(self.gens))
-        object.__setattr__(self, "indices", tuple(map(integral, self.indices)))
-        if self.s < 0:
+    def __new__(cls, s: int, gens: tuple[str, ...], indices: tuple[int, ...]):
+        s, gens, indices = integral(s), tuple(gens), tuple(map(integral, indices))
+        if s < 0:
             raise ValueError("negative D-power")
-        if len(self.gens) != len(self.indices) + 1:
+        if len(gens) != len(indices) + 1:
             raise ValueError("need exactly one more generator than product indices")
-        object.__setattr__(self, "_hash", hash((self.s, self.gens, self.indices)))
+        return NormalWord._of(s, gens, indices)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.s == other.s and self.gens == other.gens and self.indices == other.indices
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"NormalWord(s={self.s!r}, gens={self.gens!r}, indices={self.indices!r})"
 
     def __reduce__(self):
         # a str hashes differently in each process, so a pickle carries the
@@ -76,11 +90,11 @@ class NormalWord:
         """Trusted constructor: s an int >= 0, indices a tuple of ints, and
         gens a tuple one longer; nothing is checked or converted."""
         word = _new_object(NormalWord)
-        object.__setattr__(word, "s", s)
-        object.__setattr__(word, "gens", gens)
-        object.__setattr__(word, "indices", indices)
-        object.__setattr__(word, "_hash", hash((s, gens, indices)))
-        object.__setattr__(word, "_text", None)
+        _set(word, "s", s)
+        _set(word, "gens", gens)
+        _set(word, "indices", indices)
+        _set(word, "_hash", hash((s, gens, indices)))
+        _set(word, "_text", None)
         return word
 
     def dfree(self) -> "NormalWord":
@@ -871,7 +885,7 @@ class FreeConformal:
             gens = '","'.join(u.gens)
             indices = ",".join(map(str, u.indices))
             text = f'{{"gens":["{gens}"],"indices":[{indices}],"s":{u.s}}}'
-            object.__setattr__(u, "_text", text)
+            _set(u, "_text", text)
         return text
 
     def _terms_to_json_text(self, terms: Iterable[tuple[NormalWord, Fraction]]) -> str:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .linear import Linear, accumulate, integral
 

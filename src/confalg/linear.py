@@ -17,8 +17,8 @@ _new, which skip re-normalising values that are already exact and nonzero.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 _new_object = object.__new__
 

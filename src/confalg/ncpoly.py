@@ -9,7 +9,7 @@ first, ties left to right) is therefore plain tuple comparison of
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .linear import AlgLinear, collect
 

@@ -23,10 +23,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from operator import add
-from typing import Callable, Iterable
 
 from .hopf import HPoly, TensorHH, _index, _spread, decompose
 from .linear import AlgLinear, Linear, accumulate, exact, integral
@@ -247,18 +247,15 @@ class PseudoTensor3(_SlotTensor):
     canonical = _SlotTensor.split  # {(I, J): c} over ((-D)^(I) (x) (-D)^(J) (x) 1)
 
 
-@dataclass(frozen=True)
-class IdentityTerm:
-    """One summand of a poly-linear identity.
+class IdentityTerm(namedtuple("IdentityTerm", ("sigma", "tree", "coeff"), defaults=(1,))):
+    """One summand of a poly-linear identity, IdentityTerm(sigma, tree, coeff=1).
 
     The binary tree (an int leaf or a pair of trees) is evaluated with
     argument sigma(i) at leaf i, the free H slots of the result are
     permuted by sigma, and the whole is scaled by coeff.
     """
 
-    sigma: tuple[int, ...]
-    tree: object
-    coeff: object = 1
+    __slots__ = ()
 
 
 def commutativity_identity() -> tuple[IdentityTerm, ...]:

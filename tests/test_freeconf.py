@@ -105,6 +105,28 @@ class TestWordStorage:
         assert repr(u) == "NormalWord(s=1, gens=('a', 'b'), indices=(0,))"
         assert not hasattr(u, "__dict__")
 
+    @pytest.mark.parametrize("name", ["s", "gens", "indices", "_text"])
+    @pytest.mark.parametrize("how", ["constructor", "trusted"])
+    def test_a_word_cannot_be_changed(self, fc, name, how):
+        parts = (1, ("a", "b"), (0,))
+        u = NormalWord(*parts) if how == "constructor" else NormalWord._of(*parts)
+        with pytest.raises(AttributeError):
+            setattr(u, name, None)
+        with pytest.raises(AttributeError):
+            delattr(u, name)
+        assert (u.s, u.gens, u.indices, u._text) == (*parts, None)
+        fc.word_to_json_text(u)  # nor can a built text be replaced
+        with pytest.raises(AttributeError):
+            u._text = "[]"
+
+    def test_a_word_equals_only_words(self):
+        u = NormalWord(0, ("a",), ())
+        assert u != (0, ("a",), ()) and not u == (0, ("a",), ())
+        assert (0, ("a",), ()) != u
+        assert u == NormalWord._of(0, ("a",), ())
+        assert u != NormalWord(1, ("a",), ()) and u != NormalWord(0, ("b",), ())
+        assert NormalWord(0, ("a", "b"), (0,)) != NormalWord(0, ("a", "b"), (1,))
+
     def test_pickles_hash_again_in_another_process(self):
         src = str(Path(confalg.__file__).resolve().parent.parent)
         word = "NormalWord(2, ('b', 'a'), (1,))"
@@ -821,6 +843,8 @@ class TestRenderMemos:
         assert u == fresh and hash(u) == hash(fresh) == hash(parts)
         assert repr(u) == repr(fresh) and {fresh: 1}[u] == 1
         assert not u != fresh and u.dfree() == fresh.dfree()
+        object.__setattr__(fresh, "_text", "not this word's text")
+        assert u == fresh and {fresh: 1}[u] == 1
 
     @pytest.mark.parametrize("k", [0, 1, -3, 10**30])
     def test_one_shared_fraction_per_int(self, k):

@@ -1,6 +1,12 @@
-"""The package runs on the standard library alone: no runtime dependencies."""
+"""The package runs on the standard library alone, and starts lean.
+
+Every request is a fresh process, so what importing the command line loads
+is paid on each one: no module may pull in dataclasses (and with it
+inspect, ast, dis and tokenize) or typing.
+"""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +72,32 @@ def test_no_source_module_imports_an_unread_name():
         and (names := unread_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
     }
     assert unread == {}
+
+
+# dataclasses brings inspect, ast, dis and tokenize; annotation names come
+# from collections.abc, whose package functools imports anyway
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+def test_no_source_module_imports_dataclasses_or_typing():
+    importers = {
+        path.name: sorted(found)
+        for path in SOURCES
+        if (found := imported_modules(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            & {"dataclasses", "typing"})
+    }
+    assert importers == {}
+
+
+def test_the_command_line_imports_none_of_the_heavy_modules():
+    """-S skips site, whose .pth files may import typing and hide a regression."""
+    src = str(Path(confalg.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import confalg.cli; "
+        f"print(sorted(set({HEAVY!r}) & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

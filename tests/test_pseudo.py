@@ -500,6 +500,20 @@ class TestIdentityEvaluation:
             PseudoAlgebra(AB).eval_identity(terms, ProductKind.P8, args)
         assert type(got.value) is kind and str(got.value) == message
 
+    def test_a_term_is_an_immutable_value(self):
+        term = IdentityTerm(sigma=(2, 1), tree=(1, 2))
+        assert term.coeff == 1 and (term.sigma, term.tree) == ((2, 1), (1, 2))
+        same = IdentityTerm((2, 1), (1, 2), 1)
+        assert term == same and hash(term) == hash(same)
+        assert term != IdentityTerm((2, 1), (1, 2), -1)
+        assert commutativity_identity() == (
+            IdentityTerm((1, 2), (1, 2)), IdentityTerm(sigma=(2, 1), tree=(1, 2), coeff=-1)
+        )
+        for name in ("sigma", "tree", "coeff"):
+            with pytest.raises(AttributeError):
+                setattr(term, name, 0)
+        assert term == same
+
     def test_malformed_terms_are_rejected(self):
         pa = PseudoAlgebra(AB)
         x = pel(AB, ("a",))
