@@ -3,9 +3,10 @@
 The kernel is built from four layers: polynomial Hopf arithmetic in the
 derivation D (hopf), free words over the alphabet plus the marker letter v
 (ncpoly), comodule pseudoproducts with their canonical forms (pseudo), and
-the free conformal algebra itself with two independent product engines
-(freeconf).  A small expression language (exprs), seeded axiom checks with
-their random draws (checks) and a CLI (cli) sit on top.
+the free conformal algebra itself with its realization engine (freeconf).
+Its rewriting engine (rewrite) shares only the normal words (words) with
+it.  A small expression language (exprs), seeded axiom checks with their
+random draws (checks) and a CLI (cli) sit on top.
 """
 
 from .hopf import HPoly, TensorHH, decompose

@@ -1,12 +1,11 @@
 """Free associative conformal algebras on a finite alphabet.
 
-Two independent engines compute the same products.  The realization engine
-embeds normal words into H (x) F(B) through iota and reduces results back
-against the triangular system of hat words.  The rewriting engine works
-directly from the axioms: it moves D across products, splits off leading
-letters, and resolves out-of-range indices by the composition rule.  Their
-agreement on random inputs (drawn by confalg.checks) is one of the
-package's standing checks.
+Two independent engines compute the same products.  The realization engine,
+here, embeds normal words into H (x) F(B) through iota and reduces results
+back against the triangular system of hat words.  The rewriting engine
+(rewrite.Rewriter) works directly from the axioms.  They share only the
+word algebra (words).  Their agreement on random inputs (drawn by
+confalg.checks) is one of the package's standing checks.
 """
 
 from __future__ import annotations
@@ -18,11 +17,10 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word
-from .linear import Linear, _new_object, integral
 from . import pseudo
 from .pseudo import _index, PElement, ProductKind, PseudoAlgebra
-
-_set = object.__setattr__  # fills a NormalWord's slots past its __setattr__
+from .rewrite import Rewriter
+from .words import ConfElement, NormalWord, _set
 
 
 class NotInSpan(Exception):
@@ -33,91 +31,6 @@ class NotInSpan(Exception):
         self.names = names
         # the empty word prints as NCPoly's repr spells it
         super().__init__(f"monomial outside the normal-word span: {' '.join(names) or '1'}")
-
-
-class NormalWord:
-    """D^s (a_1 .n_1 (a_2 .n_2 (... a_k .n_k a_{k+1} ...))).
-
-    gens has one more entry than indices; index i must satisfy
-    0 <= n_i < N(a_i, a_{i+1}) = n(a_{i+1}).  Every dict of the engines is
-    keyed by words, so the hash of (s, gens, indices) is computed once, at
-    construction; equality and repr read the three fields alone.  _text
-    holds the word's JSON text once FreeConformal.word_to_json_text has
-    built it.
-
-    A word is immutable: _of fills its slots, and only word_to_json_text
-    writes one again, to keep the text it built.  It is a plain slotted
-    class, not a frozen dataclass, because importing dataclasses also
-    imports inspect, ast, dis and tokenize: about a tenth of the time a
-    fresh process takes to build a FreeConformal.
-    """
-
-    __slots__ = ("s", "gens", "indices", "_hash", "_text")
-
-    def __new__(cls, s: int, gens: tuple[str, ...], indices: tuple[int, ...]):
-        s, gens, indices = integral(s), tuple(gens), tuple(map(integral, indices))
-        if s < 0:
-            raise ValueError("negative D-power")
-        if len(gens) != len(indices) + 1:
-            raise ValueError("need exactly one more generator than product indices")
-        return NormalWord._of(s, gens, indices)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.s == other.s and self.gens == other.gens and self.indices == other.indices
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"NormalWord(s={self.s!r}, gens={self.gens!r}, indices={self.indices!r})"
-
-    def __reduce__(self):
-        # a str hashes differently in each process, so a pickle carries the
-        # fields alone and the constructor computes the hash again (and
-        # leaves the text unbuilt)
-        return NormalWord, (self.s, self.gens, self.indices)
-
-    @staticmethod
-    def _of(s: int, gens: tuple[str, ...], indices: tuple[int, ...]) -> "NormalWord":
-        """Trusted constructor: s an int >= 0, indices a tuple of ints, and
-        gens a tuple one longer; nothing is checked or converted."""
-        word = _new_object(NormalWord)
-        _set(word, "s", s)
-        _set(word, "gens", gens)
-        _set(word, "indices", indices)
-        _set(word, "_hash", hash((s, gens, indices)))
-        _set(word, "_text", None)
-        return word
-
-    def dfree(self) -> "NormalWord":
-        return self if self.s == 0 else NormalWord._of(0, self.gens, self.indices)
-
-
-class ConfElement(Linear):
-    """Linear combination of normal words with Fraction coefficients."""
-
-    __slots__ = ()
-
-    def d_shift(self, k: int = 1) -> "ConfElement":
-        return self._new(
-            {NormalWord(u.s + k, u.gens, u.indices): c for u, c in self.terms.items()}
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for u, c in self.terms.items():
-            bits.append(f"{c}*{u.gens}/{u.indices}/D^{u.s}")
-        return " + ".join(bits)
 
 
 def _generator_word(alg: AlgebraConfig, name: str) -> Word:
@@ -180,15 +93,7 @@ class FreeConformal:
             (): (0, None, NCPoly._of(config, {(): 1}),
                  [NormalWord._of(0, (name,), ()) for name in config.names])
         }
-        # the words the rewriting engine's _pair has validated; a word that
-        # fails validate is never added
-        self._valid: set[NormalWord] = set()
-        # _rw_dfree values, {D-free word: int}, by
-        # (gens_u, indices_u, n, gens_w, indices_w); Fractions appear only
-        # in cprod_rw.  _rw_interned holds each word those values name, by
-        # (gens, indices), so that each is built and stored once.
-        self._rw_cache: dict[tuple, dict[NormalWord, int]] = {}
-        self._rw_interned: dict[tuple, NormalWord] = {}
+        self._rewriter = Rewriter(self)
 
     # ---- normal words -------------------------------------------------
 
@@ -475,29 +380,22 @@ class FreeConformal:
             yield (NormalWord._of(d, u.gens, u.indices) if d else u), q
 
     def _pair(
-        self, engine: str, words: Iterable[NormalWord], want: tuple[int, ...]
-    ) -> Callable[[NormalWord, NormalWord], dict[int, dict | list]]:
-        """The named engine's per-pair core for words, its per-word work done.
+        self, words: Iterable[NormalWord], want: tuple[int, ...]
+    ) -> Callable[[NormalWord, NormalWord], dict[int, list]]:
+        """The realization engine's per-pair core for words, its per-word
+        work done (the rewriting engine's is Rewriter.pair).
 
         The result maps (u, w), both among words, to {n: u_(n) w} for each
-        n in want.  Rewrite validates each word once per FreeConformal
-        (_valid), and each pair is _rw_words, {word: int}.  Realize takes
-        each word's P_a and T once (_tail), and scales and coacts its image
-        at most once, as far as component max(want), for all the pairs it
-        is in.  Each pair is then one P8 pseudoproduct of u's T and w's
-        image, split at the requested n alone, and each slice eliminated
-        behind u's P_a: the quotients are the coefficients, because the
-        weights W_u * W_w cancel (see _eliminate).  A realize value is
-        _eliminate's letter-free [(d, entry, int)], the same for every u
-        with u's D-power and tail; the caller makes its words for u's first
-        letter (_words).
+        n in want.  It takes each word's P_a and T once (_tail), and scales
+        and coacts its image at most once, as far as component max(want),
+        for all the pairs it is in.  Each pair is then one P8 pseudoproduct
+        of u's T and w's image, split at the requested n alone, and each
+        slice eliminated behind u's P_a: the quotients are the
+        coefficients, because the weights W_u * W_w cancel (see
+        _eliminate).  A value is _eliminate's letter-free [(d, entry, int)],
+        the same for every u with u's D-power and tail; the caller makes its
+        words for u's first letter (_words).
         """
-        if engine == "rewrite":
-            valid = self._valid
-            for u in words:
-                if u not in valid:
-                    valid.add(self.validate(u))
-            return lambda u, w: {n: self._rw_words(u, n, w) for n in want}
         top = max(want)
         alg = self.alg
         tails = {u: self._tail(u) for u in words}
@@ -530,22 +428,23 @@ class FreeConformal:
         return pair
 
     def _products(
-        self, engine: str, x: ConfElement, y: ConfElement, ns: Iterable[int]
+        self, pairs: Callable, terms: Callable, x: ConfElement, y: ConfElement, ns: Iterable[int]
     ) -> dict[int, ConfElement]:
-        """{n: x_(n) y} for each n in ns, through the named engine.
+        """{n: x_(n) y} for each n in ns, through one engine.
 
-        Each word pair's ints from _pair, under realize made words for u's
-        first letter (_words), are scaled by cu * cw, written over one
-        common denominator, so the sums stay ints.  Each output term then
-        gets a Fraction, over a denominator of 1 the shared one of its
-        value (_fraction).  For a single word pair each value keeps the
-        order of the pair's terms.
+        pairs(words, want) is the engine's per-pair core (_pair,
+        Rewriter.pair), and terms(value, code) the (word, int) terms of one
+        of its pair values for a u whose first letter has code code.  They
+        are scaled by cu * cw, written over one common denominator, so the
+        sums stay ints.  Each output term then gets a Fraction, over a
+        denominator of 1 the shared one of its value (_fraction).  For a
+        single word pair each value keeps the order of the pair's terms.
         """
         want = _requested(ns)
         if not want:
             return {}
-        pair = self._pair(engine, (*y.terms, *x.terms), want)
-        realize, index = engine == "realize", self.alg.index
+        pair = pairs((*y.terms, *x.terms), want)
+        index = self.alg.index
         den_x = math.lcm(*(c.denominator for c in x.terms.values()))
         den_y = math.lcm(*(c.denominator for c in y.terms.values()))
         acc: dict[int, dict[NormalWord, int]] = {n: {} for n in want}
@@ -557,7 +456,7 @@ class FreeConformal:
                 for n, value in pair(u, w).items():
                     out = acc[n]
                     get = out.get
-                    for v, k in self._words(value, code) if realize else value.items():
+                    for v, k in terms(value, code):
                         out[v] = get(v, 0) + k * scale
         den = den_x * den_y
         return {
@@ -580,7 +479,7 @@ class FreeConformal:
         splits each entry at the requested n alone, and those coefficients
         are eliminated.  locality_of keeps the full pseudoproduct.
         """
-        return self._products("realize", x, y, ns)
+        return self._products(self._pair, self._words, x, y, ns)
 
     def cprod(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
         """n-th product through the realization engine."""
@@ -593,16 +492,17 @@ class FreeConformal:
 
         Cells come one at a time, u slowest and w fastest.  Every value
         lists its terms in sort_key order, by construction, not by a sort:
-        see _eliminate, _rw_words and _rw_rule.  Under realize, each word is
-        scaled once and coacted once per table, not once per cell (_pair).
-        u = a .m r has the image P_a T(m, r), and the quotients of u_(n) w
-        do not depend on a: the row's block of every n and w is computed
-        once per (u.s, tail key), shared by every first letter and dropped
-        after the last row that reads it.  Each row makes its words for its
-        own letter (_words), and each value term is an int until it takes
-        the shared Fraction of its value (_fraction).  Under rewrite, each
-        cell is one cprod_rw of two single words, the product that
-        bench/spans.py counts as the rewrite engine's work.
+        see _eliminate, and Rewriter._rw_words and _rw_rule in rewrite.py.
+        Under realize, each word is scaled once and coacted once per table,
+        not once per cell (_pair).  u = a .m r has the image P_a T(m, r),
+        and the quotients of u_(n) w do not depend on a: the row's block of
+        every n and w is computed once per (u.s, tail key), shared by every
+        first letter and dropped after the last row that reads it.  Each row
+        makes its words for its own letter (_words), and each value term is
+        an int until it takes the shared Fraction of its value (_fraction).
+        Under rewrite, each cell is one cprod_rw of two single words, the
+        product that bench/spans.py counts as the rewrite engine's work,
+        yielded as soon as it is made.
         """
         self.engine(engine)  # an unknown name raises ValueError
         words = list(words)
@@ -610,7 +510,7 @@ class FreeConformal:
         if not want:
             return
         if engine == "realize":
-            pair = self._pair(engine, words, want)
+            pair = self._pair(words, want)
             keys = [(u.s, self._tail(u)[1]) for u in words]
             last = {key: row for row, key in enumerate(keys)}
             blocks: dict[tuple, list] = {}  # by key, until its last row
@@ -628,12 +528,9 @@ class FreeConformal:
             return
         single = {w: ConfElement({w: 1}) for w in words}
         for u in words:
-            block = [  # every n of a pair at once
-                {n: self.cprod_rw(single[u], n, single[w]) for n in want} for w in words
-            ]
             for n in want:
-                for w, value in zip(words, block):
-                    yield u, n, w, value[n]
+                for w in words:
+                    yield u, n, w, self.cprod_rw(single[u], n, single[w])
 
     def engine(self, name: str) -> tuple[Callable, Callable]:
         """The (cprod, cprods) methods of the named engine, looked up now."""
@@ -655,150 +552,11 @@ class FreeConformal:
         is scaled by cu * cw over a common denominator (_products), and
         every returned value is a Fraction.
         """
-        return self._products("rewrite", x, y, ns)
+        return self._products(self._rewriter.pair, lambda value, code: value.items(), x, y, ns)
 
     def cprod_rw(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
         """n-th product via axiom-level rewriting; no embedding involved."""
         return self.cprods_rw(x, y, (n,))[n]
-
-    def _rw_words(self, u: NormalWord, n: int, w: NormalWord) -> dict[NormalWord, int]:
-        """u_(n) w as {word: int}, by the closed-form D rules over _rw_dfree.
-
-        (D^s x)_(n) y = (-1)^s n!/(n-s)! x_(n-s) y, and
-        x_(n) D^s y = sum_j C(s, j) n!/(n-j)! D^(s-j) (x_(n-j) y).
-        The result may be a dict of _rw_cache: read it, never change it.
-        It lists its words in sort_key order: a D-power on u only scales
-        the inner value, j runs down so that the D-powers s - j go up, and
-        each block is a _rw_dfree value, ordered as _rw_rule shows.
-        """
-        if u.s:
-            if n < u.s:
-                return {}
-            coeff = (-1) ** u.s * math.perm(n, u.s)
-            inner = self._rw_words(u.dfree(), n - u.s, w)
-            return {v: c * coeff for v, c in inner.items()}
-        if w.s:
-            out: dict[NormalWord, int] = {}
-            for j in range(min(w.s, n), -1, -1):
-                coeff = math.comb(w.s, j) * math.perm(n, j)
-                s = w.s - j  # each j has its own D-power, so no two terms meet
-                for v, c in self._rw_dfree(u.gens, u.indices, n - j, w.gens, w.indices).items():
-                    out[NormalWord._of(s, v.gens, v.indices) if s else v] = c * coeff
-            return out
-        return self._rw_dfree(u.gens, u.indices, n, w.gens, w.indices)
-
-    def _rw_dfree(
-        self,
-        gu: tuple[str, ...],
-        iu: tuple[int, ...],
-        n: int,
-        gw: tuple[str, ...],
-        iw: tuple[int, ...],
-    ) -> dict[NormalWord, int]:
-        """u_(n) w for the D-free words u = (gu, iu) and w = (gw, iw).
-
-        The value is {D-free word: int}, memoised in _rw_cache under
-        (gu, iu, n, gw, iw); read it, never change it.  A miss is settled
-        with an explicit stack, not one Python frame per generator: each key
-        on it waits until the keys its rule reads (_rw_rule) are cached, and
-        the words of the value are built once each, through _rw_interned.
-
-        No key is pushed while it is pending, so none is settled twice.
-        Every dep has one generator fewer (len(gu) + len(gw)) than its key:
-        the left rule drops u's first letter, the right rule w's.  So a new
-        dep is smaller than every key on the stack (the key it is a dep of,
-        that key's pending ancestors and their siblings), and the deps of
-        one key differ in n (n + s, or n1 + r).
-        """
-        cache = self._rw_cache
-        root = (gu, iu, n, gw, iw)
-        val = cache.get(root)
-        if val is not None:
-            return val
-        stack = [[root, None]]  # [key, its rule's terms once expanded]
-        while stack:
-            entry = stack[-1]
-            key, terms = entry
-            if terms is None:
-                val, terms = self._rw_rule(key)
-                if terms is None:
-                    cache[key] = val
-                    stack.pop()
-                    continue
-                entry[1] = terms
-                missing = [[dep, None] for _, _, _, dep in terms if dep not in cache]
-                if missing:
-                    stack += missing
-                    continue
-            stack.pop()
-            # the terms' indices m differ, so no two built words meet and no
-            # value is zero: a dict of nonzero ints, nothing to collect
-            word = self._rw_word
-            cache[key] = {
-                word((a,) + v.gens, (m,) + v.indices): coeff * c
-                for coeff, a, m, dep in terms
-                for v, c in cache[dep].items()
-            }
-        return cache[root]
-
-    def _rw_word(self, gens: tuple[str, ...], indices: tuple[int, ...]) -> NormalWord:
-        """The one D-free NormalWord of the rewriting engine for (gens, indices)."""
-        word = self._rw_interned.get((gens, indices))
-        if word is None:
-            word = self._rw_interned[gens, indices] = NormalWord._of(0, gens, indices)
-        return word
-
-    def _rw_rule(self, key: tuple) -> tuple[dict | None, list | None]:
-        """One rewriting step for a _rw_dfree key (gu, iu, n, gw, iw).
-
-        Either (value, None), when the step settles the key, or (None, terms):
-        the value is then the sum over the terms (coeff, a, m, dep) of coeff
-        times a_(m) applied to dep's value.  Every word of dep's value starts
-        with a letter b whose pair bound N(a, b) exceeds m, so a_(m) only
-        prefixes a .m to each word: the rules never leave normal words.
-
-        Each value lists its words in sort_key order, by induction over the
-        rules.  Every term of u_(n) w has u's and w's letters and the index
-        sum of u and w plus n, so all words of one value have hat words of
-        one length, and there deg-lex is plain lex.  All words of a dep value
-        start with the same letter b, whose hat piece in a .m v is
-        v^(n(b) - 1 - m) b, and v is the largest letter code.  The terms'
-        m fall as the rules' s (or r) rise, so each term's v-run before b is
-        longer than the last one's, and the blocks come in ascending order.
-        Within a block, the hat words are one common prefix followed by the
-        dep value's hat words with their first m letters, all v, dropped:
-        the order of the dep value, which is sorted by induction.
-        """
-        gu, iu, n, gw, iw = key
-        if len(gu) > 1:
-            # (a1_(m1) u1)_(n) w = sum_s (-1)^s C(m1, s) a1_(m1-s) (u1_(n+s) w);
-            # m1 - s <= m1 < N(a1, first letter of u1)
-            a1, m1 = gu[0], iu[0]
-            gu1, iu1 = gu[1:], iu[1:]
-            return None, [
-                ((-1) ** s * math.comb(m1, s), a1, m1 - s, (gu1, iu1, n + s, gw, iw))
-                for s in range(m1 + 1)
-            ]
-        a = gu[0]
-        bound = self.alg.n_of(gw[0])
-        if n < bound:
-            return {self._rw_word((a,) + gw, (n,) + iw): 1}, None
-        if len(gw) == 1:
-            return {}, None
-        # a_(n) (b_(n1) w1) with n >= N(a, b): push the overflow into the pair
-        # (a, b) by the composition rule, then reassociate:
-        #   sum_{s >= s0} sum_{t <= n-s} C(n, s) (-1)^t C(n-s, t) a_(n-s-t) (b_(n1+s+t) w1)
-        # with s0 = n - N(a, b) + 1 >= 1.  The terms with s + t = r share
-        # a_(n-r) and b_(n1+r), and C(n, s) C(n-s, r-s) = C(n, r) C(r, s), so
-        # they merge into C(n, r) sum_{s0 <= s <= r} (-1)^(r-s) C(r, s)
-        # = C(n, r) (-1)^(r-s0) C(r-1, r-s0), never zero; n - r < N(a, b).
-        s0 = n - bound + 1
-        b, n1, gw1, iw1 = gw[0], iw[0], gw[1:], iw[1:]
-        return None, [
-            (math.comb(n, r) * (-1) ** (r - s0) * math.comb(r - 1, r - s0), a, n - r,
-             ((b,), (), n1 + r, gw1, iw1))
-            for r in range(s0, n + 1)
-        ]
 
     # ---- bases, counting, locality --------------------------------------
 

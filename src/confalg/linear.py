@@ -1,13 +1,13 @@
 """Sparse exact linear combinations: the one storage rule of every container.
 
-A combination is a dict {key: value} that holds no zero value, so equality
-is dict equality and truth is nonemptiness.  Scalar classes (HPoly,
-TensorHH, NCPoly, ConfElement) hold Fraction values at the public API; only
-trusted containers hold ints: the realize pipeline's images and slices, the
-splitting's cached parts, and the pseudo layer's int numerators inside
-assoc_check and eval_identity.  Nested classes (PElement, PseudoTensor, PseudoTensor3) hold
-combinations of the layer below, which answer to the same +, -, scale and
-truth tests, so one implementation serves both.
+A combination is a dict {key: value} that holds no zero value, so equality is
+dict equality and truth is nonemptiness.  Scalar classes (HPoly, TensorHH,
+NCPoly, words.ConfElement) hold Fraction values at the public API; only trusted
+containers hold ints: the realize pipeline's images and slices, the splitting's
+cached parts, and the pseudo layer's int numerators inside assoc_check and
+eval_identity.  Nested classes (PElement, PseudoTensor, PseudoTensor3) hold
+combinations of the layer below, which answer to the same +, -, scale and truth
+tests, so one implementation serves both.
 
 exact() is the only place where an outside number becomes a coefficient;
 integral() does the same for D-degrees and product indices.

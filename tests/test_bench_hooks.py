@@ -49,6 +49,24 @@ assert rc == 0
 print(json.dumps({name: row["calls"] for name, row in tracer.layer_totals().items()}))
 """
 
+# the same table under rewrite, with the counters: bench/test_bench.py's
+# contract that the rewrite table reaches no realize layer, at tier-1 size
+REWRITE_TABLE_SCRIPT = """
+import contextlib, io, json
+import spans
+from confalg.cli import main
+
+tracer = spans.Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(["table", "--config", "tests/data/config_ab.json",
+               "--max-k", "1", "--max-n", "3", "--engine", "rewrite"])
+assert rc == 0
+out = {name: row["calls"] for name, row in tracer.layer_totals().items()}
+out.update(tracer.counts)
+print(json.dumps(out))
+"""
+
 # one check request; each test fills in the config file and the axiom
 CHECK_SCRIPT = """
 import contextlib, io, json
@@ -85,6 +103,16 @@ def test_realize_table_makes_one_pseudoproduct_per_tail_and_right_word():
     calls = traced(TABLE_SCRIPT)
     assert calls["pseudo.pprod"] == 72
     assert calls["pseudo.canonicalize"] == 72
+
+
+def test_rewrite_table_bypasses_the_realize_layers():
+    calls = traced(REWRITE_TABLE_SCRIPT)
+    touched = {
+        name: value for name, value in calls.items()
+        if name.startswith(("pseudo.", "ncpoly.", "hopf.")) and value
+    }
+    assert touched == {}
+    assert calls["freeconf.cprod_rw"] == 12 * 12 * 4  # one per cell
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ The two product engines share no code past the word algebra, which is the
 point: each one is the oracle for the other.
 """
 
+import gc
 import hashlib
 import itertools
 import json
@@ -12,6 +13,7 @@ import os
 import pickle
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -987,8 +989,8 @@ class TestRewriteIntCore:
             x = random_element(rng, fc, max_s=2, max_terms=3)
             y = random_element(rng, fc, max_s=2, max_terms=3)
             fc.cprods_rw(x, y, range(5))
-        assert fc._rw_cache
-        for value in fc._rw_cache.values():
+        assert fc._rewriter._rw_cache
+        for value in fc._rewriter._rw_cache.values():
             assert type(value) is dict
             assert all(type(v) is NormalWord and v.s == 0 for v in value)
             assert all(type(c) is int and c for c in value.values())
@@ -1005,9 +1007,9 @@ class TestRewriteIntCore:
             fc.cprods_rw(ConfElement({u: 1}), ConfElement({w: 1}), range(7))
         size = lambda key: len(key[0]) + len(key[3])
         expanded = {"left": 0, "right": 0}
-        for key in fc._rw_cache:
+        for key in fc._rewriter._rw_cache:
             assert key[2] >= 0, key
-            _, terms = fc._rw_rule(key)
+            _, terms = fc._rewriter._rw_rule(key)
             if terms is None:
                 continue
             expanded["left" if len(key[0]) > 1 else "right"] += 1
@@ -1015,6 +1017,21 @@ class TestRewriteIntCore:
             assert len(set(deps)) == len(deps), key
             assert all(size(dep) == size(key) - 1 for dep in deps), key
         assert min(expanded.values()) > 100, expanded
+
+    def test_an_instance_goes_with_its_last_reference(self, fc):
+        # the Rewriter refers back to its FreeConformal without a cycle, so a
+        # request's memos of both engines are freed when it ends, not at the
+        # next run of the cyclic collector
+        fc = FreeConformal(fc.alg)
+        x, y = fc.generator(fc.alg.names[0]), fc.generator(fc.alg.names[-1])
+        assert fc.cprod_rw(x, 0, y) == fc.cprod(x, 0, y)
+        alive = weakref.ref(fc)
+        gc.disable()
+        try:
+            del fc
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_every_returned_coefficient_is_a_fraction(self, fc):
         rng = as_rng(113)

@@ -2,7 +2,8 @@
 
 Every request is a fresh process, so what importing the command line loads
 is paid on each one: no module may pull in dataclasses (and with it
-inspect, ast, dis and tokenize) or typing.
+inspect, ast, dis and tokenize) or typing.  The rewriting engine imports
+nothing of the realization engine.
 """
 
 import ast
@@ -30,7 +31,9 @@ def imported_modules(tree: ast.AST) -> set[str]:
 
 
 def test_every_source_file_is_checked():
-    assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "freeconf.py", "pseudo.py"}
+    assert {p.name for p in SOURCES} >= {
+        "__init__.py", "cli.py", "freeconf.py", "pseudo.py", "rewrite.py", "words.py",
+    }
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -48,6 +51,40 @@ def test_only_checks_draws():
         if "random" in imported_modules(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     }
     assert importers == {"checks.py"}
+
+
+def package_imports(path: Path) -> set[str]:
+    """Stems of the confalg modules a source file imports, relative or
+    absolute; a name that is no module counts as the package's __init__."""
+    stems = {p.stem for p in SOURCES}
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["confalg" if node.level else "", node.module]))
+            dotted = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in dotted:
+            top, _, rest = name.partition(".")
+            if top == "confalg":
+                stem = rest.partition(".")[0]
+                out.add(stem if stem in stems else "__init__")
+    return out
+
+
+def test_the_rewriting_engine_reaches_only_the_word_algebra():
+    """rewrite.py shares the word algebra with the realization engine and
+    nothing else: no pseudo, hopf, ncpoly or freeconf, however indirectly."""
+    by_stem = {p.stem: p for p in SOURCES}
+    assert package_imports(by_stem["words"]) == {"linear"}
+    reached, todo = set(), ["rewrite"]
+    while todo:
+        for stem in package_imports(by_stem[todo.pop()]) - reached:
+            reached.add(stem)
+            todo.append(stem)
+    assert reached <= {"words", "linear"}, sorted(reached)
 
 
 def unread_imports(tree: ast.AST) -> list[str]:
