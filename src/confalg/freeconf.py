@@ -437,14 +437,32 @@ class FreeConformal:
         of its pair values for a u whose first letter has code code.  They
         are scaled by cu * cw, written over one common denominator, so the
         sums stay ints.  Each output term then gets a Fraction, over a
-        denominator of 1 the shared one of its value (_fraction).  For a
-        single word pair each value keeps the order of the pair's terms.
+        denominator of 1 the shared one of its value (_fraction).
+
+        A single word pair, x = cu u and y = cw w, skips the sums: neither
+        engine repeats a word or yields a zero within one pair value (see
+        _rw_dfree and _eliminate), so each value's terms are scaled by the
+        int numerator and denominator of cu * cw as they come, and keep the
+        order of the pair's terms.
         """
         want = _requested(ns)
         if not want:
             return {}
         pair = pairs((*y.terms, *x.terms), want)
         index = self.alg.index
+        if len(x.terms) == 1 == len(y.terms):
+            ((u, cu),) = x.terms.items()
+            ((w, cw),) = y.terms.items()
+            num = cu.numerator * cw.numerator
+            den = cu.denominator * cw.denominator
+            code = index[u.gens[0]]
+            return {
+                n: ConfElement._of({
+                    v: _fraction(k * num) if den == 1 else Fraction(k * num, den)
+                    for v, k in terms(value, code)
+                })
+                for n, value in pair(u, w).items()
+            }
         den_x = math.lcm(*(c.denominator for c in x.terms.values()))
         den_y = math.lcm(*(c.denominator for c in y.terms.values()))
         acc: dict[int, dict[NormalWord, int]] = {n: {} for n in want}
@@ -502,7 +520,9 @@ class FreeConformal:
         an int until it takes the shared Fraction of its value (_fraction).
         Under rewrite, each cell is one cprod_rw of two single words, the
         product that bench/spans.py counts as the rewrite engine's work,
-        yielded as soon as it is made.
+        yielded as soon as it is made.  It takes _products' one-pair
+        branch: the cell's _rw_words value becomes the cell's element
+        with no common denominator and no second pass.
         """
         self.engine(engine)  # an unknown name raises ValueError
         words = list(words)
@@ -550,7 +570,8 @@ class FreeConformal:
         Every coefficient the rules make is an int: binomials, falling
         factorials and signs.  Each word pair's {word: int} from _rw_words
         is scaled by cu * cw over a common denominator (_products), and
-        every returned value is a Fraction.
+        every returned value is a Fraction.  For one term by one term the
+        {word: int} is scaled as it comes, with no sum (_products).
         """
         return self._products(self._rewriter.pair, lambda value, code: value.items(), x, y, ns)
 

@@ -5,6 +5,7 @@ Each documented exit code has at least one test pinning it: 0 on success,
 a failed axiom check.
 """
 
+import argparse
 import hashlib
 import json
 import math
@@ -820,6 +821,60 @@ class TestArgvHandling:
             capsys, "reduce", "--config", CONFIG, "--expr", "a", "--engine", "magic"
         )
         assert rc == 1
+
+
+def subparsers() -> dict:
+    """The subcommands' parsers by name, as the full build_parser() makes them."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+SUBCOMMANDS = ("reduce", "prod", "basis", "table", "check", "demo")
+
+
+class TestParserPerRequest:
+    """What main's parser prints is what the full parser prints: --help and
+    usage errors, for each subcommand and the top level.  Each test compares
+    against the live full parser, so it holds on every argparse version."""
+
+    def test_every_subcommand_is_checked(self):
+        assert tuple(subparsers()) == SUBCOMMANDS
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_subcommand_help_is_the_full_parsers(self, capsys, name):
+        with pytest.raises(SystemExit) as exit_info:
+            main([name, "--help"])
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 0 and err == ""
+        assert out == subparsers()[name].format_help()
+
+    def test_top_level_help_is_the_full_parsers(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 0 and err == ""
+        assert out == cli.build_parser().format_help()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "--expr", "a"],
+            ["prod", "--config", CONFIG, "--left", "a", "--n", "one", "--right", "b"],
+            ["basis", "--config", CONFIG],
+            ["table", "--config", CONFIG, "--max-n", "1", "--max-k", "1", "--engine", "magic"],
+            ["check", "--config", CONFIG, "--axiom", "commutativity"],
+            ["demo", "lie"],
+            ["conjure"],
+            [],
+        ],
+        ids=lambda argv: argv[0] if argv else "no arguments",
+    )
+    def test_a_usage_error_reads_as_the_full_parsers(self, capsys, argv):
+        with pytest.raises(cli.UsageError) as expected:
+            cli.build_parser().parse_args(argv)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert err == f"error: {expected.value}\n"
 
 
 def test_module_entry_point():

@@ -1058,6 +1058,65 @@ class TestRewriteIntCore:
             assert fc.cprod_rw(x.d_shift(1), 1, y.scale(c)) == xy.scale(c)
 
 
+class TestOneWordPair:
+    """x_(n) y for one term x = cu u and one term y = cw w scales the pair's
+    values as they come (_products' one-pair branch); with more terms on a
+    side, the general path sums them.  Bilinearity ties the two together."""
+
+    COEFFS = (Fraction(1, 2), Fraction(-2, 3), Fraction(3))
+    # D-powers on u and on w
+    SHIFTS = ((0, 0), (2, 0), (0, 1), (1, 2))
+    NS = range(4)
+
+    @pytest.fixture(scope="class", params=["config_ab.json", "config_xyz.json"])
+    def fc(self, request):
+        return FreeConformal(load_config(str(DATA / request.param))[0])
+
+    def cases(self, fc, seed):
+        """(x, y1, y2): single terms with seeded words, w1 != w2, every
+        product of two COEFFS as cu * c1, and every pair of SHIFTS on u
+        and w1."""
+        rng = as_rng(seed)
+        for su, sw in self.SHIFTS:
+            for cu, c1 in itertools.product(self.COEFFS, repeat=2):
+                u, w1 = (random_normal_word(rng, fc, max_s=0) for _ in range(2))
+                w1 = normal(fc, sw, w1.gens, w1.indices)
+                w2 = w1
+                while w2 == w1:
+                    w2 = random_normal_word(rng, fc, max_s=2)
+                yield (
+                    ConfElement({normal(fc, su, u.gens, u.indices): cu}),
+                    ConfElement({w1: c1}),
+                    ConfElement({w2: rng.choice(self.COEFFS)}),
+                )
+
+    @pytest.mark.parametrize("engine", ["realize", "rewrite"])
+    def test_one_pair_matches_the_general_path(self, fc, engine):
+        prods = fc.engine(engine)[1]
+        dens, shifts = set(), set()  # of the pairs with a nonzero product
+        for x, y1, y2 in self.cases(fc, 131):
+            one, two = prods(x, y1, self.NS), prods(x, y2, self.NS)
+            assert prods(x, y1 + y2, self.NS) == {n: one[n] + two[n] for n in self.NS}
+            left1, left2 = prods(y1, x, self.NS), prods(y2, x, self.NS)
+            assert prods(y1 + y2, x, self.NS) == {n: left1[n] + left2[n] for n in self.NS}
+            if any(one.values()):
+                ((u, cu),), ((w, c1),) = x.terms.items(), y1.terms.items()
+                dens.add((cu * c1).denominator == 1)
+                shifts.add((u.s, w.s))
+        assert dens == {True, False} and shifts == set(self.SHIFTS), (dens, shifts)
+
+    @pytest.mark.parametrize("engine", ["realize", "rewrite"])
+    def test_one_pair_values_come_in_sort_key_order(self, fc, engine):
+        prods = fc.engine(engine)[1]
+        terms = 0
+        for x, y, _ in self.cases(fc, 137):
+            for value in (*prods(x, y, self.NS).values(), *prods(y, x, self.NS).values()):
+                assert list(value.terms) == sorted(value.terms, key=fc.sort_key)
+                assert coefficient_types([value]) <= {Fraction}
+                terms += len(value.terms)
+        assert terms > 100
+
+
 def test_2048_generator_word_under_both_engines(fc_ab):
     # (X .0 X) nested 11 times from a: one word far longer than Python's
     # recursion limit, so no engine may spend a frame per generator
