@@ -93,6 +93,9 @@ class FreeConformal:
             (): (0, None, NCPoly._of(config, {(): 1}),
                  [NormalWord._of(0, (name,), ()) for name in config.names])
         }
+        # each tuple the cache keeps, as its one object per value: keys,
+        # image monomials and the words' gens and indices (see _iota_nc)
+        self._shared: dict[tuple, tuple] = {}
         self._rewriter = Rewriter(self)
 
     # ---- normal words -------------------------------------------------
@@ -136,7 +139,9 @@ class FreeConformal:
         then folds back left and caches each entry it builds, T(0, r_j)
         under r_j's hat word and T(m, r_j) under that word without its first
         m v's.  Neither depends on the letter in front of r_j, so every first
-        letter shares them, and no entry holds a prefixed copy.
+        letter shares them, and no entry holds a prefixed copy.  Every key
+        and image monomial it stores goes through _shared, so equal tuples
+        are one object: a monomial of one image is often another's key.
         """
         cache = self._iota_cache
         entry = cache.get(key)
@@ -163,26 +168,32 @@ class FreeConformal:
                 break
             start = end
         slots = len(alg.names)
-        for name, m, own, hat in reversed(levels):
+        share = self._shared.setdefault
+        while levels:  # innermost first; a level's slices go once its entry is built
+            name, m, own, hat = levels.pop()
             if not derive:
-                image = _prefixed(letters[name][0], entry[2])
+                piece, tail = letters[name][0], entry[2]
+                image = tail._new({share(w := piece + t, w): c for t, c in tail.terms.items()})
                 r = self._word(entry, alg.index[name])
-                entry = cache[hat] = (0, r, image, [None] * slots)
+                entry = cache[share(hat, hat)] = (0, r, image, [None] * slots)
             derive = False
             if m:
                 image = entry[2].vderiv(m)
-                if m & 1:
-                    image = image._new({w: -c for w, c in image.terms.items()})
-                entry = cache[own] = (m, entry[1], image, [None] * slots)
+                odd = m & 1
+                image = image._new({share(w, w): -c if odd else c for w, c in image.terms.items()})
+                entry = cache[share(own, own)] = (m, entry[1], image, [None] * slots)
         return entry
 
     def _word(self, entry: tuple, code: int) -> NormalWord:
         """The word a .m r of the cache entry of T(m, r), for the letter a
-        with code code; built once, and shared as the r of T(0, a .m r)."""
+        with code code; built once, and shared as the r of T(0, a .m r).
+        Its gens and indices go through _shared, as _iota_nc's tuples do."""
         word = entry[3][code]
         if word is None:
             m, r = entry[0], entry[1]
-            word = NormalWord._of(0, (self.alg.names[code],) + r.gens, (m,) + r.indices)
+            share = self._shared.setdefault
+            gens, indices = (self.alg.names[code],) + r.gens, (m,) + r.indices
+            word = NormalWord._of(0, share(gens, gens), share(indices, indices))
             entry[3][code] = word
         return word
 

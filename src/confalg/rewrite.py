@@ -26,9 +26,11 @@ class Rewriter:
         # _rw_dfree values, {D-free word: int}, by
         # (gens_u, indices_u, n, gens_w, indices_w); Fractions appear only
         # in cprod_rw.  _rw_interned holds each word those values name, by
-        # (gens, indices), so that each is built and stored once.
+        # (gens, indices), so that each is built and stored once; _shared
+        # holds each of their gens and indices tuples, one object per value.
         self._rw_cache: dict[tuple, dict[NormalWord, int]] = {}
         self._rw_interned: dict[tuple, NormalWord] = {}
+        self._shared: dict[tuple, tuple] = {}
 
     def pair(
         self, words: Iterable[NormalWord], want: tuple[int, ...]
@@ -127,6 +129,8 @@ class Rewriter:
         """The one D-free NormalWord of the rewriting engine for (gens, indices)."""
         word = self._rw_interned.get((gens, indices))
         if word is None:
+            share = self._shared.setdefault
+            gens, indices = share(gens, gens), share(indices, indices)
             word = self._rw_interned[gens, indices] = NormalWord._of(0, gens, indices)
         return word
 

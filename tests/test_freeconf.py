@@ -22,6 +22,7 @@ import pytest
 import confalg
 from confalg.cli import dump_json, load_config, main
 from confalg.freeconf import (
+    ENGINES,
     ConfElement,
     FreeConformal,
     NormalWord,
@@ -1319,6 +1320,64 @@ class TestSiblingImages:
         for u in basis:
             fc.iota_word(u)
         assert calls and 0 not in calls
+
+
+def objects_and_values(tuples: list) -> tuple[int, int]:
+    return len({id(t) for t in tuples}), len(set(tuples))
+
+
+class TestSharedTuples:
+    """Each engine keeps one object per distinct tuple value: the realize
+    cache's keys and monomials and its words' fields, the rewrite words'."""
+
+    @pytest.fixture(scope="class", params=["config_ab.json", "config_xyz.json"])
+    def tables(self, request):
+        # the benchmark's table shape: k <= 2, n = 0 and 1, one instance per engine
+        alg = load_config(str(DATA / request.param))[0]
+        out = {}
+        for engine in ENGINES:
+            fc = FreeConformal(alg)
+            for _ in fc.table_rows(fc.enumerate_basis(2), range(2), engine):
+                pass
+            out[engine] = fc
+        return request.param, out
+
+    def test_cache_keys_and_monomials_are_one_object_per_value(self, tables):
+        config, fcs = tables
+        cache = fcs["realize"]._iota_cache
+        monomials = [w for entry in cache.values() for w in entry[2].terms]
+        assert objects_and_values(list(cache) + monomials) == (len(cache), len(cache))
+        assert len(monomials) > len(cache)  # values repeat, so sharing matters
+        if config == "config_ab.json":
+            assert (len(cache), len(monomials)) == (3806, 28733)
+
+    def test_realize_words_share_their_fields(self, tables):
+        cache = tables[1]["realize"]._iota_cache
+        words = [w for entry in cache.values() for w in entry[3] if w is not None]
+        for field in ("gens", "indices"):
+            values = [getattr(w, field) for w in words]
+            objects, distinct = objects_and_values(values)
+            assert objects == distinct < len(values), field
+
+    def test_rewrite_words_share_their_fields(self, tables):
+        rewriter = tables[1]["rewrite"]._rewriter
+        words = list(rewriter._rw_interned.values())
+        for field in ("gens", "indices"):
+            values = [getattr(w, field) for w in words]
+            objects, distinct = objects_and_values(values)
+            assert objects == distinct < len(values), field
+        # the interning keys hold the same shared objects as the words
+        assert all(
+            key[0] is w.gens and key[1] is w.indices for key, w in rewriter._rw_interned.items()
+        )
+
+    def test_a_second_instance_starts_with_its_own_empty_tables(self, tables):
+        fc = tables[1]["realize"]
+        assert fc._shared and tables[1]["rewrite"]._rewriter._shared
+        fresh = FreeConformal(fc.alg)
+        assert fresh._shared == {} and fresh._shared is not fc._shared
+        assert fresh._rewriter._shared == {}
+        assert fresh._rewriter._shared is not fc._rewriter._shared
 
 
 class TestPlainLexSlices:
