@@ -46,6 +46,21 @@ def _prefixed(piece: Word, f: NCPoly) -> NCPoly:  # no two monomials collide
 _fraction = functools.lru_cache(maxsize=1024)(Fraction)
 
 
+def _one_pair(terms: Iterable[tuple[NormalWord, int]], cu: Fraction, cw: Fraction) -> ConfElement:
+    """The element cu * cw * value, for the (word, int) terms of one pair value.
+
+    Neither engine repeats a word or yields a zero within one pair value
+    (see _rw_dfree and _eliminate), so there is nothing to sum: each term is
+    scaled by the int numerator and denominator of cu * cw as it comes, and
+    keeps its place.
+    """
+    num = cu.numerator * cw.numerator
+    den = cu.denominator * cw.denominator
+    if den == 1:
+        return ConfElement._of({v: _fraction(k * num) for v, k in terms})
+    return ConfElement._of({v: Fraction(k * num, den) for v, k in terms})
+
+
 def generator_image(alg: AlgebraConfig, name: str) -> NCPoly:
     """Image of a generator in F(B): the word v^(n-1) a scaled by 1/(n-1)!.
 
@@ -450,10 +465,8 @@ class FreeConformal:
         sums stay ints.  Each output term then gets a Fraction, over a
         denominator of 1 the shared one of its value (_fraction).
 
-        A single word pair, x = cu u and y = cw w, skips the sums: neither
-        engine repeats a word or yields a zero within one pair value (see
-        _rw_dfree and _eliminate), so each value's terms are scaled by the
-        int numerator and denominator of cu * cw as they come, and keep the
+        A single word pair, x = cu u and y = cw w, skips the sums: each
+        value's terms are scaled as they come (_one_pair), and keep the
         order of the pair's terms.
         """
         want = _requested(ns)
@@ -464,16 +477,8 @@ class FreeConformal:
         if len(x.terms) == 1 == len(y.terms):
             ((u, cu),) = x.terms.items()
             ((w, cw),) = y.terms.items()
-            num = cu.numerator * cw.numerator
-            den = cu.denominator * cw.denominator
             code = index[u.gens[0]]
-            return {
-                n: ConfElement._of({
-                    v: _fraction(k * num) if den == 1 else Fraction(k * num, den)
-                    for v, k in terms(value, code)
-                })
-                for n, value in pair(u, w).items()
-            }
+            return {n: _one_pair(terms(value, code), cu, cw) for n, value in pair(u, w).items()}
         den_x = math.lcm(*(c.denominator for c in x.terms.values()))
         den_y = math.lcm(*(c.denominator for c in y.terms.values()))
         acc: dict[int, dict[NormalWord, int]] = {n: {} for n in want}
@@ -531,9 +536,10 @@ class FreeConformal:
         an int until it takes the shared Fraction of its value (_fraction).
         Under rewrite, each cell is one cprod_rw of two single words, the
         product that bench/spans.py counts as the rewrite engine's work,
-        yielded as soon as it is made.  It takes _products' one-pair
-        branch: the cell's _rw_words value becomes the cell's element
-        with no common denominator and no second pass.
+        yielded as soon as it is made.  Once both words are validated it
+        goes straight to Rewriter._rw_words: the cell's value becomes the
+        cell's element through _one_pair, with no per-cell pair, no common
+        denominator and no second pass.
         """
         self.engine(engine)  # an unknown name raises ValueError
         words = list(words)
@@ -582,12 +588,28 @@ class FreeConformal:
         factorials and signs.  Each word pair's {word: int} from _rw_words
         is scaled by cu * cw over a common denominator (_products), and
         every returned value is a Fraction.  For one term by one term the
-        {word: int} is scaled as it comes, with no sum (_products).
+        {word: int} is scaled as it comes, with no sum (_one_pair).
+        cprod_rw of one term by one term comes here only while a word is
+        new: Rewriter.pair validates it and adds it to Rewriter._valid.
         """
         return self._products(self._rewriter.pair, lambda value, code: value.items(), x, y, ns)
 
     def cprod_rw(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
-        """n-th product via axiom-level rewriting; no embedding involved."""
+        """n-th product via axiom-level rewriting; no embedding involved.
+
+        The value of cprods_rw(x, y, (n,))[n], with its terms in the same
+        order.  One term by one term, both words validated already
+        (Rewriter._valid), goes straight to Rewriter._rw_words: n is checked
+        by _index, as _requested checks it, and the value is scaled by
+        _one_pair.  Any other input takes cprods_rw, which validates each
+        new word.
+        """
+        if len(x.terms) == 1 == len(y.terms):
+            ((u, cu),) = x.terms.items()
+            ((w, cw),) = y.terms.items()
+            rw = self._rewriter
+            if u in rw._valid and w in rw._valid:
+                return _one_pair(rw._rw_words(u, _index(n), w).items(), cu, cw)
         return self.cprods_rw(x, y, (n,))[n]
 
     # ---- bases, counting, locality --------------------------------------

@@ -21,11 +21,14 @@ class Rewriter:
         # a proxy makes no cycle, so fc's memos go with its last reference
         self.fc = weakref.proxy(fc)
         self.alg = fc.alg
-        # the words pair has validated; a word that fails validate is never added
+        # the words pair has validated; a word that fails validate is never
+        # added.  FreeConformal.cprod_rw reads it to skip pair for two words
+        # it holds.
         self._valid: set[NormalWord] = set()
         # _rw_dfree values, {D-free word: int}, by
         # (gens_u, indices_u, n, gens_w, indices_w); Fractions appear only
-        # in cprod_rw.  _rw_interned holds each word those values name, by
+        # once freeconf scales a value by its coefficients (_one_pair,
+        # _products).  _rw_interned holds each word those values name, by
         # (gens, indices), so that each is built and stored once; _shared
         # holds each of their gens and indices tuples, one object per value.
         self._rw_cache: dict[tuple, dict[NormalWord, int]] = {}

@@ -855,6 +855,28 @@ class TestParserPerRequest:
         assert exit_info.value.code == 0 and err == ""
         assert out == cli.build_parser().format_help()
 
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    def test_help_wraps_as_the_default_formatter_does(self, capsys, monkeypatch, columns):
+        # argparse's own HelpFormatter takes its width from COLUMNS; main's
+        # help must wrap at that width, however build_parser makes its
+        # formatters
+        monkeypatch.setenv("COLUMNS", columns)
+        reference = cli.build_parser()
+        subs = next(a for a in reference._actions if isinstance(a, argparse._SubParsersAction))
+        for parser in (reference, *subs.choices.values()):
+            parser.formatter_class = argparse.HelpFormatter
+        wanted = [(["--help"], reference)]
+        wanted += [([name, "--help"], subs.choices[name]) for name in SUBCOMMANDS]
+        for argv, parser in wanted:
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert exit_info.value.code == 0 and err == ""
+            assert out == parser.format_help(), argv
+        top = reference.format_help()
+        monkeypatch.setenv("COLUMNS", "120")
+        assert reference.format_help() != top  # the setting reached the formatter
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -34,6 +34,7 @@ from confalg import cli, pseudo
 from confalg.hopf import HPoly, TensorHH, decompose
 from confalg.ncpoly import AlgebraConfig, ConfigError, NCPoly, deglex_key
 from confalg.pseudo import PElement, ProductKind, PseudoAlgebra
+from confalg.rewrite import Rewriter
 from confalg.checks import as_rng, random_element, random_normal_word
 
 from conftest import DATA, element_from_json, hat_word, normal, word_from_json
@@ -1116,6 +1117,82 @@ class TestOneWordPair:
                 assert coefficient_types([value]) <= {Fraction}
                 terms += len(value.terms)
         assert terms > 100
+
+
+class TestDirectRewritePath:
+    """cprod_rw of one term by one term, both words validated, goes straight
+    to Rewriter._rw_words; it must give what cprods_rw gives, term for term
+    and error for error, and a new word must still be validated."""
+
+    COEFFS, SHIFTS = TestOneWordPair.COEFFS, TestOneWordPair.SHIFTS
+    cases = TestOneWordPair.cases
+
+    @pytest.fixture(params=["config_ab.json", "config_xyz.json"])
+    def fc(self, request):
+        return FreeConformal(load_config(str(DATA / request.param))[0])
+
+    @pytest.fixture
+    def pair_calls(self, monkeypatch):
+        calls = []
+        real = Rewriter.pair
+
+        def spy(self, words, want):
+            calls.append(want)
+            return real(self, words, want)
+
+        monkeypatch.setattr(Rewriter, "pair", spy)
+        return calls
+
+    def test_direct_path_matches_cprods_rw(self, fc):
+        valid, nonzero = fc._rewriter._valid, 0
+        for x, y, _ in self.cases(fc, 139):
+            for left, right in ((x, y), (y, x)):
+                fc.cprod_rw(left, 0, right)  # validates both words
+                assert {*left.terms, *right.terms} <= valid
+                locality = fc.locality_of(left, right)
+                for n in (*range(4), locality, locality + 2):
+                    got = fc.cprod_rw(left, n, right)
+                    want = fc.cprods_rw(left, right, (n,))[n]
+                    assert got == want and list(got.terms) == list(want.terms), (left, n, right)
+                    assert coefficient_types([got]) <= {Fraction}
+                    assert n < locality or not got, (left, n, right)
+                    nonzero += bool(got)
+        assert nonzero > 50
+
+    def test_validated_words_skip_pair_and_a_new_word_does_not(self, fc, pair_calls):
+        x, y, z = next(self.cases(fc, 149))
+        fc.cprod_rw(x, 1, y)
+        assert len(pair_calls) == 1
+        for n in range(5):
+            fc.cprod_rw(x, n, y)
+            fc.cprod_rw(y, n, x)
+            fc.cprod_rw(x.scale(3), n, y)
+        assert len(pair_calls) == 1
+        (w,) = z.terms
+        assert w not in fc._rewriter._valid
+        fc.cprod_rw(x, 0, z)  # one new word: one pair, which validates it
+        assert len(pair_calls) == 2 and w in fc._rewriter._valid
+        fc.cprod_rw(z, 2, y)
+        assert len(pair_calls) == 2
+
+    @pytest.mark.parametrize(("n", "kind"), [(-1, ValueError), (1.0, TypeError), (True, TypeError)])
+    def test_a_bad_index_raises_as_in_cprods_rw(self, fc, pair_calls, n, kind):
+        x, y, _ = next(self.cases(fc, 151))
+        fc.cprod_rw(x, 0, y)
+        for left, right in ((x, y), (y, x), (x, x)):
+            with pytest.raises(kind) as want:
+                fc.cprods_rw(left, right, (n,))
+            with pytest.raises(kind) as got:
+                fc.cprod_rw(left, n, right)
+            assert str(got.value) == str(want.value)
+        assert len(pair_calls) == 1  # each raise came before any pair
+
+    def test_a_zero_factor_is_zero(self, fc):
+        x, y, _ = next(self.cases(fc, 157))
+        fc.cprod_rw(x, 0, y)
+        zero = ConfElement({})
+        for n in range(3):
+            assert not fc.cprod_rw(zero, n, y) and not fc.cprod_rw(x, n, zero)
 
 
 def test_2048_generator_word_under_both_engines(fc_ab):
