@@ -536,10 +536,10 @@ class FreeConformal:
         an int until it takes the shared Fraction of its value (_fraction).
         Under rewrite, each cell is one cprod_rw of two single words, the
         product that bench/spans.py counts as the rewrite engine's work,
-        yielded as soon as it is made.  Once both words are validated it
-        goes straight to Rewriter._rw_words: the cell's value becomes the
-        cell's element through _one_pair, with no per-cell pair, no common
-        denominator and no second pass.
+        yielded as soon as it is made.  It goes straight to
+        Rewriter.product: the cell's value becomes the cell's element
+        through _one_pair, with no per-cell pair, no common denominator and
+        no second pass.
         """
         self.engine(engine)  # an unknown name raises ValueError
         words = list(words)
@@ -589,8 +589,6 @@ class FreeConformal:
         is scaled by cu * cw over a common denominator (_products), and
         every returned value is a Fraction.  For one term by one term the
         {word: int} is scaled as it comes, with no sum (_one_pair).
-        cprod_rw of one term by one term comes here only while a word is
-        new: Rewriter.pair validates it and adds it to Rewriter._valid.
         """
         return self._products(self._rewriter.pair, lambda value, code: value.items(), x, y, ns)
 
@@ -598,18 +596,14 @@ class FreeConformal:
         """n-th product via axiom-level rewriting; no embedding involved.
 
         The value of cprods_rw(x, y, (n,))[n], with its terms in the same
-        order.  One term by one term, both words validated already
-        (Rewriter._valid), goes straight to Rewriter._rw_words: n is checked
-        by _index, as _requested checks it, and the value is scaled by
-        _one_pair.  Any other input takes cprods_rw, which validates each
-        new word.
+        order.  One term by one term goes straight to Rewriter.product: n is
+        checked by _index first, as _requested checks it, and the value is
+        scaled by _one_pair.  Any other input takes cprods_rw.
         """
         if len(x.terms) == 1 == len(y.terms):
             ((u, cu),) = x.terms.items()
             ((w, cw),) = y.terms.items()
-            rw = self._rewriter
-            if u in rw._valid and w in rw._valid:
-                return _one_pair(rw._rw_words(u, _index(n), w).items(), cu, cw)
+            return _one_pair(self._rewriter.product(u, _index(n), w).items(), cu, cw)
         return self.cprods_rw(x, y, (n,))[n]
 
     # ---- bases, counting, locality --------------------------------------

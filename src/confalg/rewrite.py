@@ -21,9 +21,8 @@ class Rewriter:
         # a proxy makes no cycle, so fc's memos go with its last reference
         self.fc = weakref.proxy(fc)
         self.alg = fc.alg
-        # the words pair has validated; a word that fails validate is never
-        # added.  FreeConformal.cprod_rw reads it to skip pair for two words
-        # it holds.
+        # the words _validate has passed; a word that fails validate is
+        # never added
         self._valid: set[NormalWord] = set()
         # _rw_dfree values, {D-free word: int}, by
         # (gens_u, indices_u, n, gens_w, indices_w); Fractions appear only
@@ -40,13 +39,24 @@ class Rewriter:
     ) -> Callable[[NormalWord, NormalWord], dict[int, dict]]:
         """The per-pair core for words, its per-word work done: the result
         maps (u, w), both among words, to {n: u_(n) w} for each n in want,
-        each a _rw_words {word: int}.  Each word is validated once per
-        FreeConformal (_valid), by fc.validate as it is at call time."""
+        each a _rw_words {word: int}."""
+        self._validate(words)
+        return lambda u, w: {n: self._rw_words(u, n, w) for n in want}
+
+    def product(self, u: NormalWord, n: int, w: NormalWord) -> dict[NormalWord, int]:
+        """u_(n) w as _rw_words gives it, once w and then u are validated."""
+        valid = self._valid
+        if w not in valid or u not in valid:
+            self._validate((w, u))
+        return self._rw_words(u, n, w)
+
+    def _validate(self, words: Iterable[NormalWord]) -> None:
+        """Validate each of words once per FreeConformal (_valid), in order,
+        by fc.validate as it is at call time."""
         valid = self._valid
         for u in words:
             if u not in valid:
                 valid.add(self.fc.validate(u))
-        return lambda u, w: {n: self._rw_words(u, n, w) for n in want}
 
     def _rw_words(self, u: NormalWord, n: int, w: NormalWord) -> dict[NormalWord, int]:
         """u_(n) w as {word: int}, by the closed-form D rules over _rw_dfree.

@@ -34,7 +34,6 @@ from confalg import cli, pseudo
 from confalg.hopf import HPoly, TensorHH, decompose
 from confalg.ncpoly import AlgebraConfig, ConfigError, NCPoly, deglex_key
 from confalg.pseudo import PElement, ProductKind, PseudoAlgebra
-from confalg.rewrite import Rewriter
 from confalg.checks import as_rng, random_element, random_normal_word
 
 from conftest import DATA, element_from_json, hat_word, normal, word_from_json
@@ -1120,9 +1119,9 @@ class TestOneWordPair:
 
 
 class TestDirectRewritePath:
-    """cprod_rw of one term by one term, both words validated, goes straight
-    to Rewriter._rw_words; it must give what cprods_rw gives, term for term
-    and error for error, and a new word must still be validated."""
+    """cprod_rw of one term by one term goes straight to Rewriter.product;
+    it must give what cprods_rw gives, term for term and error for error,
+    and must validate each new word once, before it is used."""
 
     COEFFS, SHIFTS = TestOneWordPair.COEFFS, TestOneWordPair.SHIFTS
     cases = TestOneWordPair.cases
@@ -1132,16 +1131,16 @@ class TestDirectRewritePath:
         return FreeConformal(load_config(str(DATA / request.param))[0])
 
     @pytest.fixture
-    def pair_calls(self, monkeypatch):
-        calls = []
-        real = Rewriter.pair
+    def validated(self, monkeypatch):
+        seen = []
+        real = FreeConformal.validate
 
-        def spy(self, words, want):
-            calls.append(want)
-            return real(self, words, want)
+        def spy(self, u):
+            seen.append(u)
+            return real(self, u)
 
-        monkeypatch.setattr(Rewriter, "pair", spy)
-        return calls
+        monkeypatch.setattr(FreeConformal, "validate", spy)
+        return seen
 
     def test_direct_path_matches_cprods_rw(self, fc):
         valid, nonzero = fc._rewriter._valid, 0
@@ -1159,33 +1158,36 @@ class TestDirectRewritePath:
                     nonzero += bool(got)
         assert nonzero > 50
 
-    def test_validated_words_skip_pair_and_a_new_word_does_not(self, fc, pair_calls):
+    def test_each_new_word_is_validated_once_right_word_first(self, fc, validated):
         x, y, z = next(self.cases(fc, 149))
+        (u,), (w,), (v,) = x.terms, y.terms, z.terms
+        validated.clear()  # making the words validated them too
         fc.cprod_rw(x, 1, y)
-        assert len(pair_calls) == 1
+        assert validated == [w, u]  # as cprods_rw's pair takes them
         for n in range(5):
             fc.cprod_rw(x, n, y)
             fc.cprod_rw(y, n, x)
             fc.cprod_rw(x.scale(3), n, y)
-        assert len(pair_calls) == 1
-        (w,) = z.terms
-        assert w not in fc._rewriter._valid
-        fc.cprod_rw(x, 0, z)  # one new word: one pair, which validates it
-        assert len(pair_calls) == 2 and w in fc._rewriter._valid
+        assert validated == [w, u]
+        assert v not in fc._rewriter._valid
+        fc.cprod_rw(x, 0, z)  # one new word, validated once
+        assert validated == [w, u, v] and v in fc._rewriter._valid
         fc.cprod_rw(z, 2, y)
-        assert len(pair_calls) == 2
+        assert validated == [w, u, v]
 
     @pytest.mark.parametrize(("n", "kind"), [(-1, ValueError), (1.0, TypeError), (True, TypeError)])
-    def test_a_bad_index_raises_as_in_cprods_rw(self, fc, pair_calls, n, kind):
-        x, y, _ = next(self.cases(fc, 151))
+    def test_a_bad_index_raises_as_in_cprods_rw(self, fc, validated, n, kind):
+        x, y, z = next(self.cases(fc, 151))
+        validated.clear()
         fc.cprod_rw(x, 0, y)
-        for left, right in ((x, y), (y, x), (x, x)):
+        for left, right in ((x, y), (y, x), (x, x), (x, z)):
             with pytest.raises(kind) as want:
                 fc.cprods_rw(left, right, (n,))
             with pytest.raises(kind) as got:
                 fc.cprod_rw(left, n, right)
             assert str(got.value) == str(want.value)
-        assert len(pair_calls) == 1  # each raise came before any pair
+        (v,) = z.terms
+        assert len(validated) == 2 and v not in fc._rewriter._valid  # n was checked first
 
     def test_a_zero_factor_is_zero(self, fc):
         x, y, _ = next(self.cases(fc, 157))
