@@ -11,6 +11,7 @@ import json
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 
@@ -855,12 +856,19 @@ class TestParserPerRequest:
         assert exit_info.value.code == 0 and err == ""
         assert out == cli.build_parser().format_help()
 
-    @pytest.mark.parametrize("columns", ["40", "200"])
+    # 1 and 10 are below what argparse lays out as asked: it clamps the help
+    # column and the text width; unset, a stdout that is no terminal reads
+    # as 80 columns
+    @pytest.mark.parametrize("columns", ["1", "10", "40", "200", None], ids=str)
     def test_help_wraps_as_the_default_formatter_does(self, capsys, monkeypatch, columns):
         # argparse's own HelpFormatter takes its width from COLUMNS; main's
         # help must wrap at that width, however build_parser makes its
         # formatters
-        monkeypatch.setenv("COLUMNS", columns)
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        other = "40" if shutil.get_terminal_size().columns > 80 else "120"
         reference = cli.build_parser()
         subs = next(a for a in reference._actions if isinstance(a, argparse._SubParsersAction))
         for parser in (reference, *subs.choices.values()):
@@ -874,7 +882,7 @@ class TestParserPerRequest:
             assert exit_info.value.code == 0 and err == ""
             assert out == parser.format_help(), argv
         top = reference.format_help()
-        monkeypatch.setenv("COLUMNS", "120")
+        monkeypatch.setenv("COLUMNS", other)
         assert reference.format_help() != top  # the setting reached the formatter
 
     @pytest.mark.parametrize(
