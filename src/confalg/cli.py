@@ -9,9 +9,11 @@ axiom violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shlex
+import shutil
 import sys
 from fractions import Fraction
 
@@ -298,8 +300,13 @@ def cmd_demo(args) -> int:
 
 
 def build_parser() -> _Parser:
+    # one width read per build: argparse makes a formatter per argument, each reading it
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = _Parser(
         prog="confalg",
+        formatter_class=formatter,
         description=(
             "Exact computations in free associative conformal algebras. "
             "The infix product (x .n y) stands for the n-th conformal "
@@ -308,14 +315,18 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("reduce", help="evaluate an expression to its normal form")
+    p = sub.add_parser(
+        "reduce", help="evaluate an expression to its normal form", formatter_class=formatter
+    )
     p.add_argument("--config", required=True)
     p.add_argument("--expr")
     p.add_argument("--raw-element", help="JSON file with an H (x) F(B) element to reduce")
     p.add_argument("--engine", choices=ENGINES)  # no default: see cmd_reduce
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("prod", help="n-th product of two expressions")
+    p = sub.add_parser(
+        "prod", help="n-th product of two expressions", formatter_class=formatter
+    )
     p.add_argument("--config", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -325,20 +336,26 @@ def build_parser() -> _Parser:
     p.add_argument("--engine", choices=ENGINES)
     p.set_defaults(func=cmd_prod)
 
-    p = sub.add_parser("basis", help="enumerate normal words and count them")
+    p = sub.add_parser(
+        "basis", help="enumerate normal words and count them", formatter_class=formatter
+    )
     p.add_argument("--config", required=True)
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--max-s", type=int, default=0)
     p.set_defaults(func=cmd_basis)
 
-    p = sub.add_parser("table", help="structure constants for enumerated words")
+    p = sub.add_parser(
+        "table", help="structure constants for enumerated words", formatter_class=formatter
+    )
     p.add_argument("--config", required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--engine", choices=ENGINES, default="realize")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("check", help="randomized axiom checks")
+    p = sub.add_parser(
+        "check", help="randomized axiom checks", formatter_class=formatter
+    )
     p.add_argument("--config", required=True)
     p.add_argument("--axiom", choices=checks.AXIOMS, required=True)
     p.add_argument("--trials", type=int, default=25)
@@ -346,7 +363,9 @@ def build_parser() -> _Parser:
     p.add_argument("--coaction", choices=sorted(COACTIONS), default="standard")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("demo", help="worked examples: current, weyl, virasoro")
+    p = sub.add_parser(
+        "demo", help="worked examples: current, weyl, virasoro", formatter_class=formatter
+    )
     p.add_argument("which", choices=("current", "weyl", "virasoro"))
     p.set_defaults(func=cmd_demo)
 

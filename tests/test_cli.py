@@ -824,9 +824,9 @@ class TestArgvHandling:
         assert rc == 1
 
 
-def subparsers() -> dict:
-    """The subcommands' parsers by name, as the full build_parser() makes them."""
-    parser = cli.build_parser()
+def subparsers(parser=None) -> dict:
+    """The subcommands' parsers by name, of parser or of a new build_parser()."""
+    parser = parser or cli.build_parser()
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
@@ -870,11 +870,11 @@ class TestParserPerRequest:
             monkeypatch.setenv("COLUMNS", columns)
         other = "40" if shutil.get_terminal_size().columns > 80 else "120"
         reference = cli.build_parser()
-        subs = next(a for a in reference._actions if isinstance(a, argparse._SubParsersAction))
-        for parser in (reference, *subs.choices.values()):
+        subs = subparsers(reference)
+        for parser in (reference, *subs.values()):
             parser.formatter_class = argparse.HelpFormatter
         wanted = [(["--help"], reference)]
-        wanted += [([name, "--help"], subs.choices[name]) for name in SUBCOMMANDS]
+        wanted += [([name, "--help"], subs[name]) for name in SUBCOMMANDS]
         for argv, parser in wanted:
             with pytest.raises(SystemExit) as exit_info:
                 main(argv)
@@ -884,6 +884,32 @@ class TestParserPerRequest:
         top = reference.format_help()
         monkeypatch.setenv("COLUMNS", other)
         assert reference.format_help() != top  # the setting reached the formatter
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "--config", CONFIG, "--expr", "(a .1 b)"],
+            ["--help"],
+            ["table", "--help"],
+            ["reduce", "--expr", "a"],
+        ],
+        ids=("reduce", "help", "table help", "usage error"),
+    )
+    def test_main_reads_the_terminal_size_once(self, capsys, monkeypatch, argv):
+        # argparse's default formatter reads it once per argument added
+        reads = []
+        real = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: reads.append(a) or real(*a))
+        try:
+            main(argv)
+        except SystemExit:  # --help
+            pass
+        capsys.readouterr()
+        assert len(reads) == 1
+
+    def test_every_parser_shares_one_formatter(self):
+        top = cli.build_parser()
+        assert all(p.formatter_class is top.formatter_class for p in subparsers(top).values())
 
     @pytest.mark.parametrize(
         "argv",
