@@ -836,7 +836,8 @@ SUBCOMMANDS = ("reduce", "prod", "basis", "table", "check", "demo")
 class TestParserPerRequest:
     """What main's parser prints is what the full parser prints: --help and
     usage errors, for each subcommand and the top level.  Each test compares
-    against the live full parser, so it holds on every argparse version."""
+    against the live full parser, so it holds on every argparse version.
+    Building it reads the terminal's size once."""
 
     def test_every_subcommand_is_checked(self):
         assert tuple(subparsers()) == SUBCOMMANDS
