@@ -324,9 +324,7 @@ def build_parser() -> _Parser:
     p.add_argument("--engine", choices=ENGINES)  # no default: see cmd_reduce
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser(
-        "prod", help="n-th product of two expressions", formatter_class=formatter
-    )
+    p = sub.add_parser("prod", help="n-th product of two expressions", formatter_class=formatter)
     p.add_argument("--config", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -353,9 +351,7 @@ def build_parser() -> _Parser:
     p.add_argument("--engine", choices=ENGINES, default="realize")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser(
-        "check", help="randomized axiom checks", formatter_class=formatter
-    )
+    p = sub.add_parser("check", help="randomized axiom checks", formatter_class=formatter)
     p.add_argument("--config", required=True)
     p.add_argument("--axiom", choices=checks.AXIOMS, required=True)
     p.add_argument("--trials", type=int, default=25)
