@@ -52,8 +52,8 @@ def _draw(rng: random.Random, count: int, term, make, nonzero: bool):
 def random_word(seed, alg: AlgebraConfig, max_len: int = DEFAULT_MAX_WORD_LEN) -> Word:
     rng = as_rng(seed)
     k = rng.randint(0, max_len)
-    w = tuple(rng.randrange(alg.V + 1) for _ in range(k))
-    return tuple(sorted(w)) if alg.commutative else w
+    w = "".join(chr(rng.randrange(alg.V + 1)) for _ in range(k))
+    return "".join(sorted(w)) if alg.commutative else w
 
 
 def random_ncpoly(

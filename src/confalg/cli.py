@@ -21,7 +21,7 @@ from . import checks
 from .exprs import ParseError, evaluate, evaluate_pseudo, parse
 from .freeconf import ENGINES, ConfElement, FreeConformal, NotInSpan
 from .linear import accumulate, exact, integral
-from .ncpoly import AlgebraConfig, ConfigError, NCPoly, deglex_key
+from .ncpoly import AlgebraConfig, ConfigError, NCPoly, Word, deglex_key
 from .pseudo import COACTIONS, PElement, ProductKind, PseudoAlgebra, current_coaction
 
 EXIT_OK = 0
@@ -125,7 +125,7 @@ def pelement_from_json(alg: AlgebraConfig, raw) -> PElement:
             d = integral(part["d"])
             if d < 0:
                 raise ValueError(f"negative D-degree: {d}")
-            terms: dict[tuple, Fraction] = {}
+            terms: dict[Word, Fraction] = {}
             for t in part["terms"]:
                 word = t["word"]
                 # a string would pass as its letters: "vvb" is not ["v", "v", "b"]

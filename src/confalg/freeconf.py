@@ -27,7 +27,7 @@ class NotInSpan(Exception):
     """A realization element lies outside the span of normal-word images."""
 
     def __init__(self, witness: Word, names: tuple[str, ...]):
-        self.witness = tuple(witness)
+        self.witness = witness
         self.names = names
         # the empty word prints as NCPoly's repr spells it
         super().__init__(f"monomial outside the normal-word span: {' '.join(names) or '1'}")
@@ -99,18 +99,18 @@ class FreeConformal:
         # _word), keyed by T's lex-least monomial: r's hat word without its
         # first m v's, which is u's hat word without P_a.  For m = 0 that is
         # r's hat word, so the entry of T(0, r) is also r's own scaled image,
-        # which reduce reads (see _eliminate).  The key () holds the empty
+        # which reduce reads (see _eliminate).  The key "" holds the empty
         # tail, r = None and T = 1, so a generator's image is P_a.
         # W = prod (n(a) - 1)! over the letters is computed (_weight), not
         # stored, and every coefficient is an int.  The rewriting engine
         # makes none.
         self._iota_cache: dict[Word, tuple] = {
-            (): (0, None, NCPoly._of(config, {(): 1}),
+            "": (0, None, NCPoly._of(config, {"": 1}),
                  [NormalWord._of(0, (name,), ()) for name in config.names])
         }
-        # each tuple the cache keeps, as its one object per value: keys,
-        # image monomials and the words' gens and indices (see _iota_nc)
-        self._shared: dict[tuple, tuple] = {}
+        # each word and tuple the cache keeps, as its one object per value:
+        # keys, image monomials and the words' gens and indices (see _iota_nc)
+        self._shared: dict[Word | tuple, Word | tuple] = {}
         self._rewriter = Rewriter(self)
 
     # ---- normal words -------------------------------------------------
@@ -142,7 +142,7 @@ class FreeConformal:
         """The cache entry of T(m, r), for the tail r with letters gens,
         m = indices[0] and r's indices indices[1:]; key is T's lex-least
         monomial, the concatenation of the letters' pieces (see _hat), the
-        first letter's facing m.  gens = () with key = () is the empty tail.
+        first letter's facing m.  gens = () with key = "" is the empty tail.
 
         W = prod (n(a) - 1)! over the letters (_weight).  u .n w has exactly
         the letters of u and w, so W is multiplicative over products and the
@@ -155,7 +155,7 @@ class FreeConformal:
         under r_j's hat word and T(m, r_j) under that word without its first
         m v's.  Neither depends on the letter in front of r_j, so every first
         letter shares them, and no entry holds a prefixed copy.  Every key
-        and image monomial it stores goes through _shared, so equal tuples
+        and image monomial it stores goes through _shared, so equal words
         are one object: a monomial of one image is often another's key.
         """
         cache = self._iota_cache
@@ -202,7 +202,7 @@ class FreeConformal:
     def _word(self, entry: tuple, code: int) -> NormalWord:
         """The word a .m r of the cache entry of T(m, r), for the letter a
         with code code; built once, and shared as the r of T(0, a .m r).
-        Its gens and indices go through _shared, as _iota_nc's tuples do."""
+        Its gens and indices go through _shared, as _iota_nc's words do."""
         word = entry[3][code]
         if word is None:
             m, r = entry[0], entry[1]
@@ -213,7 +213,7 @@ class FreeConformal:
         return word
 
     def _tail(self, u: NormalWord) -> tuple[Word, Word, NCPoly]:
-        """(P_a, key, T(m, r)) for u = a .m r, and (P_a, (), 1) for u = a: T
+        """(P_a, key, T(m, r)) for u = a .m r, and (P_a, "", 1) for u = a: T
         the cache entry's own polynomial and key its key, u's hat word
         without P_a (see _iota_nc); _hat validates u."""
         piece = self._letters[u.gens[0]][0]
@@ -250,17 +250,17 @@ class FreeConformal:
         A letter a facing index m (the first letter faces 0) adds the piece
         v^(n(a) - 1 - m) a: its generator word without the first m v's.  A
         letter unknown or facing an index out of range raises validate's
-        error.  The pieces extend one list, so the cost is linear in the hat
+        error.  The pieces are joined once, so the cost is linear in the hat
         word.
         """
         letters = self._letters
-        hat: list[int] = []
+        pieces: list[Word] = []
         for name, m in zip(u.gens, (0,) + u.indices):  # the first letter faces no index
             entry = letters.get(name)
             if entry is None or not 0 <= m < len(entry[0]):
                 self.validate(u)
-            hat += entry[0][m:]
-        return tuple(hat)
+            pieces.append(entry[0][m:])
+        return "".join(pieces)
 
     def word_to_normal(self, w: Word) -> tuple[int, NormalWord] | None:
         """Invert _hat, sign included; None when w is no hat word (see _parse_hat)."""
@@ -273,19 +273,19 @@ class FreeConformal:
     def _parse_hat(self, w: Word) -> tuple[tuple[str, ...], tuple[int, ...]] | None:
         """(letters, indices) of the pieces that make up w, or None.
 
-        w is cut after each generator code: a slice of length L that ends in
+        w is cut after each generator letter: a slice of length L that ends in
         letter a is a's piece facing index n(a) - L.  indices has one entry
         per letter, the first letter's included: 0 when w is a hat word, and
         m when w is the key of T(m, r) (see _iota_nc).  None when an index
         is negative, a v-run trails, or w is empty.
         """
-        V, names_of, n = self.alg.V, self.alg.names, self.alg.n
+        v, names_of, n = self.alg.v, self.alg.names, self.alg.n
         names: list[str] = []
         indices: list[int] = []
         start = 0
-        for end, code in enumerate(w, 1):
-            if code != V:
-                name = names_of[code]
+        for end, letter in enumerate(w, 1):
+            if letter != v:
+                name = names_of[ord(letter)]
                 m = n[name] - (end - start)
                 if m < 0:
                     return None
@@ -307,7 +307,7 @@ class FreeConformal:
         hat word: in a part of several lengths, not always the shortest one.
         """
         out = {}
-        for d, entry, q in self._eliminate(p, ()):
+        for d, entry, q in self._eliminate(p, ""):
             u = entry[1]
             out[NormalWord._of(d, u.gens, u.indices) if d else u] = Fraction(q * self._weight(u))
         return ConfElement._of(out)
@@ -325,7 +325,7 @@ class FreeConformal:
         into words for u's letter (_words).  reduce passes the empty piece
         and whole monomials: a hat word is the key of T(0, u), u's own
         image.  There a cached entry counts only as such an image, m = 0
-        and r not None.  The keys of T(m > 0, r) and of the empty tail, (),
+        and r not None.  The keys of T(m > 0, r) and of the empty tail, "",
         are no hat words: _parse_hat reads a first index m > 0 or None from
         them, as from any other such monomial.  NotInSpan names w, piece
         included.
@@ -380,9 +380,8 @@ class FreeConformal:
                 if num.__class__ is int:
                     coeff, rest = divmod(num, den)
                     if rest:
-                        raise RuntimeError(
-                            f"inexact elimination: {num} / {den} at {piece + w!r}"
-                        )
+                        at = self.alg.word_str(piece + w) or "1"
+                        raise RuntimeError(f"inexact elimination: {num} / {den} at {at}")
                 else:
                     coeff = num / den
                 quotients.append((d, hit, coeff))

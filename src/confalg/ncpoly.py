@@ -1,9 +1,11 @@
 """Free associative words over a generator alphabet plus the marker letter v.
 
-Letters are stored as small integers: generator number i of the declared
-order is code i, and v is always the largest code.  Deg-lex (shorter words
-first, ties left to right) is therefore plain tuple comparison of
-(len(word), word).  A commutative variant keeps words as sorted tuples.
+A word is a str with one code point per letter: generator number i of the
+declared order is chr(i), and v is always the largest code.  Code-point
+order is code order, so deg-lex (shorter words first, ties left to right)
+is plain comparison of (len(word), word).  A str caches its hash, compares
+by memcmp and takes one byte per letter while there are at most 255
+generators.  A commutative variant keeps each word's letters sorted.
 """
 
 from __future__ import annotations
@@ -13,10 +15,13 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from .linear import AlgLinear, collect
 
-Word = tuple[int, ...]
+Word = str
 
 V_NAME = "v"
 RESERVED_NAMES = frozenset({"v", "D"})
+# Most generators that one code point each can code, v taking the code after
+# the last generator.
+MAX_GENERATORS = 0x10FFFF
 # Largest accepted locality.  A generator's image is the word v^(n-1) a
 # over (n-1)!, so a larger n is refused before anything of that size is made.
 MAX_LOCALITY = 100_000
@@ -47,6 +52,8 @@ class AlgebraConfig:
             raise ConfigError("order must list exactly the declared generators")
         if not names:
             raise ConfigError("at least one generator is required")
+        if len(names) > MAX_GENERATORS:
+            raise ConfigError(f"at most {MAX_GENERATORS} generators are supported")
         if len(set(names)) != len(names):
             raise ConfigError("duplicate generator name")
         for name in names:
@@ -65,6 +72,7 @@ class AlgebraConfig:
             self.n[name] = bound
         self.index = {name: i for i, name in enumerate(self.names)}
         self.V = len(self.names)  # letter code of v
+        self.v = chr(self.V)  # v as a one-letter word
         self.commutative = bool(commutative)
 
     def n_of(self, name: str) -> int:
@@ -87,11 +95,11 @@ class AlgebraConfig:
         return self.names[code]
 
     def word(self, names: Iterable[str]) -> Word:
-        w = tuple(self.letter(nm) for nm in names)
-        return tuple(sorted(w)) if self.commutative else w
+        w = "".join(chr(self.letter(nm)) for nm in names)
+        return "".join(sorted(w)) if self.commutative else w
 
     def word_names(self, w: Word) -> tuple[str, ...]:
-        return tuple(self.letter_name(code) for code in w)
+        return tuple(self.letter_name(ord(letter)) for letter in w)
 
     def word_str(self, w: Word) -> str:
         names = self.word_names(w)
@@ -116,8 +124,10 @@ class NCPoly(AlgLinear):
     scale = AlgLinear.scale
 
     def _key(self, w) -> Word:
-        w = tuple(w)
-        return tuple(sorted(w)) if self.alg.commutative else w
+        """w as a Word; any other sequence of int letter codes is joined."""
+        if not isinstance(w, str):
+            w = "".join(map(chr, w))
+        return "".join(sorted(w)) if self.alg.commutative else w
 
     def __mul__(self, other):
         if not isinstance(other, NCPoly):
@@ -128,7 +138,7 @@ class NCPoly(AlgLinear):
             for w2, c2 in other.terms.items()
         )
         if self.alg.commutative:
-            pairs = ((tuple(sorted(w)), c) for w, c in pairs)
+            pairs = (("".join(sorted(w)), c) for w, c in pairs)
         return self._new(collect(pairs))
 
     def vderiv(self, m: int = 1) -> "NCPoly":
@@ -141,13 +151,13 @@ class NCPoly(AlgLinear):
         if m < 0:
             raise ValueError("negative derivative order")
         cur = self
-        V = self.alg.V
+        v = self.alg.v
         for _ in range(m):
             pairs = []
             for w, c in cur.terms.items():
                 run = 0
-                for pos, code in enumerate(w):
-                    if code == V:
+                for pos, letter in enumerate(w):
+                    if letter == v:
                         run += 1
                     elif run:
                         pairs.append((w[:pos - 1] + w[pos:], c if run == 1 else c * run))

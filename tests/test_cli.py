@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from confalg import cli
+from confalg import cli, ncpoly
 from confalg.cli import MAX_BASIS_LETTERS, MAX_TABLE_LETTERS, dump_json, load_config, main
 from confalg.exprs import evaluate, parse
 from confalg.freeconf import ConfElement, FreeConformal
@@ -260,6 +260,14 @@ class TestConfigHandling:
         rc, out, err = run(capsys, "reduce", "--config", str(path), "--expr", "a")
         assert rc == 1 and out == ""
         assert err == f"error: locality of 'a' must be at most {MAX_LOCALITY}\n"
+
+    def test_more_generators_than_code_points_exits_1(self, capsys, monkeypatch):
+        # each letter is one code point: the real cap, 0x10FFFF, is too large
+        # a config to write here, so a cap of one stands in for it
+        monkeypatch.setattr(ncpoly, "MAX_GENERATORS", 1)
+        path = str(DATA / "config_ab.json")
+        rc, out, err = run(capsys, "reduce", "--config", path, "--expr", "a")
+        assert (rc, out, err) == (1, "", "error: at most 1 generators are supported\n")
 
     def test_missing_file_exits_1(self, capsys):
         rc, _, err = run(

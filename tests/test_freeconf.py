@@ -216,19 +216,19 @@ class TestRealizationMap:
 
 
 def reference_word_to_normal(fc, w):
-    """word_to_normal as a run-length parse, the reference for the cut-based one."""
-    V = fc.alg.V
+    """word_to_normal as a run-length parse of w's letter names, the
+    reference for the cut-based one."""
     segs = []
     run = 0
-    for code in w:
-        if code == V:
+    for name in fc.alg.word_names(w):
+        if name == "v":
             run += 1
         else:
-            segs.append((run, code))
+            segs.append((run, name))
             run = 0
     if run or not segs:
         return None
-    names = tuple(fc.alg.names[code] for _, code in segs)
+    names = tuple(name for _, name in segs)
     if segs[0][0] != fc.alg.n_of(names[0]) - 1:
         return None
     indices = []
@@ -242,15 +242,17 @@ def reference_word_to_normal(fc, w):
 
 class TestHatWords:
     def test_frozen_hats(self, fc):
-        assert hat_word(fc, normal(fc, 0, ("a", "b"), (0,))) == (1, (0, 2, 1))
-        assert hat_word(fc, normal(fc, 0, ("a", "b"), (1,))) == (-1, (0, 1))
+        word = fc.alg.word
+        assert hat_word(fc, normal(fc, 0, ("a", "b"), (0,))) == (1, word("avb"))
+        assert hat_word(fc, normal(fc, 0, ("a", "b"), (1,))) == (-1, word("ab"))
         big = FreeConformal(AlgebraConfig({"c": 3}))
-        assert hat_word(big, normal(big, 0, ("c",), ())) == (1, (1, 1, 0))
-        # a = 0, b = 1, v = 2: a facing index 1 keeps 9,998 of its 9,999 v's
+        assert hat_word(big, normal(big, 0, ("c",), ())) == (1, big.alg.word("vvc"))
+        # a facing index 1 keeps 9,998 of its 9,999 v's
         tall = FreeConformal(AlgebraConfig({"a": 10000, "b": 2}))
         ba = normal(tall, 0, ("b", "a"), (1,))
-        assert hat_word(tall, ba) == (-1, (2, 1) + (2,) * 9998 + (0,))
-        assert tall.word_to_normal((2, 1) + (2,) * 9998 + (0,)) == (-1, ba)
+        hat = tall.alg.word("vb" + "v" * 9998 + "a")
+        assert hat_word(tall, ba) == (-1, hat)
+        assert tall.word_to_normal(hat) == (-1, ba)
 
     def test_hat_is_the_lowest_monomial_of_the_image(self, fc):
         for u in fc.enumerate_basis(2):
@@ -295,12 +297,12 @@ class TestHatWords:
         alg = fc.alg
         assert fc.word_to_normal(alg.word(("v", "a"))) is None
         assert fc.word_to_normal(alg.word(("b",))) is None
-        assert fc.word_to_normal(()) is None
+        assert fc.word_to_normal("") is None
 
     def test_word_to_normal_matches_the_run_length_parse(self):
         alg, _ = load_config(str(DATA / "config_xyz.json"))
-        codes = range(alg.V + 1)  # x, y, z and v
-        words = [w for k in range(7) for w in itertools.product(codes, repeat=k)]
+        letters = alg.names + ("v",)
+        words = [alg.word(w) for k in range(7) for w in itertools.product(letters, repeat=k)]
         assert len(words) == (4 ** 7 - 1) // 3
         ref = FreeConformal(alg)
         want = [reference_word_to_normal(ref, w) for w in words]
@@ -368,7 +370,7 @@ class TestReduce:
         # as P_a times it
         a = alg.word(("a",))
         generator = normal(fc, 0, ("a",), ())
-        fc._iota_cache[a] = (0, generator, NCPoly(alg, {a: 1, (): 1}), [None])
+        fc._iota_cache[a] = (0, generator, NCPoly(alg, {a: 1, "": 1}), [None])
         with pytest.raises(RuntimeError, match="progress"):
             fc.reduce(PElement(alg, {0: alg.monomial(("a", "a"))}))
 
@@ -465,7 +467,7 @@ class TestOneElimination:
     def test_a_warm_cache_refuses_what_a_fresh_one_refuses(self):
         # whole monomials share the cache's keys with the stripped ones: a
         # table caches T(1, a) under a, T(1, b) under v b and the empty tail
-        # under (), and none of them is a word's whole image
+        # under "", and none of them is a word's whole image
         alg = AlgebraConfig({"a": 2, "b": 3})
         warm = FreeConformal(alg)
         for _ in warm.table_rows(warm.enumerate_basis(2), range(4), "realize"):
@@ -564,8 +566,8 @@ class TestProducts:
 def scan_locality(fc, x, y) -> int:
     """1 + the largest n below a safe bound with a nonzero rewrite product."""
     px, py = fc.iota(x), fc.iota(y)
-    V = fc.alg.V
-    bound = 1 + max(px.parts) + max(e + w.count(V) for e, f in py.parts.items() for w in f.terms)
+    v = fc.alg.word("v")
+    bound = 1 + max(px.parts) + max(e + w.count(v) for e, f in py.parts.items() for w in f.terms)
     for extra in range(3):
         assert not fc.cprod_rw(x, bound + extra, y)
     n = bound
@@ -965,9 +967,9 @@ class TestIntegerPipeline:
         alg = fc.alg
         a = alg.word(("a",))
         # the generator's image is P_a times the empty tail's entry, T = 1
-        empty = fc._iota_cache[()]
-        fc._iota_cache[()] = (0, None, NCPoly._of(alg, {(): 2}), empty[3])
-        with pytest.raises(RuntimeError, match="inexact"):
+        empty = fc._iota_cache[""]
+        fc._iota_cache[""] = (0, None, NCPoly._of(alg, {"": 2}), empty[3])
+        with pytest.raises(RuntimeError, match="^inexact elimination: 3 / 2 at a$"):
             fc.reduce(PElement._of(alg, {0: NCPoly._of(alg, {a: 3})}))
         half = ConfElement({normal(fc, 0, ("a",), ()): Fraction(3, 2)})
         assert fc.reduce(PElement(alg, {0: alg.monomial(("a",), 3)})) == half
@@ -1242,7 +1244,7 @@ class TestHatKeyedImages:
         }
         assert {(m, r) for m, r, _, _ in cache.values() if r is not None} == tails
         assert len(cache) == len(tails) + 1  # and the empty tail
-        assert cache[()][:3] == (0, None, NCPoly(fc.alg, {(): 1}))
+        assert cache[""][:3] == (0, None, NCPoly(fc.alg, {"": 1}))
         for key, (m, r, image, _) in cache.items():
             if r is None:
                 continue
@@ -1541,7 +1543,7 @@ class TestPairPassesThePiece:
             normal(fc, 2, ("b", "a"), (1,)): Fraction(-1, 2),
         })
         assert fc.reduce(fc.iota(x)) == x
-        assert pieces == [()]
+        assert pieces == [""]
 
 
 class TestLocality:

@@ -124,7 +124,7 @@ def test_exact_accepts_ints_fractions_and_rational_strings():
     assert exact(half) is half
     assert exact("-3/4") == Fraction(-3, 4)
     assert exact("0.1") == Fraction(1, 10)
-    assert NCPoly(ALG, {(0,): "1/3"}).terms == {(0,): Fraction(1, 3)}
+    assert NCPoly(ALG, {ALG.word("a"): "1/3"}).terms == {ALG.word("a"): Fraction(1, 3)}
     with pytest.raises(ValueError):
         exact("one half")
 
@@ -163,7 +163,7 @@ def test_public_constructors_still_validate():
     with pytest.raises(ValueError):
         PElement(ALG, {-1: _poly()})
     comm = AlgebraConfig({"a": 1, "b": 1}, commutative=True)
-    assert NCPoly(comm, {(1, 0): 1, (0, 1): 2}).terms == {(0, 1): Fraction(3)}
+    assert NCPoly(comm, {(1, 0): 1, (0, 1): 2}).terms == {comm.word("ab"): Fraction(3)}
 
 
 def test_every_export_resolves():

@@ -10,12 +10,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from confalg import ncpoly
 from confalg.ncpoly import MAX_LOCALITY, AlgebraConfig, ConfigError, NCPoly, deglex_key
 
 AB = AlgebraConfig({"a": 2, "b": 3})
 
 letters = st.integers(0, 2)  # a, b, v under AB
-words = st.lists(letters, max_size=5).map(tuple)
+words = st.lists(letters, max_size=5).map(lambda codes: "".join(map(chr, codes)))
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(
     lambda q: q != 0
 )
@@ -31,6 +32,9 @@ class TestConfigValidation:
         assert AB.letter("b") == 1
         assert AB.V == 2
         assert AB.letter_name(2) == "v"
+        assert AB.v == AB.word(("v",)) == chr(2)
+        assert AB.word(("a", "b", "v")) == "\x00\x01\x02"
+        assert AB.word_names("\x02\x00") == ("v", "a")
 
     def test_localities(self):
         assert AB.n_of("a") == 2
@@ -58,6 +62,13 @@ class TestConfigValidation:
     def test_the_cap_itself_is_accepted(self):
         assert AlgebraConfig({"a": MAX_LOCALITY}).n_of("a") == MAX_LOCALITY
 
+    def test_more_generators_than_code_points_rejected(self, monkeypatch):
+        # the real cap, 0x10FFFF, is what chr can code with v after the last
+        monkeypatch.setattr(ncpoly, "MAX_GENERATORS", 2)
+        assert AlgebraConfig({"a": 1, "b": 1}).v == chr(2)
+        with pytest.raises(ConfigError, match="^at most 2 generators are supported$"):
+            AlgebraConfig({"a": 1, "b": 1, "c": 1})
+
     def test_order_must_be_a_permutation(self):
         with pytest.raises(ConfigError):
             AlgebraConfig({"a": 1, "b": 1}, order=["a"])
@@ -84,9 +95,10 @@ class TestConfigValidation:
 
 class TestDeglex:
     def test_key_orders_by_length_then_word(self):
-        assert deglex_key(()) < deglex_key((0,))
-        assert deglex_key((2,)) < deglex_key((0, 0))
-        assert deglex_key((0, 2)) < deglex_key((1, 0))
+        word = AB.word
+        assert deglex_key("") < deglex_key(word("a"))
+        assert deglex_key(word("v")) < deglex_key(word("aa"))
+        assert deglex_key(word("av")) < deglex_key(word("ba"))
 
     @given(words, words, words)
     def test_total_order_is_transitive_and_multiplicative(self, u, w, t):
@@ -135,12 +147,12 @@ def test_vderiv_counts_positions():
 
 def single_deletions(f: NCPoly, m: int) -> NCPoly:
     """vderiv as it was: one word per v, m times over."""
-    V = f.alg.V
+    v = f.alg.v
     for _ in range(m):
         out = NCPoly(f.alg)
         for w, c in f.terms.items():
-            for pos, code in enumerate(w):
-                if code == V:
+            for pos, letter in enumerate(w):
+                if letter == v:
                     out = out + NCPoly(f.alg, {w[:pos] + w[pos + 1:]: c})
         f = out
     return f
@@ -148,7 +160,7 @@ def single_deletions(f: NCPoly, m: int) -> NCPoly:
 
 # words as runs: (letter, run length), v runs up to 50 long
 runs = st.lists(st.tuples(letters, st.integers(1, 50)), max_size=4).map(
-    lambda rs: tuple(code for code, k in rs for _ in range(k))
+    lambda rs: "".join(chr(code) * k for code, k in rs)
 )
 
 
@@ -188,7 +200,7 @@ class TestCoaction:
     @given(polys)
     def test_components_are_plain_deletions(self, f):
         parts = f.coact()
-        top = max((w.count(AB.V) for w in f.terms), default=-1)
+        top = max((w.count(AB.v) for w in f.terms), default=-1)
         for s, g in parts.items():
             assert 0 <= s <= top
             assert g == f.vderiv(s)
@@ -196,7 +208,7 @@ class TestCoaction:
 
     def test_grading(self):
         f = AB.monomial(("v", "v", "a"))
-        assert max(w.count(AB.V) for w in f.terms) == 2
+        assert max(w.count(AB.v) for w in f.terms) == 2
         assert sorted(f.coact()) == [0, 1, 2]
 
     @given(polys, st.integers(0, 6))
@@ -219,3 +231,15 @@ def test_commutative_config_sorts_words():
 
 def test_noncommutative_config_keeps_order():
     assert AB.monomial(("a", "b")) != AB.monomial(("b", "a"))
+
+
+@pytest.mark.parametrize("alg", [AB, AlgebraConfig({"a": 2, "b": 3}, commutative=True)],
+                         ids=["words", "commutative"])
+def test_a_tuple_of_codes_is_read_as_its_word(alg):
+    # the public constructor joins any sequence of int codes into a Word
+    codes = {(1, 2, 0): 2, (0,): -1, (): 3}
+    word = {alg.word(("b", "v", "a")): 2, alg.word(("a",)): -1, "": 3}
+    assert NCPoly(alg, codes) == NCPoly(alg, word)
+    assert all(w.__class__ is str for w in NCPoly(alg, codes).terms)
+    if alg.commutative:
+        assert list(NCPoly(alg, {(1, 2, 0): 1}).terms) == [alg.word(("a", "b", "v"))]

@@ -557,7 +557,7 @@ class TestIntNumerators:
         # every word over a and v with up to 4 v's: components s = 2..4 are
         # divided by s! = 2, 6, 24
         pa = PseudoAlgebra(AB)
-        words = [w for k in range(1, 5) for w in itertools.product((0, AB.V), repeat=k)]
+        words = [AB.word(w) for k in range(1, 5) for w in itertools.product("av", repeat=k)]
         points = [PElement._of(AB, {0: NCPoly._of(AB, {w: 1})}) for w in words]
         seen = set()
         for kind in (ProductKind.P8, ProductKind.P9, ProductKind.P10, ProductKind.P11):
@@ -570,11 +570,11 @@ class TestIntNumerators:
     def test_a_component_that_does_not_divide_gives_exact_fractions(self):
         # component 2 is f itself, so an int coefficient 1 is divided by 2!
         pa = PseudoAlgebra(AB, lambda f: {0: f, 2: f})
-        x = PElement._of(AB, {0: NCPoly._of(AB, {(0,): 1})})
-        y = PElement._of(AB, {0: NCPoly._of(AB, {(1,): 3})})
+        x = PElement._of(AB, {0: NCPoly._of(AB, {AB.word("a"): 1})})
+        y = PElement._of(AB, {0: NCPoly._of(AB, {AB.word("b"): 3})})
         t = pa.pprod(ProductKind.P8, x, y)
         assert t == PseudoTensor(AB, {(0, 0): pel(AB, ("a", "b"), 3), (2, 0): pel(AB, ("a", "b"), Fraction(3, 2))})
-        assert t.entries[2, 0].parts[0].terms == {(0, 1): Fraction(3, 2)}
+        assert t.entries[2, 0].parts[0].terms == {AB.word("ab"): Fraction(3, 2)}
 
     def test_term_coefficients_scale_the_identity(self):
         # under the corrupt coaction the associator does not vanish
