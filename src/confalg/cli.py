@@ -313,18 +313,19 @@ def build_parser() -> _Parser:
             "product of x and y; D^k(x) applies the derivation k times."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "reduce", help="evaluate an expression to its normal form", formatter_class=formatter
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(_Parser, formatter_class=formatter),
     )
+
+    p = sub.add_parser("reduce", help="evaluate an expression to its normal form")
     p.add_argument("--config", required=True)
     p.add_argument("--expr")
     p.add_argument("--raw-element", help="JSON file with an H (x) F(B) element to reduce")
     p.add_argument("--engine", choices=ENGINES)  # no default: see cmd_reduce
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("prod", help="n-th product of two expressions", formatter_class=formatter)
+    p = sub.add_parser("prod", help="n-th product of two expressions")
     p.add_argument("--config", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -334,24 +335,20 @@ def build_parser() -> _Parser:
     p.add_argument("--engine", choices=ENGINES)
     p.set_defaults(func=cmd_prod)
 
-    p = sub.add_parser(
-        "basis", help="enumerate normal words and count them", formatter_class=formatter
-    )
+    p = sub.add_parser("basis", help="enumerate normal words and count them")
     p.add_argument("--config", required=True)
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--max-s", type=int, default=0)
     p.set_defaults(func=cmd_basis)
 
-    p = sub.add_parser(
-        "table", help="structure constants for enumerated words", formatter_class=formatter
-    )
+    p = sub.add_parser("table", help="structure constants for enumerated words")
     p.add_argument("--config", required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--engine", choices=ENGINES, default="realize")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("check", help="randomized axiom checks", formatter_class=formatter)
+    p = sub.add_parser("check", help="randomized axiom checks")
     p.add_argument("--config", required=True)
     p.add_argument("--axiom", choices=checks.AXIOMS, required=True)
     p.add_argument("--trials", type=int, default=25)
@@ -359,9 +356,7 @@ def build_parser() -> _Parser:
     p.add_argument("--coaction", choices=sorted(COACTIONS), default="standard")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser(
-        "demo", help="worked examples: current, weyl, virasoro", formatter_class=formatter
-    )
+    p = sub.add_parser("demo", help="worked examples: current, weyl, virasoro")
     p.add_argument("which", choices=("current", "weyl", "virasoro"))
     p.set_defaults(func=cmd_demo)
 

@@ -462,22 +462,15 @@ class FreeConformal:
         of its pair values for a u whose first letter has code code.  They
         are scaled by cu * cw, written over one common denominator, so the
         sums stay ints.  Each output term then gets a Fraction, over a
-        denominator of 1 the shared one of its value (_fraction).
-
-        A single word pair, x = cu u and y = cw w, skips the sums: each
-        value's terms are scaled as they come (_one_pair), and keep the
-        order of the pair's terms.
+        denominator of 1 the shared one of its value (_fraction).  No pair
+        value repeats a word, so a single word pair keeps the order of its
+        value's terms.
         """
         want = _requested(ns)
         if not want:
             return {}
         pair = pairs((*y.terms, *x.terms), want)
         index = self.alg.index
-        if len(x.terms) == 1 == len(y.terms):
-            ((u, cu),) = x.terms.items()
-            ((w, cw),) = y.terms.items()
-            code = index[u.gens[0]]
-            return {n: _one_pair(terms(value, code), cu, cw) for n, value in pair(u, w).items()}
         den_x = math.lcm(*(c.denominator for c in x.terms.values()))
         den_y = math.lcm(*(c.denominator for c in y.terms.values()))
         acc: dict[int, dict[NormalWord, int]] = {n: {} for n in want}
@@ -586,8 +579,7 @@ class FreeConformal:
         Every coefficient the rules make is an int: binomials, falling
         factorials and signs.  Each word pair's {word: int} from _rw_words
         is scaled by cu * cw over a common denominator (_products), and
-        every returned value is a Fraction.  For one term by one term the
-        {word: int} is scaled as it comes, with no sum (_one_pair).
+        every returned value is a Fraction.
         """
         return self._products(self._rewriter.pair, lambda value, code: value.items(), x, y, ns)
 

@@ -74,7 +74,7 @@ class TensorHH(Linear):
         return " + ".join(bits)
 
 
-@functools.lru_cache(maxsize=256)  # keyed by small ints; flatten asks per P-part
+@functools.lru_cache(maxsize=256)  # keyed by small ints; asked per D-power by the tensors
 def _spread(d: int, slots: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The iterated coproduct of D^d over slots tensor slots.
 

@@ -6,8 +6,8 @@ NCPoly, words.ConfElement) hold Fraction values at the public API; only trusted
 containers hold ints: the realize pipeline's images and slices, the splitting's
 cached parts, and the pseudo layer's int numerators inside assoc_check and
 eval_identity.  Nested classes (PElement, PseudoTensor, PseudoTensor3) hold
-combinations of the layer below, which answer to the same +, -, scale and truth
-tests, so one implementation serves both.
+NCPoly values, combinations of the layer below, which answer to the same +, -,
+scale and truth tests, so one implementation serves both.
 
 exact() is the only place where an outside number becomes a coefficient;
 integral() does the same for D-degrees and product indices.

@@ -6,10 +6,12 @@ expanded composition of * on three arguments, associativity and poly-linear
 identity checking, and the pseudocommutator.  The random elements these
 checks run on are drawn in confalg.checks.
 
-Both arities use confalg.hopf's formulas: split() applies decompose slot by
-slot to every entry, at the requested n alone or at every n, and gives the
-canonical form as a plain dict; flatten and star_expanded share D-powers by
-its coproduct _spread.
+A tensor of either arity is stored in its one form in H (x) H (x) A or
+H (x) H (x) H (x) A, so equality is dict equality.  Both arities use
+confalg.hopf's formulas: split() reads each entry's last two slots from the
+memo _unit_row, at the requested n alone or at every n, then decomposes the
+earlier slots, and gives the canonical form as a plain dict; the tensor
+constructor and star_expanded share D-powers by its coproduct _spread.
 
 The products run on int numerators where they can.  pprod divides each
 coaction component s by s! once, exactly for an int polynomial under the
@@ -29,7 +31,7 @@ from fractions import Fraction
 from operator import add
 
 from .hopf import HPoly, TensorHH, _index, _spread, decompose
-from .linear import AlgLinear, Linear, accumulate, exact, integral
+from .linear import AlgLinear, Linear, accumulate, collect, exact, integral
 from .ncpoly import AlgebraConfig, ConfigError, NCPoly
 
 Coaction = Callable[[NCPoly], "dict[int, NCPoly]"]
@@ -107,13 +109,6 @@ class PElement(AlgLinear):
             raise ValueError("negative shift")
         return self._new({d + k: f for d, f in self.parts.items()})
 
-    def hpoly_mul(self, h: HPoly) -> "PElement":
-        out: dict[int, NCPoly] = {}
-        for m, c in h.coeffs.items():
-            for d, f in self.parts.items():
-                accumulate(out, d + m, f.scale(c))
-        return self._new(out)
-
     def __repr__(self) -> str:
         if not self.parts:
             return "0"
@@ -125,10 +120,13 @@ class PElement(AlgLinear):
 
 
 class _SlotTensor(AlgLinear):
-    """Presentation {(i_1, ..., i_m): p} of sum (D^i_1 (x) ... (x) D^i_m) (x)_H p.
+    """{(i_1, ..., i_m): f} meaning sum (D^i_1 (x) ... (x) D^i_m) (x) f.
 
-    Presentations are not unique; equality and truth testing go through
-    the flattened H^(x)m (x) A form, which is.
+    H^(x)m is free over H, so (H^(x)m) (x)_H A is H^(x)m (x) A and this form
+    is unique: equality and truth are those of the dict.  The public
+    constructor takes an NCPoly f at a key as it is, and a PElement p as
+    (D^i_1 (x) ... (x) D^i_m) (x)_H p, spreading each D^d of p across the
+    slots by the coproduct (_spread).
     """
 
     __slots__ = ()
@@ -142,66 +140,71 @@ class _SlotTensor(AlgLinear):
             raise ValueError(f"expected {self._slots} slot degrees, got {key!r}")
         return key
 
+    def _collect(self, terms) -> dict:
+        pairs = []
+        for key, value in (terms or {}).items():
+            key = self._key(key)
+            if isinstance(value, NCPoly):
+                pairs.append((key, value))
+            elif isinstance(value, PElement):
+                pairs.extend(
+                    (tuple(map(add, key, powers)), f if c == 1 else f.scale(c))
+                    for d, f in value.parts.items()
+                    for powers, c in _spread(d, self._slots)
+                )
+            else:
+                raise TypeError(f"expected an NCPoly or a PElement, not {type(value).__name__}")
+        return collect(pairs)
+
     def permute(self, sigma: tuple[int, ...]):
         """Move slot m's content to slot sigma(m); legitimate because the
         coproduct of D is symmetric."""
         if sorted(sigma) != list(range(1, self._slots + 1)):
             raise ValueError(f"not a permutation of 1..{self._slots}: {sigma!r}")
         source = [sigma.index(dest) for dest in range(1, self._slots + 1)]
-        return self._new({tuple(key[m] for m in source): p for key, p in self.entries.items()})
+        return self._new({tuple(key[m] for m in source): f for key, f in self.entries.items()})
 
     def split(self, ns: Iterable[int] | None = None) -> dict[tuple[int, ...], PElement]:
         """Unique coordinates over ((-D)^(n_1) (x) ... (x) (-D)^(n_(m-1)) (x) 1), h acting on P.
 
         The canonical form of every arity: keys (n,) for two slots, (I, J)
-        for three.  decompose splits each entry's last two slots, at the n
-        in ns alone when ns is given (the last coordinate then takes no
-        other value, and each row comes from the memo _unit_row), then each
-        earlier slot against the merged right-hand h (decompose is linear,
-        Delta coassociative); seeded with the int 1, every h has int
+        for three.  Each entry's last two slots D^i (x) D^j are split by the
+        memo _unit_row, at each n in ns when ns is given and at every n in
+        [i, i + j] otherwise (the last coordinate takes no other value),
+        then each earlier slot against the merged right-hand h (decompose is
+        linear, Delta coassociative); seeded with the int 1, every h has int
         coefficients, so int values stay ints.  Each n in ns must be a
         nonnegative int, checked here, before the memo, so that a zero
         tensor refuses what a nonzero one does and True is not read as 1:
         TypeError or ValueError otherwise.
         """
         ns = None if ns is None else tuple(map(_index, ns))
+        alg = self.alg
         acc: dict[tuple[int, ...], PElement] = {}
-        for key, p in self.entries.items():
-            unit = key[-2:]
-            if ns is None:
-                parts = {(n,): h for n, h in decompose(TensorHH._of({unit: 1})).items()}
-            else:
-                parts = {(n,): h for n in ns if (h := _unit_row(*unit, n)) is not None}
-            for i in reversed(key[:-2]):
+        for key, f in self.entries.items():
+            i, j = key[-2:]
+            rows = range(i, i + j + 1) if ns is None else ns
+            parts = {(n,): h for n in rows if (h := _unit_row(i, j, n)) is not None}
+            for k in reversed(key[:-2]):
                 parts = {
                     (m,) + rest: g
                     for rest, h in parts.items()
-                    for m, g in decompose(TensorHH._of({(i, e): c for e, c in h.coeffs.items()})).items()
+                    for m, g in decompose(TensorHH._of({(k, e): c for e, c in h.coeffs.items()})).items()
                 }
             for idx, h in parts.items():
-                accumulate(acc, idx, p.hpoly_mul(h))
+                for m, c in h.coeffs.items():
+                    accumulate(acc, idx, PElement._of(alg, {m: f.scale(c)}))
         return acc
 
     def flatten(self) -> dict[tuple[int, ...], NCPoly]:
-        """Unique form in H^(x)m (x) A: spread each P-part's D across (x)_H."""
-        flat: dict[tuple[int, ...], NCPoly] = {}
-        for key, p in self.entries.items():
-            for d, f in p.parts.items():
-                for powers, c in _spread(d, self._slots):
-                    accumulate(flat, tuple(map(add, key, powers)), f.scale(c))
-        return flat
-
-    def __bool__(self) -> bool:
-        return bool(self.flatten())
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is self.__class__ and self.flatten() == other.flatten()
+        """The entries as a plain dict: the unique H^(x)m (x) A form."""
+        return dict(self.entries)
 
     def __repr__(self) -> str:
         if not self.entries:
             return "0"
         return " + ".join(
-            "(" + "(x)".join(f"D^{i}" for i in key) + f")(x)H[{self.entries[key]!r}]"
+            "(" + "(x)".join(f"D^{i}" for i in key) + f")(x)({self.entries[key]!r})"
             for key in sorted(self.entries)
         )
 
@@ -214,16 +217,16 @@ def _unit_row(i: int, j: int, n: int) -> HPoly | None:
     A row at one n has one term, so the memo holds at most 256 terms.  It
     is keyed by n, not by the requested ns: a key over ns would keep all
     of a wide request's rows alive, and one cprods of D^3000 b over
-    range(3003) would leave 22 MiB of them.  split reads no memo without
-    ns, where decompose gives j + 1 rows at once.  decompose is looked up
-    at call time, where bench/spans.py wraps it, so a span counts misses
-    alone.  Nothing writes to a cached HPoly.
+    range(3003) would leave 22 MiB of them.  split reads every row here,
+    with ns or without, so a unit split at every n is j + 1 lookups.
+    decompose is looked up at call time, where bench/spans.py wraps it, so
+    a span counts misses alone.  Nothing writes to a cached HPoly.
     """
     return decompose(TensorHH._of({(i, j): 1}), (n,)).get(n)
 
 
 class PseudoTensor(_SlotTensor):
-    """Two-slot presentation {(i, j): p} of sum (D^i (x) D^j) (x)_H p over H."""
+    """Two-slot tensor {(i, j): f} of sum (D^i (x) D^j) (x) f in H (x) H (x) A."""
 
     __slots__ = ()
     _slots = 2
@@ -239,7 +242,7 @@ def canonicalize(t: PseudoTensor, ns: Iterable[int] | None = None) -> dict[int, 
 
 
 class PseudoTensor3(_SlotTensor):
-    """Three-slot presentation {(i, j, k): p} of sum (D^i (x) D^j (x) D^k) (x)_H p."""
+    """Three-slot tensor {(i, j, k): f} of sum (D^i (x) D^j (x) D^k) (x) f."""
 
     __slots__ = ()
     _slots = 3
@@ -297,14 +300,14 @@ class PseudoAlgebra:
             raise ConfigError("the coupled product needs a commutative word algebra")
         return _KIND_RULES[kind]
 
-    def _coacted(self, p: PElement, coact: bool) -> list[tuple[int, dict[int, NCPoly]]]:
-        """p's parts as (d, {s: g_s / s!}), each coaction component divided
-        once; an argument that is not coacted keeps its whole polynomial at
-        s = 0."""
+    def _coacted(self, parts, coact: bool) -> list[tuple[int, dict[int, NCPoly]]]:
+        """The (d, f) parts as (d, {s: g_s / s!}), each coaction component
+        divided once; an argument that is not coacted keeps its whole
+        polynomial at s = 0."""
         if not coact:
-            return [(d, {0: f}) for d, f in p.parts.items()]
+            return [(d, {0: f}) for d, f in parts]
         coaction = self.coaction
-        return [(d, {s: _divided(g, s) for s, g in coaction(f).items()}) for d, f in p.parts.items()]
+        return [(d, {s: _divided(g, s) for s, g in coaction(f).items()}) for d, f in parts]
 
     def pprod(self, kind: ProductKind, x: PElement, y: PElement) -> PseudoTensor:
         """The pseudoproduct x * y as a two-slot tensor.
@@ -316,10 +319,9 @@ class PseudoAlgebra:
         int arguments under the standard coaction give an int tensor.
         """
         coact_x, coact_y, sign = self._rules(kind)
-        acc = _product(self._coacted(x, coact_x), self._coacted(y, coact_y), sign)
-        return PseudoTensor._of(
-            self.alg, {k: PElement._of(self.alg, {0: v}) for k, v in acc.items()}
-        )
+        xs = self._coacted(x.parts.items(), coact_x)
+        ys = self._coacted(y.parts.items(), coact_y)
+        return PseudoTensor._of(self.alg, _product(xs, ys, sign))
 
     def nproducts(self, kind: ProductKind, x: PElement, y: PElement) -> dict[int, PElement]:
         """All nonzero n-th products of x and y at once, as {n: x_(n) y}."""
@@ -336,7 +338,8 @@ class PseudoAlgebra:
         PElement * PElement gives a two-slot tensor; a two-slot tensor
         against a PElement (either side) gives a three-slot tensor by
         spreading the inner product's H-parts across the outer slots.  The
-        PElement side is coacted once, for every entry of the tensor side.
+        PElement side is coacted once, for every entry of the tensor side;
+        each entry f stands at D^0 of its own H-part.
         """
         if isinstance(left, PElement) and isinstance(right, PElement):
             return self.pprod(kind, left, right)
@@ -348,34 +351,33 @@ class PseudoAlgebra:
             raise TypeError("more than three total slots is not supported")
         coact_x, coact_y, sign = self._rules(kind)
         if tensor_left:
-            tensor, fixed = left, self._coacted(right, coact_y)
+            tensor, fixed = left, self._coacted(right.parts.items(), coact_y)
         else:
-            tensor, fixed = right, self._coacted(left, coact_x)
+            tensor, fixed = right, self._coacted(left.parts.items(), coact_x)
         out: dict[tuple[int, int, int], NCPoly] = {}
-        for (i, j), p in tensor.entries.items():
+        for (i, j), f in tensor.entries.items():
             if tensor_left:
-                inner = _product(self._coacted(p, coact_x), fixed, sign)
+                inner = _product(self._coacted(((0, f),), coact_x), fixed, sign)
             else:
-                inner = _product(fixed, self._coacted(p, coact_y), sign)
+                inner = _product(fixed, self._coacted(((0, f),), coact_y), sign)
             for (u, w), r in inner.items():
                 # the inner slot that met the tensor is spread over its two slots
                 for (a, b), c in _spread(u if tensor_left else w, 2):
                     key = (i + a, j + b, w) if tensor_left else (u, i + a, j + b)
                     accumulate(out, key, r if c == 1 else r.scale(c))
-        return PseudoTensor3._of(
-            self.alg, {k: PElement._of(self.alg, {0: v}) for k, v in out.items()}
-        )
+        return PseudoTensor3._of(self.alg, out)
 
     def assoc_check(self, kind: ProductKind, x: PElement, y: PElement, z: PElement) -> bool:
         """(x * y) * z == x * (y * z) as three-slot tensors.
 
         Both sides are compared on the int numerators Lx x, Ly y and Lz z
-        (_cleared): each side is trilinear, so both scale by Lx Ly Lz.
+        (_cleared): each side is trilinear, so both scale by Lx Ly Lz.  They
+        are compared through flatten, which bench/spans.py times.
         """
         x, y, z = (_cleared(a)[0] for a in (x, y, z))
         left = self.star_expanded(kind, self.pprod(kind, x, y), z)
         right = self.star_expanded(kind, x, self.pprod(kind, y, z))
-        return left == right
+        return left.flatten() == right.flatten()
 
     def comm_nth(self, x: PElement, n: int, y: PElement) -> PElement:
         """The n-th product of the P8 pseudocommutator x * y - sigma_12(y * x)."""

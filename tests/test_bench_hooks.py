@@ -103,6 +103,9 @@ def test_realize_table_makes_one_pseudoproduct_per_tail_and_right_word():
     calls = traced(TABLE_SCRIPT)
     assert calls["pseudo.pprod"] == 72
     assert calls["pseudo.canonicalize"] == 72
+    # every split goes through the _unit_row memo, which calls decompose on
+    # a miss alone: bench/test_bench.py needs these calls on table-realize
+    assert calls["hopf.decompose"] == 16
 
 
 def test_rewrite_table_bypasses_the_realize_layers():

@@ -1062,9 +1062,9 @@ class TestRewriteIntCore:
 
 
 class TestOneWordPair:
-    """x_(n) y for one term x = cu u and one term y = cw w scales the pair's
-    values as they come (_products' one-pair branch); with more terms on a
-    side, the general path sums them.  Bilinearity ties the two together."""
+    """x_(n) y for one term x = cu u and one term y = cw w, through the
+    same sums as more terms on a side; bilinearity ties the two together,
+    and a single pair keeps the order of its value's terms."""
 
     COEFFS = (Fraction(1, 2), Fraction(-2, 3), Fraction(3))
     # D-powers on u and on w
