@@ -168,10 +168,11 @@ def _cases(alg: AlgebraConfig, axiom: str, coaction: str) -> tuple[str, list]:
     if axiom in CONFORMAL_AXIOMS:
         fc = FreeConformal(alg)
         test, elements, indices = _CONFORMAL[axiom]
+        top = 2 * max(alg.n.values())
 
         def draw(rng) -> list:
             args = [random_element(rng, fc, max_k=1, max_s=1) for _ in range(elements)]
-            return args + [rng.randint(0, 2 * max(alg.n.values())) for _ in range(indices)]
+            return args + [rng.randint(0, top) for _ in range(indices)]
 
         return "", [("", draw, partial(test, fc))]
     pa = PseudoAlgebra(alg, COACTIONS[coaction])

@@ -33,10 +33,6 @@ class NotInSpan(Exception):
         super().__init__(f"monomial outside the normal-word span: {' '.join(names) or '1'}")
 
 
-def _generator_word(alg: AlgebraConfig, name: str) -> Word:
-    return alg.word(("v",) * (alg.n_of(name) - 1) + (name,))
-
-
 def _prefixed(piece: Word, f: NCPoly) -> NCPoly:  # no two monomials collide
     return f._new({piece + w: c for w, c in f.terms.items()})
 
@@ -44,6 +40,9 @@ def _prefixed(piece: Word, f: NCPoly) -> NCPoly:  # no two monomials collide
 # Fraction(k) for an int k, one shared object per value: a Fraction is
 # immutable, and a table has few distinct values among many terms.
 _fraction = functools.lru_cache(maxsize=1024)(Fraction)
+
+# (n - 1)! for a locality n, a factor of W (see FreeConformal._weight)
+_factorial = functools.lru_cache(maxsize=256)(math.factorial)
 
 
 def _one_pair(terms: Iterable[tuple[NormalWord, int]], cu: Fraction, cw: Fraction) -> ConfElement:
@@ -67,8 +66,9 @@ def generator_image(alg: AlgebraConfig, name: str) -> NCPoly:
     FreeConformal computes with this image times (n-1)!, the bare word with
     coefficient 1, and divides by (n-1)! again at its API boundary.
     """
-    scale = Fraction(1, math.factorial(alg.n_of(name) - 1))
-    return NCPoly(alg, {_generator_word(alg, name): scale})
+    n = alg.n_of(name)
+    # alg.word sorts the letters of a pseudo-commutative config
+    return NCPoly(alg, {alg.word(("v",) * (n - 1) + (name,)): Fraction(1, math.factorial(n - 1))})
 
 
 # engine name -> the names of its (cprod, cprods) methods
@@ -85,13 +85,8 @@ class FreeConformal:
                 "has no normal-word basis"
             )
         self.alg = config
-        # per letter: its word P_a = v^(n-1) a, whose suffixes are the
-        # letter's hat pieces (see _hat), and (n(a) - 1)!, a factor of W (see
-        # _weight)
-        self._letters = {
-            name: (_generator_word(config, name), math.factorial(n - 1))
-            for name, n in config.n.items()
-        }
+        # Nothing is kept per letter: a letter's pieces (_hat) and its
+        # factor of W (_weight) follow from its locality.
         # The scaled image of a .m r is P_a times T(m, r) = (-1)^m times the
         # m-th v-derivative of W_r * iota(r), which does not depend on a.
         # One entry per (m, r) met so far, (m, the D-free word r, T(m, r),
@@ -100,13 +95,13 @@ class FreeConformal:
         # first m v's, which is u's hat word without P_a.  For m = 0 that is
         # r's hat word, so the entry of T(0, r) is also r's own scaled image,
         # which reduce reads (see _eliminate).  The key "" holds the empty
-        # tail, r = None and T = 1, so a generator's image is P_a.
+        # tail, r = None and T = 1, so a generator's image is P_a; its words
+        # are the generators, built as any other entry's (_word).
         # W = prod (n(a) - 1)! over the letters is computed (_weight), not
         # stored, and every coefficient is an int.  The rewriting engine
         # makes none.
         self._iota_cache: dict[Word, tuple] = {
-            "": (0, None, NCPoly._of(config, {"": 1}),
-                 [NormalWord._of(0, (name,), ()) for name in config.names])
+            "": (0, None, NCPoly._of(config, {"": 1}), [None] * len(config.names))
         }
         # each word and tuple the cache keeps, as its one object per value:
         # keys, image monomials and the words' gens and indices (see _iota_nc)
@@ -162,7 +157,7 @@ class FreeConformal:
         entry = cache.get(key)
         if entry is not None:
             return entry
-        letters, alg = self._letters, self.alg
+        alg = self.alg
         # level j is T(indices[j], gens[j:]), keyed own = key[start:]; the
         # walk stops at a cached T(0, gens[j:]) (derive) or a cached level j + 1
         levels: list[tuple[str, int, Word, Word]] = []  # not cached, outermost first
@@ -171,7 +166,7 @@ class FreeConformal:
         for name, m in zip(gens, indices):
             end = start + alg.n[name] - m  # where the next letter's piece starts
             own = key[start:]
-            hat = letters[name][0] + key[end:] if m else own  # T(0, gens[j:])'s key
+            hat = alg.v * m + own  # T(0, gens[j:])'s key: own with its m v's put back
             levels.append((name, m, own, hat))
             if m:
                 entry = cache.get(hat)
@@ -187,7 +182,7 @@ class FreeConformal:
         while levels:  # innermost first; a level's slices go once its entry is built
             name, m, own, hat = levels.pop()
             if not derive:
-                piece, tail = letters[name][0], entry[2]
+                piece, tail = hat[: alg.n[name]], entry[2]  # P_b, from b's locality
                 image = tail._new({share(w := piece + t, w): c for t, c in tail.terms.items()})
                 r = self._word(entry, alg.index[name])
                 entry = cache[share(hat, hat)] = (0, r, image, [None] * slots)
@@ -200,14 +195,15 @@ class FreeConformal:
         return entry
 
     def _word(self, entry: tuple, code: int) -> NormalWord:
-        """The word a .m r of the cache entry of T(m, r), for the letter a
-        with code code; built once, and shared as the r of T(0, a .m r).
-        Its gens and indices go through _shared, as _iota_nc's words do."""
+        """The word a .m r of the cache entry of T(m, r), or a of the empty
+        tail's, for the letter a with code code; built once, and shared as
+        the r of T(0, a .m r).  Its gens and indices go through _shared."""
         word = entry[3][code]
         if word is None:
             m, r = entry[0], entry[1]
             share = self._shared.setdefault
-            gens, indices = (self.alg.names[code],) + r.gens, (m,) + r.indices
+            head = (self.alg.names[code],)
+            gens, indices = (head, ()) if r is None else (head + r.gens, (m,) + r.indices)
             word = NormalWord._of(0, share(gens, gens), share(indices, indices))
             entry[3][code] = word
         return word
@@ -215,9 +211,9 @@ class FreeConformal:
     def _tail(self, u: NormalWord) -> tuple[Word, Word, NCPoly]:
         """(P_a, key, T(m, r)) for u = a .m r, and (P_a, "", 1) for u = a: T
         the cache entry's own polynomial and key its key, u's hat word
-        without P_a (see _iota_nc); _hat validates u."""
-        piece = self._letters[u.gens[0]][0]
-        key = self._hat(u)[len(piece):]
+        without P_a, its first n(a) letters (see _iota_nc); _hat validates u."""
+        hat, cut = self._hat(u), self.alg.n[u.gens[0]]
+        piece, key = hat[:cut], hat[cut:]
         return piece, key, self._iota_nc(u.gens[1:], u.indices, key)[2]
 
     def _scaled(self, u: NormalWord) -> PElement:
@@ -226,8 +222,8 @@ class FreeConformal:
         return PElement._of(self.alg, {u.s: _prefixed(piece, tail)})
 
     def _weight(self, u: NormalWord) -> int:
-        """W = prod (n(a) - 1)! over u's letters, for a valid word u."""
-        return math.prod(self._letters[name][1] for name in u.gens)
+        """W = prod (n(a) - 1)! over u's letters, for a valid word u (_factorial)."""
+        return math.prod(_factorial(self.alg.n[name] - 1) for name in u.gens)
 
     def iota_word(self, u: NormalWord) -> PElement:
         p, weight = self._scaled(u), self._weight(u)
@@ -248,18 +244,17 @@ class FreeConformal:
         coefficient has the sign (-1)^(sum of indices).
 
         A letter a facing index m (the first letter faces 0) adds the piece
-        v^(n(a) - 1 - m) a: its generator word without the first m v's.  A
-        letter unknown or facing an index out of range raises validate's
-        error.  The pieces are joined once, so the cost is linear in the hat
-        word.
+        v^(n(a) - 1 - m) a, built from n(a) and a's code.  A letter unknown
+        or facing an index out of range raises validate's error.  The pieces
+        are joined once, so the cost is linear in the hat word.
         """
-        letters = self._letters
+        n, index, v = self.alg.n, self.alg.index, self.alg.v
         pieces: list[Word] = []
         for name, m in zip(u.gens, (0,) + u.indices):  # the first letter faces no index
-            entry = letters.get(name)
-            if entry is None or not 0 <= m < len(entry[0]):
+            bound = n.get(name)
+            if bound is None or not 0 <= m < bound:
                 self.validate(u)
-            pieces.append(entry[0][m:])
+            pieces.append(chr(index[name]).rjust(bound - m, v))  # v-run, then a
         return "".join(pieces)
 
     def word_to_normal(self, w: Word) -> tuple[int, NormalWord] | None:

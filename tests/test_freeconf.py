@@ -13,6 +13,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -1220,6 +1221,22 @@ def test_a_long_v_run_under_both_engines():
     assert ba == ConfElement({normal(fc, 0, ("b", "a"), (1,)): 1})
 
 
+def test_construction_builds_nothing_per_letter():
+    # a letter's pieces and its factor of W follow from its locality, so
+    # building the algebra makes no word and no factorial per letter, and
+    # its peak does not grow with the alphabet times the localities
+    alg = AlgebraConfig({f"g{i}": 1000 for i in range(2000)})
+    tracemalloc.start()
+    try:
+        fc = FreeConformal(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    first, last = fc.generator("g0"), fc.generator("g1999")
+    assert fc.cprods(first, last, range(3)) == fc.cprods_rw(first, last, range(3))
+
+
 class TestHatKeyedImages:
     """One image cache: T(m, r) per tail (m, r), keyed by its lex-least monomial."""
 
@@ -1534,7 +1551,7 @@ class TestPairPassesThePiece:
         assert any(
             len({u.gens[0] for u in x.terms}) > 1 and any(u.s for u in x.terms) for x in lefts
         )
-        assert set(pieces) == {piece for piece, _ in fc._letters.values()}
+        assert set(pieces) == {fc._hat(NormalWord(0, (a,), ())) for a in fc.alg.names}
 
     def test_reduce_passes_the_empty_piece(self, pieces):
         fc = FreeConformal(load_config(str(DATA / "config_ab.json"))[0])
