@@ -225,6 +225,82 @@ def cmd_basis(args) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (taskset narrows it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _rendered_rows(fc: FreeConformal, words: list, ns: range, engine: str, rights: list):
+    """The rendered table over words x ns x rights: one tuple of cell texts
+    per (u, n) row, w fastest."""
+    text, terms = fc.word_to_json_text, fc._terms_to_json_text  # each text kept on its word
+    # dump_json of {"left", "n", "right", "value"}: the keys are already in
+    # sorted order, and so are the value's terms (table_rows)
+    cells = (
+        f'{{"left":{text(u)},"n":{n},"right":{text(w)},"value":{terms(value.terms.items())}}}'
+        for u, n, w, value in fc.table_rows(words, ns, engine, rights)
+    )
+    return zip(*[cells] * len(rights))
+
+
+# A frame is a kind byte, the payload's length in 8 bytes and the payload: a
+# row's cell texts joined by newlines, which no cell text holds (config names
+# are ASCII identifiers), or an error's text.
+_ROW, _ERROR = b"r", b"e"
+
+
+def _send(out, kind: bytes, text: str) -> None:
+    data = text.encode()
+    out.write(kind + len(data).to_bytes(8, "big") + data)
+    out.flush()
+
+
+def _receive(reader) -> str:
+    head = reader.read(9)
+    size = int.from_bytes(head[1:], "big")
+    data = reader.read(size)
+    if len(head) < 9 or len(data) < size:
+        raise RuntimeError("the table's second process ended before sending every row")
+    if head[:1] == _ERROR:
+        raise RuntimeError(f"the table's second process failed: {data.decode()}")
+    return data.decode()
+
+
+def _fork_odd_columns(fc: FreeConformal, words: list, ns: range, engine: str):
+    """(pid, reader) of a forked child that renders the columns words[1::2]
+    and sends one frame per row, or (None, None) if no child could start.
+
+    The child never touches sys.stdout and leaves through os._exit, so no
+    buffer or exit handler it inherits runs twice.  It reports an exception
+    as an error frame and exits 1.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # EAGAIN at the process limit: one process does it all
+        os.close(r)
+        os.close(w)
+        return None, None
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    code = 1
+    try:
+        os.close(r)
+        with os.fdopen(w, "wb") as out:
+            try:
+                for row in _rendered_rows(fc, words, ns, engine, words[1::2]):
+                    _send(out, _ROW, "\n".join(row))
+                code = 0
+            except BaseException as exc:  # the child's last word: os._exit follows
+                _send(out, _ERROR, f"{type(exc).__name__}: {exc}")
+    finally:
+        os._exit(code)
+
+
 def cmd_table(args) -> int:
     fc = FreeConformal(load_config(args.config)[0])
     if args.max_n < 0 or args.max_k < 0:
@@ -237,18 +313,42 @@ def cmd_table(args) -> int:
             "lower --max-k or --max-n"
         )
     words = sorted(fc.enumerate_basis(args.max_k, 0), key=fc.sort_key)
-    text, write = fc.word_to_json_text, sys.stdout.write  # each text kept on its word
-    write("[")
-    sep = ""
-    for u, n, w, value in fc.table_rows(words, range(args.max_n + 1), args.engine):
-        # dump_json of {"left", "n", "right", "value"}: the keys are already
-        # in sorted order, and so are the value's terms (table_rows)
-        write(
-            f'{sep}{{"left":{text(u)},"n":{n},"right":{text(w)},'
-            f'"value":{fc._terms_to_json_text(value.terms.items())}}}'
-        )
-        sep = ","
-    write("]\n")
+    ns = range(args.max_n + 1)
+    # Two processes when a second CPU is usable: a forked child takes the odd
+    # columns of every row, and this one the even ones.  Each computes its
+    # own columns of a row's shared block, where split rows would compute a
+    # block that spans both halves twice, and interleaving gives each words
+    # of every length.  fork copies the calling thread alone, so a second
+    # live thread rules it out: threading counts every thread it started,
+    # and none was started if it is not loaded.
+    threading = sys.modules.get("threading")
+    pid = reader = None
+    if (
+        len(words) > 1
+        and hasattr(os, "fork")
+        and (threading is None or threading.active_count() == 1)
+        and _usable_cpus() > 1
+    ):
+        pid, reader = _fork_odd_columns(fc, words, ns, args.engine)
+    try:
+        write = sys.stdout.write
+        write("[")
+        sep = ""
+        for cells in _rendered_rows(fc, words, ns, args.engine, words[0::2] if pid else words):
+            if pid:
+                row = [""] * len(words)
+                row[0::2], row[1::2] = cells, _receive(reader).split("\n")
+                cells = row
+            write(sep + ",".join(cells))
+            sep = ","
+        write("]\n")
+    finally:
+        if pid:
+            import signal
+
+            reader.close()
+            os.kill(pid, signal.SIGKILL)  # a no-op on a child that has exited
+            os.waitpid(pid, 0)
     return EXIT_OK
 
 

@@ -507,20 +507,28 @@ class FreeConformal:
         return self.cprods(x, y, (n,))[n]
 
     def table_rows(
-        self, words: Iterable[NormalWord], ns: Iterable[int], engine: str
+        self,
+        words: Iterable[NormalWord],
+        ns: Iterable[int],
+        engine: str,
+        rights: Iterable[NormalWord] | None = None,
     ) -> Iterator[tuple[NormalWord, int, NormalWord, ConfElement]]:
-        """Each cell (u, n, w, u_(n) w) of the table over words x ns x words.
+        """Each cell (u, n, w, u_(n) w) of the table over words x ns x rights
+        (rights defaults to words).
 
         Cells come one at a time, u slowest and w fastest.  Every value
         lists its terms in sort_key order, by construction, not by a sort:
         see _eliminate, and Rewriter._rw_words and _rw_rule in rewrite.py.
-        Under realize, each word is scaled once and coacted once per table,
-        not once per cell (_pair).  u = a .m r has the image P_a T(m, r),
-        and the quotients of u_(n) w do not depend on a: the row's block of
-        every n and w is computed once per (u.s, tail key), shared by every
-        first letter and dropped after the last row that reads it.  Each row
-        makes its words for its own letter (_words), and each value term is
-        an int until it takes the shared Fraction of its value (_fraction).
+        Under realize, each word is scaled once per call and each right word
+        coacted once, not once per cell (_pair).  When the CLI splits a
+        table's columns over two processes, each right word is coacted once,
+        in the process that owns its column.  u = a .m r has the image
+        P_a T(m, r), and the quotients of u_(n) w do not depend on a: the
+        row's block of every n and w is computed once per (u.s, tail key),
+        shared by every first letter and dropped after the last row that
+        reads it.  Each row makes its words for its own letter (_words), and
+        each value term is an int until it takes the shared Fraction of its
+        value (_fraction).
         Under rewrite, each cell is one cprod_rw of two single words, the
         product that bench/spans.py counts as the rewrite engine's work,
         yielded as soon as it is made.  It goes straight to
@@ -530,30 +538,31 @@ class FreeConformal:
         """
         self.engine(engine)  # an unknown name raises ValueError
         words = list(words)
+        rights = words if rights is None else list(rights)
         want = _requested(ns)
         if not want:
             return
         if engine == "realize":
-            pair = self._pair(words, want)
+            pair = self._pair(dict.fromkeys((*words, *rights)), want)
             keys = [(u.s, self._tail(u)[1]) for u in words]
             last = {key: row for row, key in enumerate(keys)}
             blocks: dict[tuple, list] = {}  # by key, until its last row
             index, to_words = self.alg.index, self._words
             for row, (u, key) in enumerate(zip(words, keys)):
-                block = blocks.pop(key, None) or [pair(u, w) for w in words]
+                block = blocks.pop(key, None) or [pair(u, w) for w in rights]
                 if last[key] > row:
                     blocks[key] = block
                 code = index[u.gens[0]]
                 for n in want:
-                    for w, value in zip(words, block):
+                    for w, value in zip(rights, block):
                         yield u, n, w, ConfElement._of(
                             {v: _fraction(k) for v, k in to_words(value[n], code)}
                         )
             return
-        single = {w: ConfElement({w: 1}) for w in words}
+        single = {w: ConfElement({w: 1}) for w in (*words, *rights)}
         for u in words:
             for n in want:
-                for w in words:
+                for w in rights:
                     yield u, n, w, self.cprod_rw(single[u], n, single[w])
 
     def engine(self, name: str) -> tuple[Callable, Callable]:

@@ -34,12 +34,17 @@ print(json.dumps(out))
 """
 
 # 12 D-free words with k <= 1 on {a: 2, b: 3}, n = 0..3: the left words
-# have 6 (D-power, tail) keys, and each key meets each of the 12 right words once
+# have 6 (D-power, tail) keys, and each key meets each of the 12 right words
+# once.  The table runs in one process or two (cmd_table), and the tracer
+# sees only its own process: each script first sets the CPUs it may use,
+# ONE_CPU or TWO_CPUS
 TABLE_SCRIPT = """
-import contextlib, io, json
+import contextlib, io, json, os
 import spans
+from confalg import cli
 from confalg.cli import main
 
+%s
 tracer = spans.Tracer()
 tracer.install()
 with contextlib.redirect_stdout(io.StringIO()):
@@ -52,10 +57,12 @@ print(json.dumps({name: row["calls"] for name, row in tracer.layer_totals().item
 # the same table under rewrite, with the counters: bench/test_bench.py's
 # contract that the rewrite table reaches no realize layer, at tier-1 size
 REWRITE_TABLE_SCRIPT = """
-import contextlib, io, json
+import contextlib, io, json, os
 import spans
+from confalg import cli
 from confalg.cli import main
 
+%s
 tracer = spans.Tracer()
 tracer.install()
 with contextlib.redirect_stdout(io.StringIO()):
@@ -66,6 +73,12 @@ out = {name: row["calls"] for name, row in tracer.layer_totals().items()}
 out.update(tracer.counts)
 print(json.dumps(out))
 """
+
+# one process: the script narrows its own affinity to one CPU
+ONE_CPU = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})"
+# two processes, however many CPUs the machine has: the parent keeps the 6
+# even right words of the 12, and a forked child takes the 6 odd ones
+TWO_CPUS = "cli._usable_cpus = lambda: 2"
 
 # one check request; each test fills in the config file and the axiom
 CHECK_SCRIPT = """
@@ -100,7 +113,7 @@ def test_tracer_installs_and_counts_the_realize_layers():
 
 
 def test_realize_table_makes_one_pseudoproduct_per_tail_and_right_word():
-    calls = traced(TABLE_SCRIPT)
+    calls = traced(TABLE_SCRIPT % ONE_CPU)
     assert calls["pseudo.pprod"] == 72
     assert calls["pseudo.canonicalize"] == 72
     # every split goes through the _unit_row memo, which calls decompose on
@@ -108,14 +121,25 @@ def test_realize_table_makes_one_pseudoproduct_per_tail_and_right_word():
     assert calls["hopf.decompose"] == 16
 
 
+def test_split_realize_table_traces_the_parents_columns_alone():
+    calls = traced(TABLE_SCRIPT % TWO_CPUS)
+    assert calls["pseudo.pprod"] == 6 * 6
+    assert calls["pseudo.canonicalize"] == 6 * 6
+
+
 def test_rewrite_table_bypasses_the_realize_layers():
-    calls = traced(REWRITE_TABLE_SCRIPT)
+    calls = traced(REWRITE_TABLE_SCRIPT % ONE_CPU)
     touched = {
         name: value for name, value in calls.items()
         if name.startswith(("pseudo.", "ncpoly.", "hopf.")) and value
     }
     assert touched == {}
     assert calls["freeconf.cprod_rw"] == 12 * 12 * 4  # one per cell
+
+
+def test_split_rewrite_table_traces_the_parents_columns_alone():
+    calls = traced(REWRITE_TABLE_SCRIPT % TWO_CPUS)
+    assert calls["freeconf.cprod_rw"] == 12 * 6 * 4
 
 
 @pytest.mark.parametrize(

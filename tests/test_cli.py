@@ -525,6 +525,141 @@ class TestTable:
         assert len(json.loads(outs[0])) == (2 + 2 * 3) ** 2 * 2
 
 
+def table_on(monkeypatch, capsys, cpus: int, *argv) -> str:
+    """stdout of an in-process table with cpus usable CPUs; exit 0."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    rc, out, err = run(capsys, "table", *argv)
+    assert (rc, err) == (0, "")
+    return out
+
+
+def spy_fork(monkeypatch) -> list:
+    """Record each os.fork in this process; the child's own calls are lost."""
+    forks = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    return forks
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+class TestTableOnTwoCores:
+    """cmd_table on two usable CPUs: a forked child renders the odd columns
+    and streams them back row by row; one CPU keeps every column here."""
+
+    @pytest.mark.parametrize("engine", ["realize", "rewrite"])
+    @pytest.mark.parametrize(
+        ("config", "max_k", "max_n"),
+        # 12, 12, 21, 30 and 4 words: odd counts give the parent one column more
+        [("config_ab", "1", "2"), ("config_ba", "1", "2"), ("config_xyz", "1", "1"),
+         ("config_five", "1", "1"), ("config_onegen", "3", "2")],
+    )
+    def test_split_prints_the_one_process_bytes(
+        self, monkeypatch, capsys, config, max_k, max_n, engine
+    ):
+        argv = ("--config", str(DATA / f"{config}.json"), "--max-k", max_k, "--max-n", max_n,
+                "--engine", engine)
+        forks = spy_fork(monkeypatch)
+        one = table_on(monkeypatch, capsys, 1, *argv)
+        assert forks == []
+        assert table_on(monkeypatch, capsys, 2, *argv) == one
+        assert forks == [1]
+        assert_no_child()
+
+    @staticmethod
+    def plant(monkeypatch, fault):
+        """Run fault() in the process that renders the second column, the
+        child: the parent's columns never reach it."""
+        fc = FreeConformal(load_config(CONFIG)[0])
+        second = sorted(fc.enumerate_basis(1), key=fc.sort_key)[1]
+        real = FreeConformal.table_rows
+
+        def table_rows(fc, words, ns, engine, rights=None):
+            for cell in real(fc, words, ns, engine, rights):
+                if cell[2] == second:
+                    fault()
+                yield cell
+
+        monkeypatch.setattr(FreeConformal, "table_rows", table_rows)
+
+    def raise_planted(self):
+        raise ArithmeticError("planted")
+
+    @pytest.mark.parametrize(
+        ("fault", "message"),
+        [
+            (raise_planted, "second process failed: ArithmeticError: planted"),
+            # a child that dies without a word: the parent meets EOF
+            (lambda self: os._exit(0), "second process ended before sending every row"),
+        ],
+        ids=("raises", "exits"),
+    )
+    def test_a_failing_child_makes_the_parent_raise(self, monkeypatch, fault, message):
+        self.plant(monkeypatch, lambda: fault(self))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match=message):
+            main(["table", "--config", CONFIG, "--max-k", "1", "--max-n", "1"])
+        assert_no_child()
+
+    def test_a_closed_stdout_mid_table_exits_1(self, monkeypatch):
+        class Closing:
+            """A stdout whose reader leaves after the first rows."""
+
+            def __init__(self):
+                self.writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 3:
+                    raise BrokenPipeError
+                return len(text)
+
+            def flush(self):
+                pass
+
+        stdout = Closing()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        forks = spy_fork(monkeypatch)
+        assert main(["table", "--config", CONFIG, "--max-k", "2", "--max-n", "1"]) == 1
+        assert forks == [1] and stdout.writes == 4
+        assert_no_child()
+
+    def test_one_cpu_or_a_second_thread_keeps_one_process(self, monkeypatch, capsys):
+        import threading
+
+        argv = ("--config", CONFIG, "--max-k", "1", "--max-n", "1")
+        forks = spy_fork(monkeypatch)
+        table_on(monkeypatch, capsys, 1, *argv)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(60,))
+        thread.start()
+        try:
+            table_on(monkeypatch, capsys, 2, *argv)
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert forks == []
+
+    def test_a_failed_fork_leaves_one_process(self, monkeypatch, capsys):
+        argv = ("--config", CONFIG, "--max-k", "1", "--max-n", "1")
+        one = table_on(monkeypatch, capsys, 1, *argv)
+
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        assert table_on(monkeypatch, capsys, 2, *argv) == one
+        if fds is not None:  # the pipe is closed again
+            assert len(os.listdir("/proc/self/fd")) == fds
+
+
 class TestCheck:
     @pytest.mark.parametrize("axiom", ["assoc", "sesqui", "locality"])
     def test_conformal_axioms_pass(self, capsys, axiom):

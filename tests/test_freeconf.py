@@ -744,9 +744,11 @@ class TestTableRows:
         with pytest.raises(ValueError, match="unknown engine"):
             next(fc.table_rows(words, range(2), "magic"))
 
-    def test_realize_table_coacts_each_word_once_and_multiplies_each_tail_once_per_word(
-        self, monkeypatch, capsys
-    ):
+    @staticmethod
+    def traced_table(monkeypatch, capsys, cpus: int) -> tuple[list, list]:
+        """(coactions, pseudoproducts) of the config_ab table at k <= 1,
+        n <= 3, in this process, with cpus usable CPUs."""
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         coacts = []
         real = NCPoly.coact
         monkeypatch.setattr(NCPoly, "coact", lambda f, *a: coacts.append(a) or real(f, *a))
@@ -756,10 +758,25 @@ class TestTableRows:
             "--engine", "realize",
         ])
         assert rc == 0 and capsys.readouterr().out.startswith('[{"left":')
+        return coacts, calls
+
+    def test_realize_table_coacts_each_word_once_and_multiplies_each_tail_once_per_word(
+        self, monkeypatch, capsys
+    ):
+        coacts, calls = self.traced_table(monkeypatch, capsys, 1)
         # 12 words: one cut coaction per right word, and one pseudoproduct
         # per (D-power, tail) of the left words, 6 of them, and right word
         assert len(coacts) == 12 and set(coacts) == {(3,)}
         assert len(calls) == 72
+
+    def test_split_table_coacts_and_multiplies_the_parents_columns_alone(
+        self, monkeypatch, capsys
+    ):
+        # on two CPUs the CLI's forked child takes the 6 odd right words of
+        # the 12, and the spies see the parent's 6 alone
+        coacts, calls = self.traced_table(monkeypatch, capsys, 2)
+        assert len(coacts) == 6 and set(coacts) == {(3,)}
+        assert len(calls) == 6 * 6
 
     @pytest.fixture(scope="class")
     def five(self):
