@@ -246,36 +246,27 @@ def _rendered_rows(fc: FreeConformal, words: list, ns: range, engine: str, right
     return zip(*[cells] * len(rights))
 
 
-# A frame is a kind byte, the payload's length in 8 bytes and the payload: a
-# row's cell texts joined by newlines, which no cell text holds (config names
-# are ASCII identifiers), or an error's text.
-_ROW, _ERROR = b"r", b"e"
-
-
-def _send(out, kind: bytes, text: str) -> None:
-    data = text.encode()
-    out.write(kind + len(data).to_bytes(8, "big") + data)
-    out.flush()
-
-
-def _receive(reader) -> str:
-    head = reader.read(9)
-    size = int.from_bytes(head[1:], "big")
-    data = reader.read(size)
-    if len(head) < 9 or len(data) < size:
+def _receive(reader) -> list:
+    """The cell texts of the child's next row, one tab-joined line."""
+    line = reader.readline()
+    if not line.endswith("\n"):
         raise RuntimeError("the table's second process ended before sending every row")
-    if head[:1] == _ERROR:
-        raise RuntimeError(f"the table's second process failed: {data.decode()}")
-    return data.decode()
+    if line.startswith("!"):
+        raise RuntimeError(f"the table's second process failed: {line[1:-1]}")
+    return line[:-1].split("\t")
 
 
 def _fork_odd_columns(fc: FreeConformal, words: list, ns: range, engine: str):
     """(pid, reader) of a forked child that renders the columns words[1::2]
-    and sends one frame per row, or (None, None) if no child could start.
+    and sends each row as one line, its cell texts joined by tabs, or (None,
+    None) if no child could start.  No cell text holds a tab or a newline:
+    config names are ASCII identifiers.
 
     The child never touches sys.stdout and leaves through os._exit, so no
     buffer or exit handler it inherits runs twice.  It reports an exception
-    as an error frame and exits 1.
+    as one line, "!" and the text with its newlines made spaces, and exits
+    1.  Both ends take a newline alone as a line end, so a carriage return
+    in that text splits nothing.
     """
     r, w = os.pipe()
     try:
@@ -286,17 +277,18 @@ def _fork_odd_columns(fc: FreeConformal, words: list, ns: range, engine: str):
         return None, None
     if pid:
         os.close(w)
-        return pid, os.fdopen(r, "rb")
+        return pid, os.fdopen(r, "r", encoding="utf-8", errors="replace", newline="\n")
     code = 1
     try:
         os.close(r)
-        with os.fdopen(w, "wb") as out:
+        with os.fdopen(w, "w", encoding="utf-8", errors="replace", newline="\n") as out:
             try:
                 for row in _rendered_rows(fc, words, ns, engine, words[1::2]):
-                    _send(out, _ROW, "\n".join(row))
+                    out.write("\t".join(row) + "\n")
+                    out.flush()
                 code = 0
             except BaseException as exc:  # the child's last word: os._exit follows
-                _send(out, _ERROR, f"{type(exc).__name__}: {exc}")
+                out.write(f"!{type(exc).__name__}: {exc}".replace("\n", " ") + "\n")
     finally:
         os._exit(code)
 
@@ -315,7 +307,8 @@ def cmd_table(args) -> int:
     words = sorted(fc.enumerate_basis(args.max_k, 0), key=fc.sort_key)
     ns = range(args.max_n + 1)
     # Two processes when a second CPU is usable: a forked child takes the odd
-    # columns of every row, and this one the even ones.  Each computes its
+    # columns of every row and sends each row's back as a line of text, and
+    # this one takes the even ones and interleaves the two.  Each computes its
     # own columns of a row's shared block, where split rows would compute a
     # block that spans both halves twice, and interleaving gives each words
     # of every length.  fork copies the calling thread alone, so a second
@@ -337,7 +330,7 @@ def cmd_table(args) -> int:
         for cells in _rendered_rows(fc, words, ns, args.engine, words[0::2] if pid else words):
             if pid:
                 row = [""] * len(words)
-                row[0::2], row[1::2] = cells, _receive(reader).split("\n")
+                row[0::2], row[1::2] = cells, _receive(reader)
                 cells = row
             write(sep + ",".join(cells))
             sep = ","

@@ -7,6 +7,7 @@ a failed axiom check.
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -546,6 +547,36 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+class TestUsableCpus:
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask here")
+    def test_the_affinity_mask_where_there_is_one(self):
+        assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+
+    def test_the_machines_count_without_one(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli._usable_cpus() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
+        assert cli._usable_cpus() == 1
+
+
+class TestReceive:
+    """The parent's reader of the child's rows, one line each."""
+
+    @pytest.mark.parametrize("text", ["", '{"left":["a"]}\t{"left"'], ids=("empty", "cut"))
+    def test_a_line_without_its_end_means_the_child_stopped(self, text):
+        with pytest.raises(RuntimeError, match="ended before sending every row"):
+            cli._receive(io.StringIO(text))
+
+    def test_a_bang_line_is_the_childs_error(self):
+        with pytest.raises(RuntimeError, match="^the table's second process failed: X$"):
+            cli._receive(io.StringIO("!X\n"))
+
+    def test_a_row_line_gives_its_cells(self):
+        reader = io.StringIO("{}\t[1]\t2\n{}\n")
+        assert cli._receive(reader) == ["{}", "[1]", "2"]
+        assert cli._receive(reader) == ["{}"]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
 class TestTableOnTwoCores:
     """cmd_table on two usable CPUs: a forked child renders the odd columns
@@ -589,14 +620,20 @@ class TestTableOnTwoCores:
     def raise_planted(self):
         raise ArithmeticError("planted")
 
+    def raise_multiline(self):
+        raise ArithmeticError("one\ntwo\rthree\r\n")
+
     @pytest.mark.parametrize(
         ("fault", "message"),
         [
             (raise_planted, "second process failed: ArithmeticError: planted"),
+            # one line: newlines made spaces, and a reader that split on
+            # carriage returns would stop at "two"
+            (raise_multiline, "second process failed: ArithmeticError: one two\rthree\r $"),
             # a child that dies without a word: the parent meets EOF
             (lambda self: os._exit(0), "second process ended before sending every row"),
         ],
-        ids=("raises", "exits"),
+        ids=("raises", "multiline", "exits"),
     )
     def test_a_failing_child_makes_the_parent_raise(self, monkeypatch, fault, message):
         self.plant(monkeypatch, lambda: fault(self))
@@ -645,6 +682,14 @@ class TestTableOnTwoCores:
             thread.join(timeout=60)
         assert not thread.is_alive()
         assert forks == []
+
+    def test_a_one_word_table_keeps_one_process(self, monkeypatch, capsys):
+        # one word has no odd column to send
+        argv = ("--config", CONFIG_ONEGEN, "--max-k", "0", "--max-n", "1")
+        forks = spy_fork(monkeypatch)
+        one = table_on(monkeypatch, capsys, 1, *argv)
+        assert table_on(monkeypatch, capsys, 2, *argv) == one
+        assert forks == [] and one.count('"left"') == 2
 
     def test_a_failed_fork_leaves_one_process(self, monkeypatch, capsys):
         argv = ("--config", CONFIG, "--max-k", "1", "--max-n", "1")
