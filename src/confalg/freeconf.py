@@ -101,12 +101,15 @@ class FreeConformal:
         # stored, and every coefficient is an int.  The rewriting engine
         # makes none.
         self._iota_cache: dict[Word, tuple] = {
-            "": (0, None, NCPoly._of(config, {"": 1}), [None] * len(config.names))
+            "": (0, None, NCPoly._of(config, {"": 1}), {})
         }
         # each word and tuple the cache keeps, as its one object per value:
         # keys, image monomials and the words' gens and indices (see _iota_nc)
         self._shared: dict[Word | tuple, Word | tuple] = {}
-        self._rewriter = Rewriter(self)
+        self._rewriter = Rewriter(config)
+        # the words _validate has passed, for both rewrite methods; a word
+        # that fails validate is never added
+        self._valid: set[NormalWord] = set()
 
     # ---- normal words -------------------------------------------------
 
@@ -126,6 +129,14 @@ class FreeConformal:
                     f"({u.gens[i]}, {u.gens[i + 1]})"
                 )
         return u
+
+    def _validate(self, words: Iterable[NormalWord]) -> None:
+        """Validate each of words not yet in _valid, in order, by validate
+        as it is at call time: the rewriting engine takes its words as valid."""
+        valid = self._valid
+        for u in words:
+            if u not in valid:
+                valid.add(self.validate(u))
 
     def generator(self, name: str) -> ConfElement:
         self.alg.n_of(name)
@@ -177,7 +188,6 @@ class FreeConformal:
             if entry is not None:
                 break
             start = end
-        slots = len(alg.names)
         share = self._shared.setdefault
         while levels:  # innermost first; a level's slices go once its entry is built
             name, m, own, hat = levels.pop()
@@ -185,20 +195,20 @@ class FreeConformal:
                 piece, tail = hat[: alg.n[name]], entry[2]  # P_b, from b's locality
                 image = tail._new({share(w := piece + t, w): c for t, c in tail.terms.items()})
                 r = self._word(entry, alg.index[name])
-                entry = cache[share(hat, hat)] = (0, r, image, [None] * slots)
+                entry = cache[share(hat, hat)] = (0, r, image, {})
             derive = False
             if m:
                 image = entry[2].vderiv(m)
                 odd = m & 1
                 image = image._new({share(w, w): -c if odd else c for w, c in image.terms.items()})
-                entry = cache[share(own, own)] = (m, entry[1], image, [None] * slots)
+                entry = cache[share(own, own)] = (m, entry[1], image, {})
         return entry
 
     def _word(self, entry: tuple, code: int) -> NormalWord:
         """The word a .m r of the cache entry of T(m, r), or a of the empty
         tail's, for the letter a with code code; built once, and shared as
         the r of T(0, a .m r).  Its gens and indices go through _shared."""
-        word = entry[3][code]
+        word = entry[3].get(code)
         if word is None:
             m, r = entry[0], entry[1]
             share = self._shared.setdefault
@@ -403,7 +413,7 @@ class FreeConformal:
         self, words: Iterable[NormalWord], want: tuple[int, ...]
     ) -> Callable[[NormalWord, NormalWord], dict[int, list]]:
         """The realization engine's per-pair core for words, its per-word
-        work done (the rewriting engine's is Rewriter.pair).
+        work done (the rewriting engine's is _rw_pair).
 
         The result maps (u, w), both among words, to {n: u_(n) w} for each
         n in want.  It takes each word's P_a and T once (_tail), and scales
@@ -447,13 +457,23 @@ class FreeConformal:
 
         return pair
 
+    def _rw_pair(
+        self, words: Iterable[NormalWord], want: tuple[int, ...]
+    ) -> Callable[[NormalWord, NormalWord], dict[int, dict]]:
+        """The rewriting engine's per-pair core for words, once they are
+        validated (_validate): the result maps (u, w), both among words, to
+        {n: u_(n) w} for each n in want, each a Rewriter.product {word: int}."""
+        self._validate(words)
+        product = self._rewriter.product
+        return lambda u, w: {n: product(u, n, w) for n in want}
+
     def _products(
         self, pairs: Callable, terms: Callable, x: ConfElement, y: ConfElement, ns: Iterable[int]
     ) -> dict[int, ConfElement]:
         """{n: x_(n) y} for each n in ns, through one engine.
 
         pairs(words, want) is the engine's per-pair core (_pair,
-        Rewriter.pair), and terms(value, code) the (word, int) terms of one
+        _rw_pair), and terms(value, code) the (word, int) terms of one
         of its pair values for a u whose first letter has code code.  They
         are scaled by cu * cw, written over one common denominator, so the
         sums stay ints.  Each output term then gets a Fraction, over a
@@ -518,7 +538,7 @@ class FreeConformal:
 
         Cells come one at a time, u slowest and w fastest.  Every value
         lists its terms in sort_key order, by construction, not by a sort:
-        see _eliminate, and Rewriter._rw_words and _rw_rule in rewrite.py.
+        see _eliminate, and Rewriter.product and _rw_rule in rewrite.py.
         Under realize, each word is scaled once per call and each right word
         coacted once, not once per cell (_pair).  When the CLI splits a
         table's columns over two processes, each right word is coacted once,
@@ -532,9 +552,9 @@ class FreeConformal:
         Under rewrite, each cell is one cprod_rw of two single words, the
         product that bench/spans.py counts as the rewrite engine's work,
         yielded as soon as it is made.  It goes straight to
-        Rewriter.product: the cell's value becomes the cell's element
-        through _one_pair, with no per-cell pair, no common denominator and
-        no second pass.
+        Rewriter.product once its words are validated: the cell's value
+        becomes the cell's element through _one_pair, with no per-cell pair,
+        no common denominator and no second pass.
         """
         self.engine(engine)  # an unknown name raises ValueError
         words = list(words)
@@ -581,24 +601,28 @@ class FreeConformal:
         """{n: x_(n) y} for each n in ns, through the rewriting engine.
 
         Every coefficient the rules make is an int: binomials, falling
-        factorials and signs.  Each word pair's {word: int} from _rw_words
-        is scaled by cu * cw over a common denominator (_products), and
-        every returned value is a Fraction.
+        factorials and signs.  Each word pair's {word: int} from
+        Rewriter.product is scaled by cu * cw over a common denominator
+        (_products), and every returned value is a Fraction.
         """
-        return self._products(self._rewriter.pair, lambda value, code: value.items(), x, y, ns)
+        return self._products(self._rw_pair, lambda value, code: value.items(), x, y, ns)
 
     def cprod_rw(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
         """n-th product via axiom-level rewriting; no embedding involved.
 
         The value of cprods_rw(x, y, (n,))[n], with its terms in the same
         order.  One term by one term goes straight to Rewriter.product: n is
-        checked by _index first, as _requested checks it, and the value is
-        scaled by _one_pair.  Any other input takes cprods_rw.
+        checked by _index first, as _requested checks it, then a new word
+        is validated, w before u, as _rw_pair takes them (_validate), and
+        the value is scaled by _one_pair.  Any other input takes cprods_rw.
         """
         if len(x.terms) == 1 == len(y.terms):
             ((u, cu),) = x.terms.items()
             ((w, cw),) = y.terms.items()
-            return _one_pair(self._rewriter.product(u, _index(n), w).items(), cu, cw)
+            n = _index(n)
+            if w not in self._valid or u not in self._valid:
+                self._validate((w, u))
+            return _one_pair(self._rewriter.product(u, n, w).items(), cu, cw)
         return self.cprods_rw(x, y, (n,))[n]
 
     # ---- bases, counting, locality --------------------------------------

@@ -8,22 +8,16 @@ only the word algebra (words), which the realization engine shares.
 from __future__ import annotations
 
 import math
-import weakref
-from collections.abc import Callable, Iterable
 
 from .words import NormalWord
 
 
 class Rewriter:
-    """The rewriting engine of one FreeConformal fc, with its memos."""
+    """The rewriting engine of one locality config, with its memos.  It
+    takes its words as valid (see FreeConformal._validate)."""
 
-    def __init__(self, fc):
-        # a proxy makes no cycle, so fc's memos go with its last reference
-        self.fc = weakref.proxy(fc)
-        self.alg = fc.alg
-        # the words _validate has passed; a word that fails validate is
-        # never added
-        self._valid: set[NormalWord] = set()
+    def __init__(self, config):
+        self.alg = config
         # _rw_dfree values, {D-free word: int}, by
         # (gens_u, indices_u, n, gens_w, indices_w); Fractions appear only
         # once freeconf scales a value by its coefficients (_one_pair,
@@ -34,31 +28,7 @@ class Rewriter:
         self._rw_interned: dict[tuple, NormalWord] = {}
         self._shared: dict[tuple, tuple] = {}
 
-    def pair(
-        self, words: Iterable[NormalWord], want: tuple[int, ...]
-    ) -> Callable[[NormalWord, NormalWord], dict[int, dict]]:
-        """The per-pair core for words, its per-word work done: the result
-        maps (u, w), both among words, to {n: u_(n) w} for each n in want,
-        each a _rw_words {word: int}."""
-        self._validate(words)
-        return lambda u, w: {n: self._rw_words(u, n, w) for n in want}
-
     def product(self, u: NormalWord, n: int, w: NormalWord) -> dict[NormalWord, int]:
-        """u_(n) w as _rw_words gives it, once w and then u are validated."""
-        valid = self._valid
-        if w not in valid or u not in valid:
-            self._validate((w, u))
-        return self._rw_words(u, n, w)
-
-    def _validate(self, words: Iterable[NormalWord]) -> None:
-        """Validate each of words once per FreeConformal (_valid), in order,
-        by fc.validate as it is at call time."""
-        valid = self._valid
-        for u in words:
-            if u not in valid:
-                valid.add(self.fc.validate(u))
-
-    def _rw_words(self, u: NormalWord, n: int, w: NormalWord) -> dict[NormalWord, int]:
         """u_(n) w as {word: int}, by the closed-form D rules over _rw_dfree.
 
         (D^s x)_(n) y = (-1)^s n!/(n-s)! x_(n-s) y, and
@@ -72,7 +42,7 @@ class Rewriter:
             if n < u.s:
                 return {}
             coeff = (-1) ** u.s * math.perm(n, u.s)
-            inner = self._rw_words(u.dfree(), n - u.s, w)
+            inner = self.product(u.dfree(), n - u.s, w)
             return {v: c * coeff for v, c in inner.items()}
         if w.s:
             out: dict[NormalWord, int] = {}

@@ -35,6 +35,7 @@ from confalg import cli, pseudo
 from confalg.hopf import HPoly, TensorHH, decompose
 from confalg.ncpoly import AlgebraConfig, ConfigError, NCPoly, deglex_key
 from confalg.pseudo import PElement, ProductKind, PseudoAlgebra
+from confalg.rewrite import Rewriter
 from confalg.checks import as_rng, random_element, random_normal_word
 
 from conftest import DATA, element_from_json, hat_word, normal, word_from_json
@@ -371,7 +372,7 @@ class TestReduce:
         # as P_a times it
         a = alg.word(("a",))
         generator = normal(fc, 0, ("a",), ())
-        fc._iota_cache[a] = (0, generator, NCPoly(alg, {a: 1, "": 1}), [None])
+        fc._iota_cache[a] = (0, generator, NCPoly(alg, {a: 1, "": 1}), {})
         with pytest.raises(RuntimeError, match="progress"):
             fc.reduce(PElement(alg, {0: alg.monomial(("a", "a"))}))
 
@@ -1004,6 +1005,21 @@ class TestRewriteIntCore:
     def fc(self, request):
         return FreeConformal(load_config(str(DATA / request.param))[0])
 
+    def test_a_rewriter_needs_only_the_config(self, fc):
+        # the engine takes its words as valid and keeps no reference back to
+        # a FreeConformal, so one built from the config alone agrees with fc's
+        alone = Rewriter(fc.alg)
+        assert not any(isinstance(value, FreeConformal) for value in vars(alone).values())
+        rng = as_rng(163)
+        nonzero = 0
+        for _ in range(40):
+            u, w = (random_normal_word(rng, fc, max_s=2) for _ in range(2))
+            for n in range(4):
+                got = alone.product(u, n, w)
+                assert list(got.items()) == list(fc._rewriter.product(u, n, w).items())
+                nonzero += bool(got)
+        assert nonzero > 20
+
     def test_memo_values_are_int_dicts(self, fc):
         rng = as_rng(109)
         for _ in range(40):
@@ -1040,9 +1056,9 @@ class TestRewriteIntCore:
         assert min(expanded.values()) > 100, expanded
 
     def test_an_instance_goes_with_its_last_reference(self, fc):
-        # the Rewriter refers back to its FreeConformal without a cycle, so a
-        # request's memos of both engines are freed when it ends, not at the
-        # next run of the cyclic collector
+        # no cycle holds a FreeConformal (its Rewriter keeps no reference
+        # back), so a request's memos of both engines are freed when it
+        # ends, not at the next run of the cyclic collector
         fc = FreeConformal(fc.alg)
         x, y = fc.generator(fc.alg.names[0]), fc.generator(fc.alg.names[-1])
         assert fc.cprod_rw(x, 0, y) == fc.cprod(x, 0, y)
@@ -1163,7 +1179,7 @@ class TestDirectRewritePath:
         return seen
 
     def test_direct_path_matches_cprods_rw(self, fc):
-        valid, nonzero = fc._rewriter._valid, 0
+        valid, nonzero = fc._valid, 0
         for x, y, _ in self.cases(fc, 139):
             for left, right in ((x, y), (y, x)):
                 fc.cprod_rw(left, 0, right)  # validates both words
@@ -1189,11 +1205,21 @@ class TestDirectRewritePath:
             fc.cprod_rw(y, n, x)
             fc.cprod_rw(x.scale(3), n, y)
         assert validated == [w, u]
-        assert v not in fc._rewriter._valid
+        assert v not in fc._valid
         fc.cprod_rw(x, 0, z)  # one new word, validated once
-        assert validated == [w, u, v] and v in fc._rewriter._valid
+        assert validated == [w, u, v] and v in fc._valid
         fc.cprod_rw(z, 2, y)
         assert validated == [w, u, v]
+        # one memo serves both methods, whichever validated a word first
+        fc.cprods_rw(x + z, y.scale(2) + z, range(3))
+        assert validated == [w, u, v]
+        other = FreeConformal(fc.alg)
+        other.cprods_rw(x, y, range(3))
+        assert validated == [w, u, v, w, u] and other._valid == {u, w}
+        for n in range(3):
+            other.cprod_rw(x, n, y)
+            other.cprod_rw(y, n, x)
+        assert validated == [w, u, v, w, u]
 
     @pytest.mark.parametrize(("n", "kind"), [(-1, ValueError), (1.0, TypeError), (True, TypeError)])
     def test_a_bad_index_raises_as_in_cprods_rw(self, fc, validated, n, kind):
@@ -1207,7 +1233,7 @@ class TestDirectRewritePath:
                 fc.cprod_rw(left, n, right)
             assert str(got.value) == str(want.value)
         (v,) = z.terms
-        assert len(validated) == 2 and v not in fc._rewriter._valid  # n was checked first
+        assert len(validated) == 2 and v not in fc._valid  # n was checked first
 
     def test_a_zero_factor_is_zero(self, fc):
         x, y, _ = next(self.cases(fc, 157))
@@ -1252,6 +1278,17 @@ def test_construction_builds_nothing_per_letter():
     assert peak < 64 * 1024
     first, last = fc.generator("g0"), fc.generator("g1999")
     assert fc.cprods(first, last, range(3)) == fc.cprods_rw(first, last, range(3))
+
+
+def test_realize_cache_entries_hold_only_the_words_built():
+    # an entry keeps its words a .m r by letter code as each is built, so a
+    # wide alphabet costs an entry no slot per letter
+    fc = FreeConformal(AlgebraConfig({f"g{i}": 2 for i in range(100_000)}))
+    x = fc.generator("g0")
+    y = ConfElement({normal(fc, 0, ("g1", "g99999"), (1,)): 1})
+    assert fc.cprods(x, y, range(3)) == fc.cprods_rw(x, y, range(3))
+    slots = [len(entry[3]) for entry in fc._iota_cache.values()]
+    assert 0 < max(slots) <= 3, slots
 
 
 class TestHatKeyedImages:
@@ -1468,7 +1505,7 @@ class TestSharedTuples:
 
     def test_realize_words_share_their_fields(self, tables):
         cache = tables[1]["realize"]._iota_cache
-        words = [w for entry in cache.values() for w in entry[3] if w is not None]
+        words = [w for entry in cache.values() for w in entry[3].values()]
         for field in ("gens", "indices"):
             values = [getattr(w, field) for w in words]
             objects, distinct = objects_and_values(values)
