@@ -68,7 +68,7 @@ def generator_image(alg: AlgebraConfig, name: str) -> NCPoly:
     """
     n = alg.n_of(name)
     # alg.word sorts the letters of a pseudo-commutative config
-    return NCPoly(alg, {alg.word(("v",) * (n - 1) + (name,)): Fraction(1, math.factorial(n - 1))})
+    return NCPoly(alg, {alg.word(("v",) * (n - 1) + (name,)): Fraction(1, _factorial(n - 1))})
 
 
 # engine name -> the names of its (cprod, cprods) methods
@@ -90,8 +90,8 @@ class FreeConformal:
         # The scaled image of a .m r is P_a times T(m, r) = (-1)^m times the
         # m-th v-derivative of W_r * iota(r), which does not depend on a.
         # One entry per (m, r) met so far, (m, the D-free word r, T(m, r),
-        # the words a .m r by letter code, each built when first needed, see
-        # _word), keyed by T's lex-least monomial: r's hat word without its
+        # the words a .m r by the name of a, each built when first needed,
+        # see _word), keyed by T's lex-least monomial: r's hat word without its
         # first m v's, which is u's hat word without P_a.  For m = 0 that is
         # r's hat word, so the entry of T(0, r) is also r's own scaled image,
         # which reduce reads (see _eliminate).  The key "" holds the empty
@@ -194,7 +194,7 @@ class FreeConformal:
             if not derive:
                 piece, tail = hat[: alg.n[name]], entry[2]  # P_b, from b's locality
                 image = tail._new({share(w := piece + t, w): c for t, c in tail.terms.items()})
-                r = self._word(entry, alg.index[name])
+                r = self._word(entry, name)
                 entry = cache[share(hat, hat)] = (0, r, image, {})
             derive = False
             if m:
@@ -204,18 +204,17 @@ class FreeConformal:
                 entry = cache[share(own, own)] = (m, entry[1], image, {})
         return entry
 
-    def _word(self, entry: tuple, code: int) -> NormalWord:
+    def _word(self, entry: tuple, name: str) -> NormalWord:
         """The word a .m r of the cache entry of T(m, r), or a of the empty
-        tail's, for the letter a with code code; built once, and shared as
-        the r of T(0, a .m r).  Its gens and indices go through _shared."""
-        word = entry[3].get(code)
+        tail's, for the letter a named name; built once, and shared as the
+        r of T(0, a .m r).  Its gens and indices go through _shared."""
+        word = entry[3].get(name)
         if word is None:
             m, r = entry[0], entry[1]
             share = self._shared.setdefault
-            head = (self.alg.names[code],)
-            gens, indices = (head, ()) if r is None else (head + r.gens, (m,) + r.indices)
+            gens, indices = ((name,), ()) if r is None else ((name,) + r.gens, (m,) + r.indices)
             word = NormalWord._of(0, share(gens, gens), share(indices, indices))
-            entry[3][code] = word
+            entry[3][name] = word
         return word
 
     def _tail(self, u: NormalWord) -> tuple[Word, Word, NCPoly]:
@@ -226,20 +225,17 @@ class FreeConformal:
         piece, key = hat[:cut], hat[cut:]
         return piece, key, self._iota_nc(u.gens[1:], u.indices, key)[2]
 
-    def _scaled(self, u: NormalWord) -> PElement:
-        """W * iota(u), with int coefficients: P_a times T (see _tail)."""
-        piece, _, tail = self._tail(u)
-        return PElement._of(self.alg, {u.s: _prefixed(piece, tail)})
-
     def _weight(self, u: NormalWord) -> int:
         """W = prod (n(a) - 1)! over u's letters, for a valid word u (_factorial)."""
         return math.prod(_factorial(self.alg.n[name] - 1) for name in u.gens)
 
     def iota_word(self, u: NormalWord) -> PElement:
-        p, weight = self._scaled(u), self._weight(u)
-        f = p.parts[u.s]
-        # divide value by value: scale(Fraction(1, 1)) would copy the ints out
-        return p._new({u.s: f._new({k: Fraction(c, weight) for k, c in f.terms.items()})})
+        """iota(u): P_a times T (see _tail), each int coefficient divided by
+        u's W (_weight) as it is copied, so every coefficient is a Fraction."""
+        piece, _, tail = self._tail(u)
+        f, weight = _prefixed(piece, tail), self._weight(u)
+        f = f._new({k: Fraction(c, weight) for k, c in f.terms.items()})
+        return PElement._of(self.alg, {u.s: f})
 
     def iota(self, x: ConfElement) -> PElement:
         out = PElement(self.alg)
@@ -400,13 +396,13 @@ class FreeConformal:
                 done = w
         return quotients
 
-    def _words(self, quotients: list, code: int) -> Iterator[tuple[NormalWord, Fraction | int]]:
+    def _words(self, quotients: list, name: str) -> Iterator[tuple[NormalWord, Fraction | int]]:
         """(word, quotient) for each (d, entry, quotient) of a pair slice's
         _eliminate: the word a .m r of the entry T(m, r) for the letter a
-        with code code (_word), D^d."""
+        named name (_word), D^d."""
         word = self._word
         for d, entry, q in quotients:
-            u = word(entry, code)
+            u = word(entry, name)
             yield (NormalWord._of(d, u.gens, u.indices) if d else u), q
 
     def _pair(
@@ -473,8 +469,8 @@ class FreeConformal:
         """{n: x_(n) y} for each n in ns, through one engine.
 
         pairs(words, want) is the engine's per-pair core (_pair,
-        _rw_pair), and terms(value, code) the (word, int) terms of one
-        of its pair values for a u whose first letter has code code.  They
+        _rw_pair), and terms(value, name) the (word, int) terms of one
+        of its pair values for a u whose first letter is named name.  They
         are scaled by cu * cw, written over one common denominator, so the
         sums stay ints.  Each output term then gets a Fraction, over a
         denominator of 1 the shared one of its value (_fraction).  No pair
@@ -485,19 +481,17 @@ class FreeConformal:
         if not want:
             return {}
         pair = pairs((*y.terms, *x.terms), want)
-        index = self.alg.index
         den_x = math.lcm(*(c.denominator for c in x.terms.values()))
         den_y = math.lcm(*(c.denominator for c in y.terms.values()))
         acc: dict[int, dict[NormalWord, int]] = {n: {} for n in want}
         for u, cu in x.terms.items():
             su = cu.numerator * (den_x // cu.denominator)
-            code = index[u.gens[0]]
             for w, cw in y.terms.items():
                 scale = su * cw.numerator * (den_y // cw.denominator)
                 for n, value in pair(u, w).items():
                     out = acc[n]
                     get = out.get
-                    for v, k in terms(value, code):
+                    for v, k in terms(value, u.gens[0]):
                         out[v] = get(v, 0) + k * scale
         den = den_x * den_y
         return {
@@ -567,16 +561,16 @@ class FreeConformal:
             keys = [(u.s, self._tail(u)[1]) for u in words]
             last = {key: row for row, key in enumerate(keys)}
             blocks: dict[tuple, list] = {}  # by key, until its last row
-            index, to_words = self.alg.index, self._words
+            to_words = self._words
             for row, (u, key) in enumerate(zip(words, keys)):
                 block = blocks.pop(key, None) or [pair(u, w) for w in rights]
                 if last[key] > row:
                     blocks[key] = block
-                code = index[u.gens[0]]
+                name = u.gens[0]
                 for n in want:
                     for w, value in zip(rights, block):
                         yield u, n, w, ConfElement._of(
-                            {v: _fraction(k) for v, k in to_words(value[n], code)}
+                            {v: _fraction(k) for v, k in to_words(value[n], name)}
                         )
             return
         single = {w: ConfElement({w: 1}) for w in (*words, *rights)}
@@ -605,7 +599,7 @@ class FreeConformal:
         Rewriter.product is scaled by cu * cw over a common denominator
         (_products), and every returned value is a Fraction.
         """
-        return self._products(self._rw_pair, lambda value, code: value.items(), x, y, ns)
+        return self._products(self._rw_pair, lambda value, name: value.items(), x, y, ns)
 
     def cprod_rw(self, x: ConfElement, n: int, y: ConfElement) -> ConfElement:
         """n-th product via axiom-level rewriting; no embedding involved.

@@ -124,9 +124,12 @@ class NCPoly(AlgLinear):
     scale = AlgLinear.scale
 
     def _key(self, w) -> Word:
-        """w as a Word; any other sequence of int letter codes is joined."""
+        """w as a Word; any other sequence of int letter codes is joined.
+        A letter past v, which no name of the config codes, raises ConfigError."""
         if not isinstance(w, str):
             w = "".join(map(chr, w))
+        if w and max(w) > self.alg.v:
+            raise ConfigError(f"unknown letter code: {ord(max(w))}")
         return "".join(sorted(w)) if self.alg.commutative else w
 
     def __mul__(self, other):

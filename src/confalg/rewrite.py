@@ -149,7 +149,7 @@ class Rewriter:
                 for s in range(m1 + 1)
             ]
         a = gu[0]
-        bound = self.alg.n_of(gw[0])
+        bound = self.alg.n[gw[0]]  # words are taken as valid
         if n < bound:
             return {self._rw_word((a,) + gw, (n,) + iw): 1}, None
         if len(gw) == 1:

@@ -189,6 +189,12 @@ class TestRealizationMap:
             ("v", "v", "c"), Fraction(1, 2)
         )
 
+    def test_generator_image_is_iota_of_the_generator(self):
+        fc = FreeConformal(AlgebraConfig({"a": 1, "b": 4, "c": 7}))
+        for name in fc.alg.names:
+            image = fc.iota_word(NormalWord(0, (name,), ()))
+            assert PElement(fc.alg, {0: generator_image(fc.alg, name)}) == image
+
     def test_image_of_words(self, fc):
         alg = fc.alg
         a = fc.generator("a")
@@ -944,7 +950,8 @@ class TestIntegerPipeline:
 
     def test_scaled_images_are_int_multiples_of_iota(self, fc):
         for u in fc.enumerate_basis(2, max_s=1):
-            image = fc._scaled(u)
+            piece, _, tail = fc._tail(u)
+            image = PElement(fc.alg, {u.s: tail._new({piece + w: c for w, c in tail.terms.items()})})
             weight = math.prod(math.factorial(fc.alg.n_of(g) - 1) for g in u.gens)
             assert image == fc.iota_word(u).scale(weight)
             assert coefficient_types([image]) == {int}
@@ -1414,7 +1421,7 @@ class TestSiblingImages:
         for m, r, _, _ in cache.values():
             if r is not None:
                 key = fc._hat(r)[fc.alg.n[r.gens[0]]:]
-                assert cache[key][3][fc.alg.index[r.gens[0]]] is r, r
+                assert cache[key][3][r.gens[0]] is r, r
 
     def test_a_derivative_reads_the_cached_tail(self):
         fc = FreeConformal(AlgebraConfig({"a": 2, "b": 3}))

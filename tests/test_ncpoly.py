@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from confalg import ncpoly
 from confalg.ncpoly import MAX_LOCALITY, AlgebraConfig, ConfigError, NCPoly, deglex_key
+from confalg.pseudo import PElement
 
 AB = AlgebraConfig({"a": 2, "b": 3})
 
@@ -243,3 +244,18 @@ def test_a_tuple_of_codes_is_read_as_its_word(alg):
     assert all(w.__class__ is str for w in NCPoly(alg, codes).terms)
     if alg.commutative:
         assert list(NCPoly(alg, {(1, 2, 0): 1}).terms) == [alg.word(("a", "b", "v"))]
+
+
+@pytest.mark.parametrize("alg", [AB, AlgebraConfig({"a": 2, "b": 3}, commutative=True)],
+                         ids=["words", "commutative"])
+@pytest.mark.parametrize("word", [(99,), "\x05", (0, 3), "\x00\x02\x03"],
+                         ids=["tuple", "str", "tuple-after-a", "str-after-v"])
+def test_a_letter_code_past_v_is_refused(alg, word):
+    with pytest.raises(ConfigError, match=r"^unknown letter code: \d+$"):
+        NCPoly(alg, {word: 1})
+
+
+def test_v_is_the_last_letter_code_accepted():
+    assert NCPoly(AB, {(2,): 1}) == AB.monomial(("v",))
+    with pytest.raises(ConfigError, match="^unknown letter code: 9$"):
+        PElement(AB, {0: {(9,): 1}})
